@@ -192,12 +192,13 @@ def _cmd_verify_all(args) -> int:
     from .verify import run_all
 
     reports = run_all(args.q, args.k, seed=args.seed)
-    ok = all(r["passed"] for r in reports)
     for r in reports:
-        status = "PASS" if r["passed"] else "FAIL"
+        status = "BUDGET" if "budget_exceeded" in r else "PASS" if r["passed"] else "FAIL"
         print(f"{status}  {r['name']:<22} {r['runtime_s']:>8.2f}s", file=sys.stderr)
-    _emit(args, {"passed": ok, "suites": reports})
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    _emit(args, {"passed": all(r["passed"] for r in reports), "suites": reports})
+    if any(r["failures"] for r in reports):
+        return EXIT_VERIFICATION
+    return EXIT_BUDGET if any("budget_exceeded" in r for r in reports) else EXIT_OK
 
 
 def _cmd_count_vinogradov(args) -> int:

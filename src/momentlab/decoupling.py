@@ -724,12 +724,9 @@ def _square_sum_moment(pieces: list[ModulatedStep], k_power: int) -> float:
     live = [f for f in pieces if not f.is_zero]
     if not live:
         return 0.0
-    corners, vol, matrix = joint_cell_values(live)
-    total = []
-    for j in range(len(corners)):
-        s = fsum(abs(matrix[i][j]) ** 2 for i in range(len(live)))
-        total.append(s**k_power)
-    return fsum(total) * float(vol)
+    vol, values = joint_cell_values(live)
+    square_sum = (abs(values) ** 2).sum(axis=0)
+    return fsum((square_sum**k_power).tolist()) * float(vol)
 
 
 def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
@@ -772,15 +769,10 @@ def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
     broad_sum = 0.0
     if len(live) >= k:
         fns = [f for _, f in live]
-        corners, vol, matrix = joint_cell_values(fns)
+        vol, values = joint_cell_values(fns)
+        squares = abs(values) ** 2
         for tup in permutations(range(len(live)), k):
-            vals = []
-            for j in range(len(corners)):
-                prod = 1.0
-                for i in tup:
-                    prod *= abs(matrix[i][j]) ** 2
-                vals.append(prod)
-            broad_sum += fsum(vals) * float(vol)
+            broad_sum += fsum(squares[list(tup)].prod(axis=0).tolist()) * float(vol)
     kappa = float(cfg.kappa)
     count_bound = float(q) ** ((kappa_exp - 1) * k * (k - 1))
     broad_vs_square = count_bound * denom

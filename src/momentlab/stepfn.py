@@ -7,7 +7,10 @@ transform and convolution, all computed term by term in closed form.
 Two evaluation layers coexist: support and cube bookkeeping is exact
 (canonical corners, exact character angles), while coefficients are
 floating complex numbers.  Norms and integrals are therefore exact up to
-float rounding; the documented tolerance for comparisons is 1e-9.
+float rounding; the documented tolerance for comparisons is 1e-9.  One
+numpy kernel, ``_cell_values``, gives the cell values behind ``lp_norm``
+and ``joint_cell_values``; its oracles, sharing no code with it, are the
+symbolic ``evaluate`` and ``quotient_dft.evaluate_on_grid``.
 
 Canonical form: all cubes at one common scale, at most one term per
 (cube, modulation) pair with modulations reduced to canonical digit
@@ -307,68 +310,41 @@ class ModulatedStep:
                     r = max(r, -bi.valuation)
         return r
 
-    def cell_values(self, cell_exp: int | None = None, budget: int = DEFAULT_CELL_BUDGET):
-        """Yield (corner, volume, value) over constancy cells of the support."""
-        if self.is_zero:
-            return
-        r = self.cell_scale() if cell_exp is None else max(cell_exp, self.cell_scale())
-        per_cube = self.q ** ((r - self.scale_exp) * self.k)
-        total = per_cube * len(self._by_cube)
-        if total > budget:
-            raise BudgetExceededError(
-                f"{total} constancy cells exceed the budget", estimated=total, budget=budget
-            )
-        vol = Fraction(self.q) ** (-r * self.k)
-        for cube, parts in self._by_cube.items():
-            for cell in cube.subdivide(r):
-                x = cell.corner
-                value = sum((c * _phase(b, x) for c, b in parts), 0j)
-                yield x, vol, value
-
-    def _modulus_cells(self, budget: int = DEFAULT_CELL_BUDGET):
-        """Yield (volume, |value|) over cells on which |f| is constant.
+    def lp_norm(self, p, budget: int = DEFAULT_CELL_BUDGET) -> float:
+        """L^p norm, p in [1, inf].  Integrals are exact sums over cells.
 
         Within one cube only modulation *differences* oscillate (a common
-        phase has unit modulus), so the refinement is per cube and usually
-        far coarser than the full constancy grid.
+        phase has unit modulus), so each cube is refined only to the scale
+        of its differences; a one-term cube is one cell.  Moduli are divided
+        by the sup before the p-th power, so huge coefficients cannot overflow.
         """
-        q, k = self.q, self.k
-        spent = 0
-        for cube, parts in self._by_cube.items():
-            c0, b0 = parts[0]
-            if len(parts) == 1:
-                yield cube.volume, abs(c0)
-                continue
-            r = cube.scale_exp
-            rel = [(c, b - b0) for c, b in parts]
-            for _, d in rel:
-                for di in d:
-                    if not di.is_zero:
-                        r = max(r, -di.valuation)
-            spent += q ** ((r - cube.scale_exp) * k)
-            if spent > budget:
-                raise BudgetExceededError(
-                    "modulus cells exceed the budget", estimated=spent, budget=budget
-                )
-            vol = Fraction(q) ** (-r * k)
-            for cell in cube.subdivide(r):
-                x = cell.corner
-                yield vol, abs(sum((c * _phase(d, x) for c, d in rel), 0j))
-
-    def lp_norm(self, p, budget: int = DEFAULT_CELL_BUDGET) -> float:
-        """L^p norm, p in [1, inf].  Integrals are exact sums over cells."""
         if self.is_zero:
             return 0.0
-        if p == inf:
-            return max(v for _, v in self._modulus_cells(budget=budget))
         if p < 1:
             raise ValueError(f"p must be at least 1, got {p}")
+        q, k = self.q, self.k
+        consts, plan = [], []  # (volume, |f|) on one-term cubes; the rest are refined
+        for cube, parts in self._by_cube.items():
+            if len(parts) == 1:
+                consts.append((float(cube.volume), abs(parts[0][0])))
+                continue
+            rel = [(c, b - parts[0][1]) for c, b in parts]
+            r = max([cube.scale_exp] + [-di.valuation for _, d in rel for di in d if not di.is_zero])
+            plan.append((cube, rel, r))
+        spent = sum(q ** ((r - cube.scale_exp) * k) for cube, _, r in plan)
+        if spent > budget:
+            raise BudgetExceededError("modulus cells exceed the budget", estimated=spent, budget=budget)
+        grids = [(float(Fraction(q) ** (-r * k)), abs(_cell_values(cube, rel, r)))
+                 for cube, rel, r in plan]
+        sup = max([m for _, m in consts] + [float(a.max()) for _, a in grids])
+        if p == inf:
+            return sup
         p = float(p)
-        total = fsum(float(vol) * v**p for vol, v in self._modulus_cells(budget=budget))
-        return total ** (1.0 / p)
-
-    def linf_norm(self, budget: int = DEFAULT_CELL_BUDGET) -> float:
-        return self.lp_norm(inf, budget=budget)
+        total = fsum(
+            [vol * (m / sup) ** p for vol, m in consts]
+            + [x for vol, a in grids for x in (vol * (a / sup) ** p).tolist()]
+        )
+        return sup * total ** (1.0 / p)
 
     # -- comparison ----------------------------------------------------------------
 
@@ -425,31 +401,60 @@ class ModulatedStep:
         return cls(q, k, terms)
 
 
+def _cell_values(cube: Cube, parts, r: int):
+    """Sum of c * chi(b . x) over ``parts`` at each cell corner x of
+    ``cube.subdivide(r)``, flat and in that order.
+
+    With x = corner + t * q^s, chi(b . x) is chi(b . corner) times one exact
+    integer phase per axis, combined by outer product.  Callers take r at
+    least the constancy scale of every modulation, so each phase denominator
+    divides q^(r-s) and the int64 products stay below q^(2(r-s)).
+    """
+    import numpy as np  # imported here so that importing momentlab does not load numpy
+
+    q, k, s = cube.q, cube.k, cube.scale_exp
+    n = q ** (r - s)
+    t = np.arange(n, dtype=np.int64)
+    total = np.zeros((n,) * k, dtype=np.complex128)
+    for c, b in parts:
+        term = c * char_value(b.dot(cube.corner))
+        for i, bi in enumerate(b):
+            if bi.is_zero or bi.valuation + s >= 0:
+                continue
+            den = q ** -(bi.valuation + s)
+            axis = np.exp(2j * np.pi * ((bi.unit % den * (t % den)) % den) / den)
+            term = term * axis.reshape((1,) * i + (n,) + (1,) * (k - i - 1))
+        total += term
+    return total.reshape(-1)
+
+
 def joint_cell_values(fns, budget: int = DEFAULT_CELL_BUDGET):
     """Evaluate several functions on the common refinement of their cells.
 
-    Returns (corners, volume, matrix) where matrix[i][j] is the value of
-    fns[i] at corner j.  The cell grid covers the union of supports.
+    Returns (volume, values) where values[i, j] is fns[i] at the corner of
+    cell j.  The cells cover the union of supports: each support cube at
+    the common scale, refined to the finest cell scale.
     """
+    import numpy as np
+
     fns = list(fns)
     if not fns:
         raise MomentLabError("need at least one function")
     q, k = fns[0].q, fns[0].k
     live = [f for f in fns if not f.is_zero]
     if not live:
-        return [], Fraction(0), [[] for _ in fns]
+        return Fraction(0), np.zeros((len(fns), 0), dtype=np.complex128)
+    s = max(f.scale_exp for f in live)
     r = max(f.cell_scale() for f in live)
-    cubes: set[Cube] = set()
-    for f in live:
-        for cube in f.support_cubes():
-            cubes.update(cube.subdivide(max(r, cube.scale_exp)) if cube.scale_exp < r else [cube])
-    corners = sorted((c.corner for c in cubes), key=QVector.key)
-    if len(corners) * len(fns) > budget:
-        raise BudgetExceededError(
-            f"{len(corners)} joint cells exceed the budget",
-            estimated=len(corners) * len(fns),
-            budget=budget,
-        )
-    vol = Fraction(q) ** (-r * k)
-    matrix = [[f.evaluate(x) for x in corners] for f in fns]
-    return corners, vol, matrix
+    cubes = {piece for f in live for cube in f._by_cube
+             for piece in (cube.subdivide(s) if cube.scale_exp < s else [cube])}
+    per_cube = q ** ((r - s) * k)
+    estimated = len(cubes) * per_cube * len(fns)
+    if estimated > budget:
+        raise BudgetExceededError("joint cells exceed the budget", estimated=estimated, budget=budget)
+    values = np.empty((len(fns), len(cubes) * per_cube), dtype=np.complex128)
+    for j, cube in enumerate(sorted(cubes, key=Cube.key)):
+        for i, f in enumerate(fns):
+            parts = f._by_cube.get(Cube.containing(cube.corner, f.scale_exp), ())
+            values[i, j * per_cube : (j + 1) * per_cube] = _cell_values(cube, parts, r)
+    return Fraction(q) ** (-r * k), values

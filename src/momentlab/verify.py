@@ -1,9 +1,9 @@
 """Desk-scale verification suites.
 
 Each suite checks one family of exact statements at small parameters and
-returns a report dict with a ``passed`` flag; ``run_all`` strings the
-applicable suites together for a given (q, k).  The acceptance tests and
-the command-line ``verify-all`` both run these.
+returns a report dict with a ``passed`` flag, plus ``budget_exceeded`` if it
+ran out of budget; ``run_all`` strings the applicable suites together for a
+given (q, k).  The acceptance tests and the command-line ``verify-all`` run these.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import decoupling as dec
 from . import quotient_dft as qd
-from .errors import MomentLabError, SupportError
+from .errors import BudgetExceededError, MomentLabError, SupportError
 from .exponents import (
     ExponentParams,
     a_coeff,
@@ -54,10 +54,12 @@ def _suite(name):
             report = {"name": name, "passed": True, "failures": []}
             try:
                 fn(report, *args, **kwargs)
+            except BudgetExceededError as exc:
+                # a third state, neither pass nor failure; only overruns carry the key
+                report["budget_exceeded"] = str(exc)
             except (MomentLabError, AssertionError) as exc:
-                report["passed"] = False
                 report["failures"].append(str(exc))
-            report["passed"] = report["passed"] and not report["failures"]
+            report["passed"] = not report["failures"] and "budget_exceeded" not in report
             report["runtime_s"] = round(time.time() - t0, 3)
             return report
 

@@ -178,7 +178,7 @@ def test_criterion_09_main_and_reversed_inequalities():
         9,
         "two-branch moment inequality and reversed Hoelder, 20 seeded instances each",
         r1["passed"] and r2["passed"] and factors_ok,
-        120.0,
+        30.0,
         time.time() - t0,
         f"min slack {min(r1['min_slack'], r2['min_slack']):.3g}",
     )

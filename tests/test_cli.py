@@ -138,6 +138,56 @@ class TestFailureModes:
         assert r.returncode == 4
         assert "verification-failure" in r.stderr
 
+    def test_huge_coefficients_at_large_p(self, fixture_path, tmp_path):
+        from momentlab.stepfn import ModulatedStep
+
+        with open(fixture_path) as fh:
+            f = ModulatedStep.from_json(json.load(fh))
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(f.scaled(1e12).to_json()))
+        ratios = []
+        for path in (fixture_path, str(big)):
+            r = run_cli("ratio", "--input", path, "--p", "40", "--delta-exp", "2")
+            assert r.returncode == 0, r.stderr
+            ratios.append(json.loads(r.stdout)["ratio"])
+        assert abs(ratios[1] - ratios[0]) <= 1e-9 * ratios[0]
+
+    def test_budget_overrun_in_a_suite_is_not_a_failure(self):
+        from momentlab.errors import BudgetExceededError
+        from momentlab.verify import _suite
+
+        @_suite("overrun")
+        def overrun(report):
+            raise BudgetExceededError("too many cells", estimated=11, budget=10)
+
+        @_suite("fine")
+        def fine(report):
+            report["cases"] = 1
+
+        over = overrun()
+        assert not over["passed"] and over["failures"] == []
+        assert over["budget_exceeded"] == "too many cells"
+        assert "budget_exceeded" not in fine()
+
+    @pytest.mark.parametrize(
+        "states, code",
+        [(("pass",), 0), (("pass", "budget"), 3), (("budget", "fail"), 4), (("fail",), 4)],
+    )
+    def test_verify_all_exit_code(self, monkeypatch, capsys, states, code):
+        from momentlab import cli, verify
+
+        def report(state):
+            r = {"name": state, "passed": state == "pass", "runtime_s": 0.0, "failures": []}
+            if state == "fail":
+                r["failures"].append("inequality failed")
+            if state == "budget":
+                r["budget_exceeded"] = "too many cells"
+            return r
+
+        monkeypatch.setattr(verify, "run_all", lambda q, k, seed: [report(s) for s in states])
+        assert cli.main(["verify-all", "--q", "3", "--k", "2"]) == code
+        assert json.loads(capsys.readouterr().out)["passed"] == (code == 0)
+
     def test_output_file_written_atomically(self, tmp_path):
         out = tmp_path / "r.json"
         r = run_cli(

@@ -4,13 +4,15 @@ from math import inf
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import momentlab.quotient_dft as qd
 from momentlab.errors import BudgetExceededError
 from momentlab.geometry import Cube, ball, unit_interval
 from momentlab.qadic import QRational, QVector
 from momentlab.random_instances import random_modstep
-from momentlab.stepfn import ModulatedStep, joint_cell_values
+from momentlab.stepfn import ModulatedStep, _cell_values, joint_cell_values
 
 
 def q3(n, v=0):
@@ -23,6 +25,38 @@ def vec(*vals):
 
 def deep(n, v):
     return QRational(3, n, v)
+
+
+def _parts(f):
+    """(support cube, its (coeff, modulation) parts) pairs of a function."""
+    return [(cube, [(c, b) for c, b, Q in f.terms if Q == cube]) for cube in f.support_cubes()]
+
+
+@st.composite
+def small_modsteps(draw):
+    """Random functions on the unit cube with modulations up to one digit
+    finer than their cubes.
+
+    Where q^k <= 25, term cubes sit at two scales, so the canonical form
+    subdivides the coarser ones.
+    """
+    q, k = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)]))
+    small = q**k <= 25
+    top = draw(st.integers(0, 2 if small else 1))
+    low = max(0, top - 1) if small else top
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = draw(st.integers(low, top))
+        corner = QVector(
+            [QRational(q, draw(st.integers(0, q**scale - 1))).rep_mod(scale) for _ in range(k)]
+        )
+        depth = draw(st.integers(0, top + 1))
+        mod = QVector(
+            [QRational(q, draw(st.integers(0, q**depth - 1)), -depth).rep_mod(0) for _ in range(k)]
+        )
+        coeff = complex(draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)))
+        terms.append((coeff, mod, Cube(corner, scale)))
+    return ModulatedStep(q, k, terms)
 
 
 class TestCanonicalize:
@@ -262,8 +296,10 @@ class TestNorms:
         rng = random.Random(10)
         f = random_modstep(rng, 3, 2, 4, 2)
         r = f.cell_scale()
-        coarse = max(abs(v) for _, _, v in f.cell_values())
-        fine = max(abs(f.evaluate(x)) for x, _, _ in f.cell_values(cell_exp=r + 1))
+        coarse, fine = (
+            max(float(np.abs(_cell_values(cube, parts, scale)).max()) for cube, parts in _parts(f))
+            for scale in (r, r + 1)
+        )
         assert abs(coarse - fine) < 1e-12
         assert abs(f.lp_norm(inf) - coarse) < 1e-12
 
@@ -284,6 +320,34 @@ class TestNorms:
         )
         with pytest.raises(BudgetExceededError):
             f.lp_norm(2, budget=10)
+
+
+class TestCellKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(small_modsteps(), st.integers(0, 1))
+    def test_kernel_matches_symbolic_evaluation(self, f, extra):
+        r = f.cell_scale() + extra
+        assume(len(f.support_cubes()) * f.q ** (f.k * (r - f.scale_exp)) <= 4000)
+        for cube, parts in _parts(f):
+            values = _cell_values(cube, parts, r)
+            expected = [f.evaluate(cell.corner) for cell in cube.subdivide(r)]
+            assert values.shape == (len(expected),)
+            assert np.abs(values - np.array(expected)).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_modsteps())
+    def test_norms_match_quotient_grid(self, f):
+        M, r = qd.grid_geometry(f)
+        grid = qd.evaluate_on_grid(f, M, r)
+        l2, sup = qd.grid_l2_norm(grid, f.q, r), float(np.abs(grid).max())
+        assert abs(f.lp_norm(2) - l2) < 1e-12 * max(1.0, l2)
+        assert abs(f.lp_norm(inf) - sup) < 1e-12 * max(1.0, sup)
+        # joint cells align functions of different scales on common cubes
+        coarse = ModulatedStep.indicator(ball(f.q, f.k, 0), 0.5)
+        vol, values = joint_cell_values([coarse, f])
+        energies = float(vol) * (np.abs(values) ** 2).sum(axis=1)
+        assert abs(energies[0] - 0.25) < 1e-12
+        assert abs(energies[1] - l2**2) < 1e-12 * max(1.0, l2**2)
 
 
 class TestOracleAgreement:
@@ -335,6 +399,6 @@ class TestSerialization:
     def test_joint_cells_cover_union(self):
         a = ModulatedStep.indicator(Cube(vec(0, 0), 1))
         b = ModulatedStep.indicator(Cube(vec(1, 1), 1))
-        corners, vol, matrix = joint_cell_values([a, b])
-        assert len(corners) == 2
-        assert sorted(sum(map(abs, row)) for row in matrix) == [1.0, 1.0]
+        vol, values = joint_cell_values([a, b])
+        assert values.shape == (2, 2) and vol == Fraction(1, 9)
+        assert sorted(np.abs(values).sum(axis=1).tolist()) == [1.0, 1.0]
