@@ -2,9 +2,10 @@
 """Exact power-sum solution counting and the iteration bound.
 
 J(s, k, X) counts 2s-variable solutions of the simultaneous power-sum
-equations of degrees 1..k with entries in [1, X].  The hash join is
-exact; the residue bound and the recursive estimate reproduce the
-classical counting pipeline at desk scale.
+equations of degrees 1..k with entries in [1, X].  It is the sum of
+squared multiplicities of the exact power-sum distribution, convolved one
+variable at a time; the residue bound and the recursive estimate
+reproduce the classical counting pipeline at desk scale.
 """
 
 from momentlab.vinogradov import (

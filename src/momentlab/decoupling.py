@@ -14,10 +14,12 @@ distinct same-length intervals are automatically q*kappa apart.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import fsum
+from math import frexp, fsum, isfinite
 
 from .errors import BudgetExceededError, MomentLabError, SupportError
 from .geometry import Cube, Interval, ThetaBox, ball, gamma, tau_of, theta_of, unit_interval
@@ -382,7 +384,7 @@ def counting_set_pointwise_oracle(qry: CountingQuery, rng: random.Random | None 
 def counting_lemma_exhaustive(q: int, k: int, delta_exp: int, kappa_exp: int):
     """Check every admissible query at the given scales against the bound.
 
-    Boxes are enumerated through their residues modulo the delta lattice
+    Boxes range over their residues modulo the delta lattice
     (inequivalent residues exhaust the distinct membership questions, and
     boxes away from the unit ball give empty sets).  Returns a report with
     the worst count and the query space size.
@@ -399,25 +401,17 @@ def counting_lemma_exhaustive(q: int, k: int, delta_exp: int, kappa_exp: int):
             # anchors are canonical digit integers, so tau corners are integers
             corner = tau_of(K, k).corner
             tau_corner[K] = tuple(c.unit * q**c.valuation if not c.is_zero else 0 for c in corner)
-    worst = 0
-    worst_query = None
-    n_queries = 0
+    worst, worst_query, n_queries = 0, None, 0
     for combo_I in permutations(coarse, k):
-        table: dict[tuple[int, ...], int] = {}
-        for combo_K in product(*(fine_by_coarse[I] for I in combo_I)):
-            key = tuple(
-                sum(tau_corner[K][i] for K in combo_K) % qm for i in range(k)
-            )
-            table[key] = table.get(key, 0) + 1
-        for combo_Kbar in product(*(fine_by_coarse[I] for I in combo_I)):
-            base = tuple(sum(tau_corner[K][i] for K in combo_Kbar) % qm for i in range(k))
-            for w in product(range(qm), repeat=k):
-                n_queries += 1
-                key = tuple((base[i] - w[i]) % qm for i in range(k))
-                count = table.get(key, 0)
-                if count > worst:
-                    worst = count
-                    worst_query = (combo_I, combo_Kbar, w)
+        anchors = list(product(*(fine_by_coarse[I] for I in combo_I)))
+        keys = [tuple(sum(tau_corner[K][i] for K in combo_K) % qm for i in range(k)) for combo_K in anchors]
+        table = Counter(keys)
+        # per anchor tuple, w -> (base - w) mod q^m meets each key once; the first max is at anchors[0]
+        n_queries += len(anchors) * qm**k
+        best = max(table.values())
+        if best > worst:
+            w = min(tuple((b - c) % qm for b, c in zip(keys[0], key)) for key, n in table.items() if n == best)
+            worst, worst_query = best, (combo_I, anchors[0], w)
     report = {
         "worst_count": worst,
         "bound": bound,
@@ -468,7 +462,8 @@ def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supp
 
     ``dec_bound_supplier(p', scale_exp)`` must return a certified upper
     bound for the decoupling constant at scale q^-scale_exp; the default
-    is the trivial ceiling.  Every factor is computed from g and reported.
+    is the trivial ceiling.  Every factor is computed from g and reported,
+    from g / normalized_by when a p-th power of g's norms leaves the float range.
     """
     q, k = cfg.q, cfg.k
     if p % 2 != 0 or p < 2 * k + 2:
@@ -489,37 +484,43 @@ def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supp
     live_J = [J for J, gJ in mid_comps.items() if not gJ.is_zero]
     N = len(live_J)
 
-    lhs = g.lp_norm(p) ** p
-    sq_sum = fsum(v**2 for v in norms_p.values())
+    gnorm = g.lp_norm(p)
     c_narrow, c_broad = main_inequality_constants(k, p)
     d_kappa = dec_bound_supplier(p, cfg.delta_exp - cfg.kappa_exp)
     d_nu = dec_bound_supplier(p - 2 * k, cfg.delta_exp - cfg.nu_exp)
-
-    narrow_term = c_narrow * d_kappa**p * sq_sum ** (p / 2.0)
-
     children = {J: [K for K in fine if J.contains_interval(K)] for J in live_J}
-    max_inner = max(
-        (
-            fsum(norms_low.get(K, 0.0) ** 2 for K in children[J]) ** ((p - 2 * k) / 2.0)
-            for J in live_J
-        ),
-        default=0.0,
-    )
-    max_inf = max(norms_inf.values(), default=0.0)
-    sum_inf = fsum(norms_inf.values())
     kappa, nu = float(cfg.kappa), float(cfg.nu)
-    broad_term = (
-        c_broad
-        * float(q) ** (-k * (k - 1))
-        * kappa ** (-(k * k + 4 * k - 2))
-        * nu ** (-k * (k - 1) / 2.0)
-        * N ** (p - 2 * k)
-        * d_nu ** (p - 2 * k)
-        * max_inf**k
-        * sum_inf**k
-        * max_inner
-    )
-    rhs = narrow_term + broad_term
+    # both sides are homogeneous of degree p in g: out of float range, check g / 2^e ~ g / ||g||_p
+    for scale in (1.0, 2.0 ** frexp(gnorm)[1]):
+        with suppress(OverflowError):
+            lhs = (gnorm / scale) ** p
+            sq_sum = fsum((v / scale) ** 2 for v in norms_p.values())
+            narrow_term = c_narrow * d_kappa**p * sq_sum ** (p / 2.0)
+            max_inner = max(
+                (
+                    fsum((norms_low.get(K, 0.0) / scale) ** 2 for K in children[J]) ** ((p - 2 * k) / 2.0)
+                    for J in live_J
+                ),
+                default=0.0,
+            )
+            max_inf = max(norms_inf.values(), default=0.0) / scale
+            sum_inf = fsum(norms_inf.values()) / scale
+            broad_term = (
+                c_broad
+                * float(q) ** (-k * (k - 1))
+                * kappa ** (-(k * k + 4 * k - 2))
+                * nu ** (-k * (k - 1) / 2.0)
+                * N ** (p - 2 * k)
+                * d_nu ** (p - 2 * k)
+                * max_inf**k
+                * sum_inf**k
+                * max_inner
+            )
+            rhs = narrow_term + broad_term
+            if 0.0 < lhs and isfinite(rhs):
+                break
+    else:
+        raise ValueError(f"p = {p} is too large to evaluate the terms in floating point")
     report = {
         "lhs": lhs,
         "rhs": rhs,
@@ -534,6 +535,8 @@ def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supp
         "square_sum": sq_sum,
         "holds": lhs <= rhs * (1 + REL_TOL),
     }
+    if scale != 1.0:
+        report["normalized_by"] = scale
     if not report["holds"]:
         raise MomentLabError(f"main inequality failed: {lhs} > {rhs}")
     return report

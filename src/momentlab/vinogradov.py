@@ -2,10 +2,11 @@
 
 The central object is the count J(s, k, X) of 2s-variable solutions of
 the simultaneous equations sum x_i^j = sum y_i^j for j = 1..k with all
-variables in [1, X].  Counting is done by a hash join on power-sum
-vectors (O(X^s) time and memory) with an independent nested-loop oracle
-for small instances.  On top sit the residue-restricted counts, the
-exhaustive Linnik residue bound, the Newton-Girard identities, and the
+variables in [1, X]: the sum of squared multiplicities of the power-sum
+vectors of s-tuples, whose distribution is built one variable at a time,
+with an independent nested-loop oracle for small instances.  The same
+routine gives the residue-restricted counts and, mod p^j, the exhaustive
+Linnik residue bound.  On top sit the Newton-Girard identities and the
 recursive upper-bound trace that trades one counting step for a factor
 p^(2s-2k) X^k p^(k(k-1)/2).
 """
@@ -16,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import factorial, isqrt
+from math import comb, factorial, isqrt, prod
 
 from .errors import BudgetExceededError, MomentLabError
 
@@ -48,27 +49,82 @@ def _check_budget(estimated: int, budget: int, what: str) -> None:
         )
 
 
-def _power_sum_keys(s: int, k: int, values, budget: int) -> Counter:
-    """Multiplicities of (p_1, ..., p_k) over s-tuples from the given range."""
-    values = list(values)
-    _check_budget(len(values) ** s, budget, "power-sum enumeration")
-    powers = {v: tuple(v**j for j in range(1, k + 1)) for v in values}
-    counts: Counter = Counter()
-    for tup in product(values, repeat=s):
-        key = tuple(sum(powers[v][j] for v in tup) for j in range(k))
-        counts[key] += 1
-    return counts
+def _power_sum_distribution(k: int, blocks, moduli=None, budget: int = DEFAULT_BUDGET):
+    """Multiplicities of the power-sum vector (sum x^j, j = 1..k) over tuples.
+
+    Each block (values, n, p) adds n variables from values, one at a time;
+    with p, they are pairwise distinct mod p: one pass over the classes mod
+    p, each giving at most one value, times n! as power sums are symmetric.
+    With moduli, sum j is taken mod moduli[j-1] in a numpy array indexed by
+    residues, each value shifting the occupied cells; without, a Counter over
+    the sums packed into one integer (values nonnegative).  The budget bounds
+    the keys at each step by the key space and by the multisets drawn.
+    """
+    blocks = [(list(values), n, p) for values, n, p in blocks if n > 0]
+    n_all, top = sum(n for _, n, _ in blocks), max((max(v, default=0) for v, _, _ in blocks), default=0)
+    # digit j holds sum j, which never exceeds n_all * top^j, so packed sums never carry
+    radix = [prod(n_all * top**i + 1 for i in range(1, j)) for j in range(1, k + 2)]
+    cells = radix[-1] if moduli is None else prod(moduli)
+    keys, estimate = 1, 0
+    for values, n, p in blocks:
+        bounds = [keys] + [min(cells, keys * comb(len(values) + i - 1, i)) for i in range(1, n + 1)]
+        # with moduli, also one scan of the array per step, and per class in a distinct block
+        estimate += sum(bounds[:-1]) * len(values) + (0 if moduli is None else cells * n * (p or 1))
+        keys = bounds[-1]
+    _check_budget(estimate, budget, "power-sum distribution")
+
+    if moduli is None:
+        def table(values):
+            return list(Counter(sum(v**j * radix[j - 1] for j in range(1, k + 1)) for v in values).items())
+
+        def shifted(dist, tab):
+            out: Counter = Counter()
+            for key, m in dist.items():
+                for e, w in tab:
+                    out[key + e] += m * w
+            return out
+
+        dist = Counter({0: 1})
+    else:
+        import numpy as np
+
+        def table(values):
+            return list(Counter(tuple(pow(v, j, m) for j, m in enumerate(moduli, 1)) for v in values).items())
+
+        def shifted(dist, tab):
+            out = np.zeros_like(dist)
+            occupied = np.flatnonzero(dist)
+            coords, counts = np.unravel_index(occupied, moduli), dist[occupied]
+            for shift, w in tab:
+                # a shift permutes the cells, so no index repeats
+                out[np.ravel_multi_index([c + s for c, s in zip(coords, shift)], moduli, mode="wrap")] += counts * w
+            return out
+
+        tuples = prod(len(values) ** n for values, n, _ in blocks)
+        dist = np.zeros(cells, dtype=np.int64 if tuples < 2**63 else object)
+        dist[0] = 1
+    for values, n, p in blocks:
+        if p is None:
+            for _ in range(n):
+                dist = shifted(dist, table(values))
+            continue
+        classes = [table(c) for c in ([v for v in values if v % p == r] for r in range(p)) if c]
+        # states[j]: j values taken from the classes so far; a shift by no value is empty
+        states = [dist] + [shifted(dist, [])] * n
+        for c, tab in enumerate(classes):
+            # downwards, so this class feeds each state from before it; only states that can still reach n
+            for j in range(min(c, n - 1), max(0, n - len(classes) + c) - 1, -1):
+                states[j + 1] = states[j + 1] + shifted(states[j], tab)
+        # times n!, as a shift by the power-sum vector of 0 (the zero vector) of weight n!
+        dist = shifted(states[n], [(zero, factorial(n)) for zero, _ in table([0])])
+    return dist if moduli is None else dist.reshape(moduli)
 
 
 def count_J(s: int, k: int, X: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Exact number of solutions of the degree-k system in 2s variables.
-
-    Hash join: enumerate x-side s-tuples once, key by the power-sum
-    vector, and sum squared multiplicities.
-    """
+    """Exact number of solutions of the degree-k system in 2s variables."""
     if s < 1 or k < 1 or X < 1:
         raise ValueError("need s, k, X >= 1")
-    counts = _power_sum_keys(s, k, range(1, X + 1), budget)
+    counts = _power_sum_distribution(k, [(range(1, X + 1), s, None)], budget=budget)
     return sum(m * m for m in counts.values())
 
 
@@ -85,41 +141,6 @@ def count_J_nested(s: int, k: int, X: int, budget: int = DEFAULT_BUDGET) -> int:
     return total
 
 
-def _distinct_mod(tup, p: int, count: int) -> bool:
-    seen = set()
-    for v in tup[:count]:
-        r = v % p
-        if r in seen:
-            return False
-        seen.add(r)
-    return True
-
-
-def _restricted_side_keys(s, k, X, p, a, budget) -> Counter:
-    """Power-sum keys over s-tuples with the first k entries pairwise
-    distinct mod p and the rest congruent to a mod p (when a is given)."""
-    if a is None:
-        tail_range = list(range(1, X + 1))
-    else:
-        tail_range = [n for n in range(1, X + 1) if n % p == a % p]
-    head_range = list(range(1, X + 1))
-    _check_budget(len(head_range) ** min(s, k) * max(1, len(tail_range)) ** max(0, s - k), budget,
-                  "restricted enumeration")
-    counts: Counter = Counter()
-    head_len = min(s, k)
-    for head in product(head_range, repeat=head_len):
-        if not _distinct_mod(head, p, head_len):
-            continue
-        base = tuple(sum(v**j for v in head) for j in range(1, k + 1))
-        if s <= k:
-            counts[base] += 1
-            continue
-        for tail in product(tail_range, repeat=s - k):
-            key = tuple(base[j - 1] + sum(v**j for v in tail) for j in range(1, k + 1))
-            counts[key] += 1
-    return counts
-
-
 def count_J_congruence(
     s: int,
     k: int,
@@ -127,7 +148,6 @@ def count_J_congruence(
     p: int,
     a: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    warn=None,
 ) -> int:
     """Restricted count: x_1..x_k (and y_1..y_k) pairwise distinct mod p;
     with a residue given, all later variables are pinned to it mod p.
@@ -137,9 +157,8 @@ def count_J_congruence(
     """
     if p < 2:
         raise ValueError("p must be a prime >= 2")
-    if p <= k and warn is not None:
-        warn(f"p = {p} is not larger than k = {k}; distinctness is very restrictive")
-    counts = _restricted_side_keys(s, k, X, p, a, budget)
+    tail = range(1, X + 1) if a is None else [n for n in range(1, X + 1) if n % p == a % p]
+    counts = _power_sum_distribution(k, [(range(1, X + 1), min(s, k), p), (tail, s - k, None)], budget=budget)
     return sum(m * m for m in counts.values())
 
 
@@ -154,14 +173,8 @@ def count_power_sum_congruences(
     moduli = list(moduli)
     if len(moduli) != k:
         raise ValueError("need one modulus per degree")
-    _check_budget(base**s, budget, "congruence enumeration")
-    counts: Counter = Counter()
-    values = range(base)
-    powers = {v: tuple(v**j for j in range(1, k + 1)) for v in values}
-    for tup in product(values, repeat=s):
-        key = tuple(sum(powers[v][j] for v in tup) % moduli[j] for j in range(k))
-        counts[key] += 1
-    return sum(m * m for m in counts.values())
+    counts = _power_sum_distribution(k, [(range(base), s, None)], moduli, budget)
+    return sum(m * m for m in counts[counts != 0].tolist())
 
 
 # -- Newton-Girard ------------------------------------------------------------
@@ -215,40 +228,24 @@ def linnik_bound(k: int, p: int) -> int:
     return factorial(k) * p ** (k * (k - 1) // 2)
 
 
-def _linnik_buckets(k: int, p: int, budget: int) -> Counter:
-    pk = p**k
-    _check_budget(pk**k, budget, "residue enumeration")
-    moduli = [p**j for j in range(1, k + 1)]
-    counts: Counter = Counter()
-    powers = [None] * pk
-    for x in range(pk):
-        powers[x] = tuple(pow(x, j, moduli[j - 1]) for j in range(1, k + 1))
-    for tup in product(range(pk), repeat=k):
-        if not _distinct_mod(tup, p, k):
-            continue
-        key = tuple(sum(powers[x][j] for x in tup) % moduli[j] for j in range(k))
-        counts[key] += 1
-    return counts
-
-
 def linnik_count(k: int, p: int, residues, budget: int = DEFAULT_BUDGET) -> int:
     """Number of k-tuples of residues mod p^k, pairwise distinct mod p,
     whose degree-j power sums hit the target residues mod p^j."""
     residues = list(residues)
     if len(residues) != k:
         raise ValueError("need one target residue per degree")
-    counts = _linnik_buckets(k, p, budget)
-    key = tuple(residues[j] % p ** (j + 1) for j in range(k))
-    return counts.get(key, 0)
+    counts = _power_sum_distribution(k, [(range(p**k), k, p)], [p**j for j in range(1, k + 1)], budget)
+    return int(counts[tuple(residues[j] % p ** (j + 1) for j in range(k))])
 
 
 def linnik_max(k: int, p: int, budget: int = DEFAULT_BUDGET):
     """Exhaustive maximum of linnik_count over every target; with argmax."""
-    counts = _linnik_buckets(k, p, budget)
-    if not counts:
+    counts = _power_sum_distribution(k, [(range(p**k), k, p)], [p**j for j in range(1, k + 1)], budget)
+    value = int(counts.max())
+    if value == 0:
         return 0, None
-    key, value = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
-    return value, list(key)
+    # ties go to the lexicographically largest target, the last in row-major order
+    return value, [int(r[-1]) for r in (counts == value).nonzero()]
 
 
 # -- the iteration bound --------------------------------------------------------

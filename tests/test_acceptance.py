@@ -93,7 +93,7 @@ def test_criterion_05_linnik():
         5,
         "exhaustive residue maxima under k! p^(k(k-1)/2) (bounds 6, 10, 750)",
         r["passed"] and bounds == expected,
-        120.0,
+        10.0,
         time.time() - t0,
         str({key: v["max"] for key, v in r["results"].items()}),
     )
@@ -120,7 +120,7 @@ def test_criterion_07_counting_lemma():
         7,
         "every admissible transverse query meets zero at most (q kappa)^(-k(k-1)) = 1 times",
         ok,
-        60.0,
+        10.0,
         time.time() - t0,
         str(r["results"]),
     )

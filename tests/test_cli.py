@@ -145,12 +145,20 @@ class TestFailureModes:
             f = ModulatedStep.from_json(json.load(fh))
         big = tmp_path / "big.json"
         big.write_text(json.dumps(f.scaled(1e12).to_json()))
-        ratios = []
+        ratios, lemmas = [], []
         for path in (fixture_path, str(big)):
             r = run_cli("ratio", "--input", path, "--p", "40", "--delta-exp", "2")
             assert r.returncode == 0, r.stderr
             ratios.append(json.loads(r.stdout)["ratio"])
+            r = run_cli("main-lemma", "--input", path, "--p", "40", "--delta-exp", "2")
+            assert r.returncode == 0, r.stderr
+            lemmas.append(json.loads(r.stdout))
         assert abs(ratios[1] - ratios[0]) <= 1e-9 * ratios[0]
+        # both sides are homogeneous of degree p, so their ratio is scale-free
+        assert "normalized_by" not in lemmas[0] and lemmas[1]["normalized_by"] > 1
+        shares = [rep["lhs"] / rep["rhs"] for rep in lemmas]
+        assert abs(shares[1] - shares[0]) <= 1e-9 * shares[0]
+        assert lemmas[0]["holds"] and lemmas[1]["holds"]
 
     def test_budget_overrun_in_a_suite_is_not_a_failure(self):
         from momentlab.errors import BudgetExceededError

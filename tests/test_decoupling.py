@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 from math import fsum
 
 import pytest
 
 from momentlab import decoupling as dec
 from momentlab.errors import MomentLabError, SupportError
-from momentlab.geometry import Cube, ball, gamma, unit_interval
+from momentlab.geometry import Cube, ball, gamma, tau_of, unit_interval
 from momentlab.qadic import QRational, QVector
 from momentlab.random_instances import random_box_function, random_curve_supported
 from momentlab.stepfn import ModulatedStep
@@ -15,6 +16,50 @@ from momentlab.wavepackets import ScaleConfig
 
 def cfg92():
     return ScaleConfig.from_epsilon(3, 2, 2, Fraction(1, 2))
+
+
+def counting_lemma_box_loop(q, k, delta_exp, kappa_exp):
+    """Reference: counting_lemma_exhaustive's report with every box residue
+    w looked up one at a time, anchor tuple by anchor tuple."""
+    cfg = ScaleConfig(q, k, delta_exp, -(-delta_exp // k), kappa_exp)
+    m, r = delta_exp, kappa_exp
+    coarse = unit_interval(q).partition(r)
+    qm = q**m
+    fine_by_coarse = {I: I.partition(m) for I in coarse}
+    tau_corner = {}
+    for I in coarse:
+        for K in fine_by_coarse[I]:
+            corner = tau_of(K, k).corner
+            tau_corner[K] = tuple(c.unit * q**c.valuation if not c.is_zero else 0 for c in corner)
+    worst, worst_query, n_queries = 0, None, 0
+    for combo_I in permutations(coarse, k):
+        table = {}
+        for combo_K in product(*(fine_by_coarse[I] for I in combo_I)):
+            key = tuple(sum(tau_corner[K][i] for K in combo_K) % qm for i in range(k))
+            table[key] = table.get(key, 0) + 1
+        for combo_Kbar in product(*(fine_by_coarse[I] for I in combo_I)):
+            base = tuple(sum(tau_corner[K][i] for K in combo_Kbar) % qm for i in range(k))
+            for w in product(range(qm), repeat=k):
+                n_queries += 1
+                count = table.get(tuple((base[i] - w[i]) % qm for i in range(k)), 0)
+                if count > worst:
+                    worst, worst_query = count, (combo_I, combo_Kbar, w)
+    bound = dec._counting_bound(cfg)
+    report = {
+        "worst_count": worst,
+        "bound": bound,
+        "n_queries": n_queries,
+        "holds": worst <= bound,
+        "worst_query": None,
+    }
+    if worst_query is not None:
+        combo_I, combo_Kbar, w = worst_query
+        report["worst_query"] = {
+            "intervals": [I.to_json() for I in combo_I],
+            "anchors": [K.to_json() for K in combo_Kbar],
+            "box_residue": list(w),
+        }
+    return report
 
 
 class TestCertificates:
@@ -174,6 +219,12 @@ class TestCountingLemma:
         rep = dec.counting_lemma_exhaustive(3, 2, 2, 1)
         assert rep["holds"] and rep["bound"] == 1 and rep["worst_count"] == 1
 
+    @pytest.mark.parametrize("q,k,delta_exp,kappa_exp", [(3, 2, 2, 1), (5, 2, 2, 1), (3, 2, 3, 1), (3, 2, 2, 2)])
+    def test_exhaustive_report_matches_the_box_loop(self, q, k, delta_exp, kappa_exp):
+        assert dec.counting_lemma_exhaustive(q, k, delta_exp, kappa_exp) == counting_lemma_box_loop(
+            q, k, delta_exp, kappa_exp
+        )
+
     def test_invalid_queries_rejected(self):
         cfg = ScaleConfig(3, 2, 2, 1, 1)
         coarse = cfg.coarse_partition()
@@ -223,6 +274,17 @@ class TestMainInequality:
             g, cfg92(), 8, dec_bound_supplier=lambda p, m: 10.0 * dec.trivial_decoupling_bound(3, m)
         )
         assert generous["rhs"] > loose["rhs"]
+
+    def test_same_verdict_when_p_th_powers_leave_the_float_range(self):
+        g = random_curve_supported(random.Random(0), 3, 2, 2, 4, 2)
+        plain = dec.verify_main_lemma(g, cfg92(), 40)
+        assert "normalized_by" not in plain
+        for factor in (1e12, 1e-12):  # ||g||_p^40 overflows, then underflows
+            rep = dec.verify_main_lemma(g.scaled(factor), cfg92(), 40)
+            assert rep["holds"] and 0.0 < rep["lhs"] < float("inf")
+            scale = rep["normalized_by"] / factor
+            assert abs(rep["lhs"] * scale**40 - plain["lhs"]) <= 1e-9 * plain["lhs"]
+            assert abs(rep["rhs"] * scale**40 - plain["rhs"]) <= 1e-9 * plain["rhs"]
 
 
 class TestReversedHoelder:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,83 @@ from momentlab.vinogradov import (
     newton_girard,
     smallest_prime_in,
 )
+
+
+def brute_keys(k, tuples, moduli=None):
+    """Multiplicities of the power-sum vectors of the given tuples, by plain loops."""
+    counts = {}
+    for tup in tuples:
+        key = tuple(sum(v**j for v in tup) for j in range(1, k + 1))
+        if moduli is not None:
+            key = tuple(c % m for c, m in zip(key, moduli))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def brute_restricted(s, k, X, p, a):
+    """count_J_congruence's side tuples, filtered from all s-tuples."""
+    head = min(s, k)
+    for tup in product(range(1, X + 1), repeat=s):
+        if len({v % p for v in tup[:head]}) < head:
+            continue
+        if a is not None and any(v % p != a % p for v in tup[head:]):
+            continue
+        yield tup
+
+
+def brute_linnik(k, p):
+    tuples = (t for t in product(range(p**k), repeat=k) if len({v % p for v in t}) == k)
+    return brute_keys(k, tuples, [p**j for j in range(1, k + 1)])
+
+
+# (k, p) small enough to enumerate all (p^k)^k residue tuples in a test
+LINNIK_SMALL = ((1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3))
+
+
+class TestAgainstBruteForce:
+    """The power-sum distribution against plain enumeration of every tuple."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5))
+    def test_count_J(self, s, k, X):
+        expected = sum(m * m for m in brute_keys(k, product(range(1, X + 1), repeat=s)).values())
+        assert count_J(s, k, X) == expected == count_J_nested(s, k, X)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 7),
+        st.sampled_from([2, 3, 5, 7]),
+        st.one_of(st.none(), st.integers(0, 9)),
+    )
+    def test_count_J_congruence(self, s, k, X, p, a):
+        expected = sum(m * m for m in brute_keys(k, brute_restricted(s, k, X, p, a)).values())
+        assert count_J_congruence(s, k, X, p, a) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 6), st.data())
+    def test_count_power_sum_congruences(self, s, base, data):
+        k = data.draw(st.integers(1, 3))
+        moduli = data.draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+        keys = brute_keys(k, product(range(base), repeat=s), moduli)
+        assert count_power_sum_congruences(s, k, base, moduli) == sum(m * m for m in keys.values())
+
+    @pytest.mark.parametrize("k,p", LINNIK_SMALL)
+    def test_linnik_count_on_every_target(self, k, p):
+        keys = brute_linnik(k, p)
+        for target in product(*(range(p**j) for j in range(1, k + 1))):
+            assert linnik_count(k, p, target) == keys.get(target, 0)
+
+    @pytest.mark.parametrize("k,p", LINNIK_SMALL)
+    def test_linnik_max_and_tie_break(self, k, p):
+        keys = brute_linnik(k, p)
+        if not keys:
+            assert linnik_max(k, p) == (0, None)
+            return
+        # the largest count; among equal counts, the largest target
+        key, value = max(keys.items(), key=lambda kv: (kv[1], kv[0]))
+        assert linnik_max(k, p) == (value, list(key))
 
 
 class TestExactCounts:
@@ -168,6 +246,11 @@ class TestLinnik:
         with pytest.raises(BudgetExceededError):
             linnik_max(3, 7, budget=1000)
 
+    def test_degree_three_at_seven_within_the_default_budget(self):
+        value, argmax = linnik_max(3, 7)
+        assert 0 < value <= linnik_bound(3, 7)
+        assert linnik_count(3, 7, argmax) == value
+
 
 class TestKaratsuba:
     def test_base_case(self):
@@ -176,8 +259,8 @@ class TestKaratsuba:
         assert trace.steps[0]["base_case"]
 
     def test_bound_dominates_exact_counts(self):
-        for X in range(1, 9):
-            for s in (2, 4):
+        for X in range(1, 21):
+            for s in (2, 4, 6):
                 assert karatsuba_bound(s, 2, X).bound >= count_J(s, 2, X)
 
     def test_prime_selection_window(self):
