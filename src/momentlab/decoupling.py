@@ -21,12 +21,12 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import frexp, fsum, isfinite
 
-from .errors import BudgetExceededError, MomentLabError, SupportError
-from .geometry import Cube, Interval, ThetaBox, ball, gamma, tau_of, theta_of, unit_interval
+from .errors import BudgetExceededError, MomentLabError
+from .geometry import Cube, Interval, ball, gamma, tau_of, unit_interval
 from .qadic import QRational, QVector
 from .stepfn import ModulatedStep, joint_cell_values
 from .vinogradov import count_power_sum_congruences
-from .wavepackets import ScaleConfig
+from .wavepackets import ScaleConfig, freq_certificate
 
 __all__ = [
     "DecouplingInstance",
@@ -49,37 +49,6 @@ __all__ = [
 ]
 
 REL_TOL = 1e-9
-
-
-def freq_certificate(f: ModulatedStep, delta_exp: int) -> dict[Interval, list[Cube]]:
-    """Which fine intervals carry Fourier support, with the witness cubes.
-
-    Refines the transform to the curve-box cube scale and tests each
-    surviving cube against the box over its interval; a cube outside
-    raises with the offender attached.
-    """
-    q, k, m = f.q, f.k, delta_exp
-    if f.is_zero:
-        return {}
-    hat = f.fourier()
-    refined = ModulatedStep(q, k, hat._terms_at_scale(max(hat.scale_exp, m * k)))
-    boxes: dict[Interval, ThetaBox] = {}
-    out: dict[Interval, list[Cube]] = {}
-    for _, _, cube in refined.terms:
-        first = cube.corner[0]
-        if not first.is_zero and first.valuation < 0:
-            raise SupportError("Fourier support leaves the unit interval", offending_cube=cube)
-        K = Interval(first.rep_mod(m), m)
-        box = boxes.get(K)
-        if box is None:
-            box = theta_of(K, k)
-            boxes[K] = box
-        if not box.contains_cube(cube):
-            raise SupportError(
-                f"Fourier support leaves the curve box over {K}", offending_cube=cube
-            )
-        out.setdefault(K, []).append(cube)
-    return out
 
 
 @dataclass

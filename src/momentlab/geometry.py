@@ -11,7 +11,7 @@ materialized only on demand.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import perm, prod
 
 from .errors import MomentLabError
 from .qadic import QRational, QVector, qnorm_of_fraction
@@ -147,14 +147,6 @@ class Cube:
     def containing(cls, x: QVector, scale_exp: int) -> "Cube":
         return cls(x.rep_mod(scale_exp), scale_exp)
 
-    @classmethod
-    def from_intervals(cls, intervals) -> "Cube":
-        intervals = list(intervals)
-        m = intervals[0].scale_exp
-        if any(i.scale_exp != m for i in intervals):
-            raise ValueError("cube needs intervals of a common length")
-        return cls(QVector([i.corner for i in intervals]), m)
-
     @property
     def k(self) -> int:
         return self.corner.k
@@ -205,9 +197,6 @@ class Cube:
         """Sum set; a cube again, at the coarser of the two scales."""
         m = min(self.scale_exp, other.scale_exp)
         return Cube((self.corner + other.corner).rep_mod(m), m)
-
-    def minkowski_neg(self) -> "Cube":
-        return Cube((-self.corner).rep_mod(self.scale_exp), self.scale_exp)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cube):
@@ -260,12 +249,19 @@ def gamma_derivative(a: QRational, j: int, k: int) -> QVector:
     return QVector(coords)
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Integers n_i and the least valuation L with values[i] = n_i * q^L."""
+    L = min((c.valuation for c in values if c.unit), default=0)
+    return [c.unit * c.q ** (c.valuation - L) if c.unit else 0 for c in values], L
+
+
 class MaMatrix:
     """The lower-triangular frame matrix with columns the curve derivatives.
 
-    With |a| <= 1 and q > k the matrix has entries in Z_q and determinant
-    of norm 1 (the diagonal is 1!, 2!, ..., k!), so it maps cubes of any
-    side bijectively onto cubes of the same side.
+    With |a| <= 1 the anchor is an integer, and so is every entry
+    perm(i, j) * a^(i-j); they are kept as ints.  With q > k the
+    determinant has norm 1 (the diagonal is 1!, 2!, ..., k!), so the
+    matrix maps cubes of any side bijectively onto cubes of the same side.
     """
 
     __slots__ = ("q", "k", "a", "entries")
@@ -276,8 +272,11 @@ class MaMatrix:
         q = a.q
         if q <= k:
             raise ValueError(f"need q > k for a unimodular frame, got q={q}, k={k}")
-        cols = [gamma_derivative(a, j, k) for j in range(1, k + 1)]
-        entries = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+        anchor = int(a.to_fraction())
+        entries = tuple(
+            tuple(perm(i, j) * anchor ** (i - j) if i >= j else 0 for j in range(1, k + 1))
+            for i in range(1, k + 1)
+        )
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "a", a)
@@ -287,80 +286,44 @@ class MaMatrix:
         raise AttributeError("MaMatrix is immutable")
 
     def det(self) -> QRational:
-        d = QRational(self.q, 1)
-        for i in range(self.k):
-            d = d * self.entries[i][i]
-        return d
+        return QRational(self.q, prod(self.entries[i][i] for i in range(self.k)))
 
     def apply(self, v: QVector) -> QVector:
-        out = []
-        for i in range(self.k):
-            acc = QRational(self.q, 0)
-            for j in range(i + 1):
-                acc = acc + self.entries[i][j] * v[j]
-            out.append(acc)
-        return QVector(out)
+        n, L = _scaled(v)
+        E = self.entries
+        return QVector(
+            [QRational(self.q, sum(E[i][j] * n[j] for j in range(i + 1)), L) for i in range(self.k)]
+        )
+
+    def _transpose_ints(self, n: list[int]) -> list[int]:
+        """M^T applied to integer coordinates."""
+        E, k = self.entries, self.k
+        return [sum(E[j][i] * n[j] for j in range(i, k)) for i in range(k)]
 
     def transpose_apply(self, v: QVector) -> QVector:
-        out = []
-        for i in range(self.k):
-            acc = QRational(self.q, 0)
-            for j in range(i, self.k):
-                acc = acc + self.entries[j][i] * v[j]
-            out.append(acc)
-        return QVector(out)
+        n, L = _scaled(v)
+        return QVector([QRational(self.q, y, L) for y in self._transpose_ints(n)])
 
-    def solve(self, v: QVector) -> list[Fraction]:
-        """Exact rational solution t of M t = v (forward substitution).
-
-        The solution lives in Q (divisions by j! leave Z[1/q]), which is
-        fine: only its q-adic norms are consumed by membership tests.
-        """
-        rhs = [c.to_fraction() for c in v]
-        t: list[Fraction] = []
-        for i in range(self.k):
-            acc = rhs[i]
-            for j in range(i):
-                acc -= self.entries[i][j].to_fraction() * t[j]
-            t.append(acc / self.entries[i][i].to_fraction())
-        return t
-
-    def solve_transpose(self, v: QVector) -> list[Fraction]:
-        """Exact rational solution t of M^T t = v (back substitution)."""
-        rhs = [c.to_fraction() for c in v]
-        t: list[Fraction | None] = [None] * self.k
-        for i in range(self.k - 1, -1, -1):
-            acc = rhs[i]
-            for j in range(i + 1, self.k):
-                acc -= self.entries[j][i].to_fraction() * t[j]
-            t[i] = acc / self.entries[i][i].to_fraction()
-        return t  # type: ignore[return-value]
-
-    def adjugate(self) -> tuple[tuple[QRational, ...], ...]:
-        """det(M) * M^(-1), entries in Z[1/q].
+    def adjugate(self) -> tuple[tuple[int, ...], ...]:
+        """det(M) * M^(-1), an integer matrix since M is integral.
 
         Lets membership tests scale solutions by the unit-norm determinant
         instead of dividing: the q-adic size of M^(-1) v is that of adj(M) v.
         """
-        n = self.k
-        A = [[self.entries[i][j].to_fraction() for j in range(n)] for i in range(n)]
-        det = Fraction(1)
-        for i in range(n):
-            det *= A[i][i]
-        inv = [[Fraction(0)] * n for _ in range(n)]
+        n, A = self.k, self.entries
+        det = prod(A[i][i] for i in range(n))
+        inv = [[0] * n for _ in range(n)]
         for col in range(n):
+            # forward substitution for M x = det * e_col
             x = [Fraction(0)] * n
             for i in range(n):
-                s = Fraction(1) if i == col else Fraction(0)
+                s = Fraction(det if i == col else 0)
                 for j in range(i):
                     s -= A[i][j] * x[j]
                 x[i] = s / A[i][i]
             for i in range(n):
-                inv[i][col] = x[i]
-        q = self.q
-        return tuple(
-            tuple(QRational.from_fraction(q, inv[i][j] * det) for j in range(n)) for i in range(n)
-        )
+                inv[i][col] = int(x[i])
+        return tuple(tuple(row) for row in inv)
 
 
 class ThetaBox:
@@ -390,21 +353,20 @@ class ThetaBox:
     def matrix(self) -> MaMatrix:
         return self._matrix
 
-    def _group_member(self, w: QVector) -> bool:
-        # scaled solve: |t_j| = |(adj w)_j| because the determinant is a unit
-        m, k = self.scale_exp, self.k
-        for j in range(k):
-            acc = None
-            row = self._adj[j]
-            for i in range(j + 1):
-                term = row[i] * w[i]
-                acc = term if acc is None else acc + term
-            if not (acc.is_zero or acc.valuation >= m * (j + 1)):
+    def _group_member(self, w: list[int], L: int) -> bool:
+        # w_i * q^L are the coordinates; scaled solve: |t_j| = |(adj w)_j|
+        # because the determinant is a unit
+        q, m = self.q, self.scale_exp
+        for j, row in enumerate(self._adj):
+            e = m * (j + 1) - L
+            if e > 0 and sum(row[i] * w[i] for i in range(j + 1)) % q**e:
                 return False
         return True
 
     def contains(self, xi: QVector) -> bool:
-        return self._group_member(xi - self._gamma)
+        k = self.k
+        n, L = _scaled((*xi, *self._gamma))
+        return self._group_member([n[i] - n[k + i] for i in range(k)], L)
 
     def contains_cube(self, cube: Cube) -> bool:
         """Exact: a cube lies inside iff its corner does and its side is <= d^k."""
@@ -412,7 +374,7 @@ class ThetaBox:
 
     def difference_contains(self, xi: QVector) -> bool:
         """Membership in the centered group box (the set minus itself)."""
-        return self._group_member(xi)
+        return self._group_member(*_scaled(xi))
 
 
 def theta_of(K: Interval, k: int) -> ThetaBox:
@@ -471,11 +433,11 @@ class Tile:
     def __init__(self, base_interval: Interval, dual_corner: QVector, matrix: MaMatrix | None = None):
         k = dual_corner.k
         m = base_interval.scale_exp
-        canon = QVector(
-            [dual_corner[j].rep_mod(-m * (j + 1)) for j in range(k)]
-        )
-        if canon != dual_corner:
-            raise ValueError("dual corner not canonical for this base interval")
+        # canonical: zero, or digits only at positions below -m*(j+1)
+        for j, w in enumerate(dual_corner):
+            top = -m * (j + 1) - w.valuation
+            if w.unit and not (top > 0 and 0 < w.unit < base_interval.q**top):
+                raise ValueError("dual corner not canonical for this base interval")
         if matrix is None:
             matrix = MaMatrix(base_interval.corner, k)
         object.__setattr__(self, "q", base_interval.q)
@@ -493,11 +455,12 @@ class Tile:
         return Fraction(self.q) ** (m * self.k * (self.k + 1) // 2)
 
     def contains(self, x: QVector) -> bool:
-        m = self.base_interval.scale_exp
-        y = self._matrix.transpose_apply(x)
-        for j in range(self.k):
-            d = y[j] - self.dual_corner[j]
-            if not (d.is_zero or d.valuation >= -m * (j + 1)):
+        q, k, m = self.q, self.k, self.base_interval.scale_exp
+        n, L = _scaled((*x, *self.dual_corner))
+        y = self._matrix._transpose_ints(n[:k])
+        for j in range(k):
+            e = -m * (j + 1) - L
+            if e > 0 and (y[j] - n[k + j]) % q**e:
                 return False
         return True
 
@@ -516,13 +479,12 @@ class Tile:
         for j in range(k - 1, -1, -1):
             r = self.dual_corner[j]
             for i in range(j + 1, k):
-                r = r - self._matrix.entries[i][j] * x[i]
+                r = r - x[i] * self._matrix.entries[i][j]
             if r.is_zero or r.valuation >= -m * (j + 1):
                 x[j] = QRational(q, 0)
                 continue
             e = -m * (j + 1) - r.valuation
-            diag = self._matrix.entries[j][j].unit
-            inv = pow(diag, -1, q**e)
+            inv = pow(self._matrix.entries[j][j], -1, q**e)
             x[j] = QRational(q, (r.unit * inv) % q**e, r.valuation)
         return QVector(x)
 
@@ -569,13 +531,17 @@ class Tile:
 
 def tile_of_point(x: QVector, K: Interval, matrix: MaMatrix | None = None) -> Tile:
     """The unique tile over K containing x."""
-    k = x.k
+    q, k, m = x.q, x.k, K.scale_exp
     if matrix is None:
         matrix = MaMatrix(K.corner, k)
-    m = K.scale_exp
-    y = matrix.transpose_apply(x)
-    w = QVector([y[j].rep_mod(-m * (j + 1)) for j in range(k)])
-    return Tile(K, w, matrix)
+    n, L = _scaled(x)
+    y = matrix._transpose_ints(n)
+    # coordinate j keeps the digits of y_j = y[j] * q^L below position -m*(j+1)
+    w = []
+    for j in range(k):
+        e = -m * (j + 1) - L
+        w.append(QRational(q, y[j] % q**e if e > 0 else 0, L))
+    return Tile(K, QVector(w), matrix)
 
 
 def tile_partition(Q: Cube, K: Interval) -> list[Tile]:

@@ -52,9 +52,8 @@ class QRational:
             raise ValueError(f"q must be at least 2, got {q}")
         if unit == 0:
             valuation = 0
-        else:
-            extra_unit, extra = _strip_q(unit, q)
-            unit = extra_unit
+        elif unit % q == 0:
+            unit, extra = _strip_q(unit, q)
             valuation += extra
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "unit", unit)
@@ -132,18 +131,20 @@ class QRational:
         return NotImplemented
 
     def __add__(self, other) -> "QRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not QRational or other.q != self.q:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.unit == 0:
             return other
         if other.unit == 0:
             return self
-        v = min(self.valuation, other.valuation)
-        u = self.unit * self.q ** (self.valuation - v) + other.unit * self.q ** (
-            other.valuation - v
-        )
-        return QRational(self.q, u, v)
+        q, sv, ov = self.q, self.valuation, other.valuation
+        if sv == ov:
+            return QRational(q, self.unit + other.unit, sv)
+        if sv < ov:
+            return QRational(q, self.unit + other.unit * q ** (ov - sv), sv)
+        return QRational(q, self.unit * q ** (sv - ov) + other.unit, ov)
 
     __radd__ = __add__
 
@@ -151,9 +152,10 @@ class QRational:
         return QRational(self.q, -self.unit, self.valuation)
 
     def __sub__(self, other) -> "QRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not QRational or other.q != self.q:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "QRational":
@@ -163,9 +165,10 @@ class QRational:
         return other + (-self)
 
     def __mul__(self, other) -> "QRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not QRational or other.q != self.q:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return QRational(self.q, self.unit * other.unit, self.valuation + other.valuation)
 
     __rmul__ = __mul__
@@ -215,6 +218,8 @@ class QRational:
     # -- protocol plumbing ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other.__class__ is QRational:
+            return self.unit == other.unit and self.valuation == other.valuation and self.q == other.q
         if isinstance(other, (int, Fraction)):
             try:
                 other = self._coerce(other)

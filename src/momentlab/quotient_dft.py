@@ -23,11 +23,9 @@ __all__ = [
     "grid_geometry",
     "evaluate_on_grid",
     "dft_grid",
-    "inverse_dft_grid",
     "convolve_grids",
     "grid_l2_norm",
     "grid_point",
-    "freq_grid_point",
 ]
 
 DEFAULT_GRID_BUDGET = 40_000_000
@@ -61,6 +59,17 @@ def _axis_offsets(q: int, M: int, value: QRational) -> int:
     return value.unit * q ** (value.valuation + M)
 
 
+def _phase_numerators(mult: int, u: np.ndarray, n: int) -> np.ndarray:
+    """(mult * u) % n for 0 <= mult, u < n, exact for every n.
+
+    int64 products wrap once n * n >= 2^63 (n above about 3.0e9); past that
+    the products are taken in Python ints.
+    """
+    if n * n < 2**63:
+        return (mult * u) % n
+    return (u.astype(object) * mult % n).astype(np.int64)
+
+
 def evaluate_on_grid(f, M: int, r: int, budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
     """Pointwise values on the quotient grid, shape (q^(M+r),) * k.
 
@@ -92,7 +101,7 @@ def evaluate_on_grid(f, M: int, r: int, budget: int = DEFAULT_GRID_BUDGET) -> np
                 if bi.valuation + r < 0:
                     raise ValueError(f"modulation {bi} finer than the grid dual q^{r}")
                 mult = bi.unit * q ** (bi.valuation + r) % n
-                phase = (mult * u) % n
+                phase = _phase_numerators(mult, u, n)
                 axis_vectors.append(mask * np.exp(2j * np.pi * phase / n))
         term_grid = axis_vectors[0].reshape((n,) + (1,) * (k - 1))
         for i in range(1, k):
@@ -108,13 +117,6 @@ def dft_grid(grid: np.ndarray, q: int, r: int) -> np.ndarray:
     """
     k = grid.ndim
     return np.fft.fftn(grid) * float(Fraction(q) ** (-r * k))
-
-
-def inverse_dft_grid(grid: np.ndarray, q: int, M: int) -> np.ndarray:
-    """Inverse transform of frequency grid values (cell volume q^-M per axis)."""
-    k = grid.ndim
-    n = grid.shape[0]
-    return np.fft.ifftn(grid) * n**k * float(Fraction(q) ** (-M * k))
 
 
 def convolve_grids(a: np.ndarray, b: np.ndarray, q: int, r: int) -> np.ndarray:
@@ -133,8 +135,3 @@ def grid_l2_norm(grid: np.ndarray, q: int, r: int) -> float:
 def grid_point(q: int, k: int, M: int, index: tuple[int, ...]) -> QVector:
     """The q-adic point encoded by a spatial grid index."""
     return QVector([QRational(q, int(u), -M) for u in index])
-
-
-def freq_grid_point(q: int, k: int, r: int, index: tuple[int, ...]) -> QVector:
-    """The q-adic point encoded by a frequency grid index."""
-    return QVector([QRational(q, int(s), -r) for s in index])

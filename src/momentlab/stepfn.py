@@ -46,14 +46,10 @@ class ModulatedStep:
 
     __slots__ = ("q", "k", "scale_exp", "terms", "_by_cube")
 
-    def __init__(self, q: int, k: int, terms=(), _canonical=False):
+    def __init__(self, q: int, k: int, terms=()):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "k", k)
-        if _canonical:
-            canon = list(terms)
-            scale = canon[0][2].scale_exp if canon else 0
-        else:
-            canon, scale = self._canonicalize(q, k, list(terms))
+        canon, scale = self._canonicalize(q, k, list(terms))
         object.__setattr__(self, "scale_exp", scale)
         object.__setattr__(self, "terms", tuple(canon))
         by_cube: dict[Cube, list[tuple[complex, QVector]]] = {}

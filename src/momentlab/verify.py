@@ -29,7 +29,16 @@ from .exponents import (
     supercritical_slack,
     theorem_exponent,
 )
-from .geometry import ball, tau_of, theta_diff_decompose, theta_of, tile_partition, unit_interval
+from .geometry import (
+    MaMatrix,
+    ball,
+    tau_of,
+    theta_diff_decompose,
+    theta_of,
+    tile_of_point,
+    tile_partition,
+    unit_interval,
+)
 from .qadic import QRational, QVector
 from .random_instances import random_box_function, random_curve_supported, random_modstep
 from .stepfn import ModulatedStep
@@ -127,6 +136,12 @@ def tilings(report, q: int, k: int, delta_exps=(1, 2), residue_check_limit: int 
     fine = []
     for m in delta_exps:
         expected = q ** (m * k * (k - 1) // 2)
+        Q = ball(q, k, m * k)
+        # pointwise partition on the full residue lattice when affordable:
+        # every residue's canonical owner exists and owners split evenly,
+        # with direct membership double-checked on a sample
+        n_residues = q ** (m * (k - 1) * k)
+        subcubes = Q.subdivide(-m) if n_residues <= residue_check_limit else None
         for K in unit_interval(q).partition(m)[: q - 1]:
             box = theta_of(K, k)
             cubes = theta_diff_decompose(K, k)
@@ -140,7 +155,6 @@ def tilings(report, q: int, k: int, delta_exps=(1, 2), residue_check_limit: int 
             if not all(box.difference_contains(c.corner) for c in cubes):
                 report["failures"].append(f"difference-box corner escapes at m={m}")
 
-            Q = ball(q, k, m * k)
             tiles = tile_partition(Q, K)
             if len(tiles) != expected:
                 report["failures"].append(f"tile count at m={m}: {len(tiles)}")
@@ -151,17 +165,10 @@ def tilings(report, q: int, k: int, delta_exps=(1, 2), residue_check_limit: int 
                 report["failures"].append(f"tile volumes at m={m}: {tvol} != {Q.volume}")
             if not all(t.contains(t.offset_point()) for t in tiles):
                 report["failures"].append(f"tile offset point escapes at m={m}")
-            # pointwise partition on the full residue lattice when affordable:
-            # every residue's canonical owner exists and owners split evenly,
-            # with direct membership double-checked on a sample
-            n_residues = q ** (m * (k - 1) * k)
-            if n_residues <= residue_check_limit:
-                from .geometry import MaMatrix, tile_of_point
-
+            if subcubes is not None:
                 matrix = MaMatrix(K.corner, k)
                 tile_set = set(tiles)
                 owners: dict = {}
-                subcubes = Q.subdivide(-m)
                 for sub in subcubes:
                     t = tile_of_point(sub.corner, K, matrix)
                     if t not in tile_set:

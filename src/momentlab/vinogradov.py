@@ -57,23 +57,27 @@ def _power_sum_distribution(k: int, blocks, moduli=None, budget: int = DEFAULT_B
     p, each giving at most one value, times n! as power sums are symmetric.
     With moduli, sum j is taken mod moduli[j-1] in a numpy array indexed by
     residues, each value shifting the occupied cells; without, a Counter over
-    the sums packed into one integer (values nonnegative).  The budget bounds
-    the keys at each step by the key space and by the multisets drawn.
+    the sums packed into one integer (values nonnegative).  When prod(moduli)
+    exceeds the multisets that can be drawn, the array would stay mostly
+    empty: the Counter is used and its sums are folded mod the moduli into a
+    Counter keyed by residue tuples.  The budget bounds the keys at each step
+    by the key space and by the multisets drawn.
     """
     blocks = [(list(values), n, p) for values, n, p in blocks if n > 0]
     n_all, top = sum(n for _, n, _ in blocks), max((max(v, default=0) for v, _, _ in blocks), default=0)
     # digit j holds sum j, which never exceeds n_all * top^j, so packed sums never carry
     radix = [prod(n_all * top**i + 1 for i in range(1, j)) for j in range(1, k + 2)]
-    cells = radix[-1] if moduli is None else prod(moduli)
+    dense = moduli is not None and prod(moduli) <= _multiset_bound(blocks)
+    cells = prod(moduli) if dense else radix[-1]
     keys, estimate = 1, 0
     for values, n, p in blocks:
         bounds = [keys] + [min(cells, keys * comb(len(values) + i - 1, i)) for i in range(1, n + 1)]
-        # with moduli, also one scan of the array per step, and per class in a distinct block
-        estimate += sum(bounds[:-1]) * len(values) + (0 if moduli is None else cells * n * (p or 1))
+        # dense, also one scan of the array per step, and per class in a distinct block
+        estimate += sum(bounds[:-1]) * len(values) + (cells * n * (p or 1) if dense else 0)
         keys = bounds[-1]
     _check_budget(estimate, budget, "power-sum distribution")
 
-    if moduli is None:
+    if not dense:
         def table(values):
             return list(Counter(sum(v**j * radix[j - 1] for j in range(1, k + 1)) for v in values).items())
 
@@ -117,7 +121,19 @@ def _power_sum_distribution(k: int, blocks, moduli=None, budget: int = DEFAULT_B
                 states[j + 1] = states[j + 1] + shifted(states[j], tab)
         # times n!, as a shift by the power-sum vector of 0 (the zero vector) of weight n!
         dist = shifted(states[n], [(zero, factorial(n)) for zero, _ in table([0])])
-    return dist if moduli is None else dist.reshape(moduli)
+    if dense:
+        return dist.reshape(moduli)
+    if moduli is None:
+        return dist
+    folded: Counter = Counter()
+    for key, m in dist.items():
+        folded[tuple(key // radix[j] % (radix[j + 1] // radix[j]) % moduli[j] for j in range(k))] += m
+    return folded
+
+
+def _multiset_bound(blocks) -> int:
+    """Multisets the blocks can draw: a bound on the occupied power-sum keys."""
+    return prod(comb(len(values) + n - 1, n) for values, n, _ in blocks)
 
 
 def count_J(s: int, k: int, X: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -174,7 +190,8 @@ def count_power_sum_congruences(
     if len(moduli) != k:
         raise ValueError("need one modulus per degree")
     counts = _power_sum_distribution(k, [(range(base), s, None)], moduli, budget)
-    return sum(m * m for m in counts[counts != 0].tolist())
+    values = counts.values() if isinstance(counts, Counter) else counts[counts != 0].tolist()
+    return sum(m * m for m in values)
 
 
 # -- Newton-Girard ------------------------------------------------------------

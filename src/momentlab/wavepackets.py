@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from .errors import MomentLabError, SupportError
-from .geometry import Cube, Interval, MaMatrix, Tile, theta_of, tile_of_point, unit_interval
+from .errors import BudgetExceededError, MomentLabError, SupportError
+from .geometry import Cube, Interval, MaMatrix, ThetaBox, Tile, theta_of, tile_of_point, unit_interval
 from .qadic import QVector
-from .stepfn import ModulatedStep
+from .stepfn import DEFAULT_CELL_BUDGET, PRUNE_REL_TOL, ModulatedStep, _cell_values
 
 __all__ = [
     "ScaleConfig",
@@ -25,6 +25,7 @@ __all__ = [
     "PigeonholeBucket",
     "wavepacket_decompose",
     "pigeonhole",
+    "freq_certificate",
     "verify_theta_support",
 ]
 
@@ -84,26 +85,66 @@ class ScaleConfig:
         return unit_interval(self.q).partition(self.kappa_exp)
 
 
-def verify_theta_support(g: ModulatedStep, K: Interval) -> None:
-    """Check supp(FT g) inside the curve box over K; raise otherwise.
+def freq_certificate(f: ModulatedStep, delta_exp: int) -> dict[Interval, list[Cube]]:
+    """Which fine intervals carry Fourier support, with the witness cubes.
 
-    The transform is refined to the box's cube scale, where membership is
-    a corner test; a term surviving canonicalization outside the box is a
-    genuine violation because distinct canonical modulations on one cube
-    are linearly independent characters.
+    The transform is taken to the curve-box cube scale: on each transform
+    cube, the terms whose modulations agree below that scale merge into one
+    coefficient per cell, the one canonicalization would give.  Cells above
+    the prune threshold are tested in canonical order against the box over
+    their interval, once per modulation; a cell outside raises with the
+    offender attached.  A canonical cell outside its box is a genuine
+    violation because distinct canonical modulations on one cube are
+    linearly independent characters.
     """
-    k = g.k
-    box = theta_of(K, k)
-    if g.is_zero:
-        return
-    hat = g.fourier()
-    fine = K.scale_exp * k
-    refined = ModulatedStep(g.q, g.k, hat._terms_at_scale(max(hat.scale_exp, fine)))
-    for _, _, cube in refined.terms:
+    q, k, m = f.q, f.k, delta_exp
+    if f.is_zero:
+        return {}
+    hat = f.fourier()
+    fine = max(hat.scale_exp, m * k)
+    groups: dict[tuple[Cube, QVector], list] = {}
+    for c, b, cube in hat.terms:
+        rep = b.rep_mod(-fine)
+        groups.setdefault((cube, rep), []).append((c, b - rep))
+    per_cube = q ** ((fine - hat.scale_exp) * k)
+    n_cells = len(groups) * per_cube
+    if n_cells > DEFAULT_CELL_BUDGET:
+        raise BudgetExceededError(
+            "certificate cells exceed the budget", estimated=n_cells, budget=DEFAULT_CELL_BUDGET
+        )
+    if per_cube == 1:  # already at the box scale, where hat is canonical
+        cells = [cube for _, _, cube in hat.terms]
+    else:
+        values = {key: abs(_cell_values(key[0], parts, fine)) for key, parts in groups.items()}
+        tol = max(float(a.max()) for a in values.values()) * PRUNE_REL_TOL
+        pieces: dict[Cube, list[Cube]] = {}
+        cells = []
+        for (cube, _), a in values.items():
+            if cube not in pieces:
+                pieces[cube] = cube.subdivide(fine)
+            cells.extend(pieces[cube][j] for j in (a > tol).nonzero()[0].tolist())
+        cells.sort(key=Cube.key)  # a cell repeats once per modulation left on it
+    boxes: dict[Interval, ThetaBox] = {}
+    out: dict[Interval, list[Cube]] = {}
+    for cube in cells:
+        first = cube.corner[0]
+        if not first.is_zero and first.valuation < 0:
+            raise SupportError("Fourier support leaves the unit interval", offending_cube=cube)
+        K = Interval(first.rep_mod(m), m)
+        box = boxes.get(K)
+        if box is None:
+            box = boxes[K] = theta_of(K, k)
         if not box.contains_cube(cube):
-            raise SupportError(
-                f"Fourier support leaves the curve box over {K}", offending_cube=cube
-            )
+            raise SupportError(f"Fourier support leaves the curve box over {K}", offending_cube=cube)
+        out.setdefault(K, []).append(cube)
+    return out
+
+
+def verify_theta_support(g: ModulatedStep, K: Interval) -> None:
+    """Check supp(FT g) inside the curve box over K; raise otherwise."""
+    for J, cubes in freq_certificate(g, K.scale_exp).items():
+        if J != K:
+            raise SupportError(f"Fourier support leaves the curve box over {K}", offending_cube=cubes[0])
 
 
 class WavepacketSet:
@@ -116,10 +157,8 @@ class WavepacketSet:
     def reconstruct(self) -> ModulatedStep:
         if not self.packets:
             raise MomentLabError("empty wavepacket set has no ambient group data")
-        total = ModulatedStep.zero(self.packets[0][1].q, self.packets[0][1].k)
-        for _, piece in self.packets:
-            total = total + piece
-        return total
+        q, k = self.packets[0][1].q, self.packets[0][1].k
+        return ModulatedStep(q, k, [t for _, piece in self.packets for t in piece.terms])
 
     def heights(self) -> list[float]:
         """Constant modulus of each packet on its tile."""
@@ -223,9 +262,7 @@ def pigeonhole(
     fine = cfg.fine_partition()
     components = f.freq_components(fine)
     live = {K: fK for K, fK in components.items() if not fK.is_zero}
-    reconstructed = ModulatedStep.zero(q, k)
-    for fK in live.values():
-        reconstructed = reconstructed + fK
+    reconstructed = ModulatedStep(q, k, [t for fK in live.values() for t in fK.terms])
     if not reconstructed.close_to(f, 1e-9):
         raise SupportError("Fourier support leaves the union of curve boxes")
 
@@ -250,14 +287,15 @@ def pigeonhole(
 
     # stage 1: heights; what falls below the floor is the remainder
     kept: dict[tuple[Interval, int], list[tuple[Tile, ModulatedStep, float]]] = {}
-    remainder = ModulatedStep.zero(q, k)
+    low = []
     for K, ws in packets.items():
         for (tile, piece), h in zip(ws.packets, heights[K]):
             if h <= floor:
-                remainder = remainder + piece
+                low.extend(piece.terms)
                 continue
             j = _dyadic_class_down(h, h_star)
             kept.setdefault((K, j), []).append((tile, piece, h))
+    remainder = ModulatedStep(q, k, low)
 
     # stage 2: packet counts per (K, H)
     staged: dict[tuple[Interval, int, int], list[tuple[Tile, ModulatedStep]]] = {}
@@ -277,13 +315,10 @@ def pigeonhole(
                     siblings.setdefault(J, []).append(K)
             for J, children in siblings.items():
                 beta = _dyadic_class_up(len(children))
-                slot = buckets.setdefault(
-                    (j, alpha, beta),
-                    {"function": ModulatedStep.zero(q, k), "tiles": {}},
-                )
+                slot = buckets.setdefault((j, alpha, beta), {"terms": [], "tiles": {}})
                 for K in children:
                     for tile, piece in staged[(K, j, alpha)]:
-                        slot["function"] = slot["function"] + piece
+                        slot["terms"].extend(piece.terms)
                         slot["tiles"].setdefault(K, []).append(tile)
 
     out = []
@@ -293,15 +328,13 @@ def pigeonhole(
                 height_H=h_star / 2**j,
                 packet_count_alpha=alpha,
                 sibling_count_beta=beta,
-                function=slot["function"],
+                function=ModulatedStep(q, k, slot["terms"]),
                 packet_tiles=slot["tiles"],
             )
         )
 
     # closure checks: exact reconstruction and the remainder L^p bound
-    total = remainder
-    for bucket in out:
-        total = total + bucket.function
+    total = ModulatedStep(q, k, [t for g in (remainder, *(b.function for b in out)) for t in g.terms])
     if not total.close_to(f, 1e-9):
         raise MomentLabError("pigeonhole buckets plus remainder do not reconstruct f")
     if not remainder.is_zero:

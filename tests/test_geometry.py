@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentlab.geometry import (
     Cube,
     Interval,
     MaMatrix,
+    ThetaBox,
     Tile,
     ball,
     gamma,
@@ -19,7 +22,7 @@ from momentlab.geometry import (
     tile_partition,
     unit_interval,
 )
-from momentlab.qadic import QRational, QVector
+from momentlab.qadic import QRational, QVector, qnorm_of_fraction
 
 
 def q3(n, v=0):
@@ -114,20 +117,16 @@ class TestMomentCurve:
 
     def test_anchor_change_is_unipotent_in_the_ring(self):
         # the frame at one anchor equals the frame at another times a
-        # matrix preserving the anisotropic box; check via both solves
+        # matrix preserving the anisotropic box: M_b^(-1) M_a t keeps
+        # |t_j| <= 5^-j, checked through the adjugate of M_b
         rng = random.Random(0)
         K = unit_interval(5).partition(1)[1]
         a = K.corner
         b = a + QRational(5, 1, 1)  # another point of K
-        Ma, Mb = MaMatrix(a, 3), MaMatrix(b, 3)
-        from momentlab.qadic import qnorm_of_fraction
-
+        Ma, box_b = MaMatrix(a, 3), ThetaBox(b, 1, 3)
         for _ in range(25):
             t = QVector([QRational(5, rng.randrange(125), j) for j in (1, 2, 3)])
-            image = Ma.apply(t)
-            back = Mb.solve(image)
-            for j, val in enumerate(back, start=1):
-                assert qnorm_of_fraction(val, 5) <= Fraction(1, 5**j)
+            assert box_b.difference_contains(Ma.apply(t))
 
     def test_frame_requires_large_prime(self):
         with pytest.raises(ValueError):
@@ -233,3 +232,70 @@ class TestDecompositions:
             K = unit_interval(q).partition(m)[1]
             for t in tile_partition(ball(q, k, m * k), K):
                 assert t.contains(t.offset_point())
+
+
+def _frame_columns(a, k):
+    return [gamma_derivative(a, j, k) for j in range(1, k + 1)]
+
+
+def _transpose_qr(a, k, x):
+    """M_a^T x in QRational arithmetic: entry i is column i dotted with x."""
+    return QVector([col.dot(x) for col in _frame_columns(a, k)])
+
+
+def _solve_fractions(a, k, v):
+    """M_a t = v by forward substitution over the rationals."""
+    cols = _frame_columns(a, k)
+    t = []
+    for i in range(k):
+        acc = v[i].to_fraction() - sum(cols[j][i].to_fraction() * t[j] for j in range(i))
+        t.append(acc / cols[i][i].to_fraction())
+    return t
+
+
+@st.composite
+def frame_cases(draw):
+    q, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 2), (5, 3), (7, 3)]))
+    m = draw(st.integers(0, 2))
+    K = unit_interval(q).partition(m)[draw(st.integers(0, q**m - 1))]
+    coord = st.builds(
+        lambda u, v: QRational(q, u, v), st.integers(-(q**5), q**5) | st.just(0), st.integers(-6, 3)
+    )
+    x = QVector(draw(st.lists(coord, min_size=k, max_size=k)))
+    y = QVector(draw(st.lists(coord, min_size=k, max_size=k)))
+    return q, k, K, x, y
+
+
+class TestIntegerFrameMaps:
+    @settings(max_examples=150, deadline=None)
+    @given(frame_cases())
+    def test_transpose_apply_and_tile_of_point(self, case):
+        q, k, K, x, y = case
+        a, m = K.corner, K.scale_exp
+        M = MaMatrix(a, k)
+        image = _transpose_qr(a, k, x)
+        assert M.transpose_apply(x) == image
+        assert all(type(c.unit) is int for c in (*M.transpose_apply(x), *M.apply(x)))
+        assert M.apply(x) == QVector(
+            [sum((col[i] * x[j] for j, col in enumerate(_frame_columns(a, k))), QRational(q, 0)) for i in range(k)]
+        )
+        t = tile_of_point(x, K)
+        assert t.dual_corner == QVector([image[j].rep_mod(-m * (j + 1)) for j in range(k)])
+        assert t.contains(x)
+        # membership of another point: M^T y - w inside the dual group
+        d = _transpose_qr(a, k, y) - t.dual_corner
+        expected = all(d[j].is_zero or d[j].valuation >= -m * (j + 1) for j in range(k))
+        assert t.contains(y) == expected
+        assert (tile_of_point(y, K) == t) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(frame_cases())
+    def test_theta_box_membership(self, case):
+        q, k, K, x, y = case
+        a, m = K.corner, K.scale_exp
+        box, g = theta_of(K, k), gamma(a, k)
+        for diff in (x, y, x - g):
+            t = _solve_fractions(a, k, diff)
+            inside = all(qnorm_of_fraction(tj, q) <= Fraction(1, q ** (m * j)) for j, tj in enumerate(t, 1))
+            assert box.difference_contains(diff) == inside
+            assert box.contains(g + diff) == inside

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import inf
+from math import inf, isqrt
 
 import numpy as np
 import pytest
@@ -387,6 +387,17 @@ class TestOracleAgreement:
             idx = (rng.randrange(n), rng.randrange(n))
             x = qd.grid_point(3, 2, M, idx)
             assert abs(grid[idx] - f.evaluate(x)) < 1e-12
+
+
+class TestGridPhases:
+    @pytest.mark.parametrize("n", [isqrt(2**63 - 1), isqrt(2**63 - 1) + 2, 10**12 + 39])
+    def test_phase_numerators_exact_on_both_sides_of_int64(self, n):
+        # n * n crosses 2^63 between the first two; a few offsets, no grid
+        u = np.array([0, 1, 2, n // 2 + 7, n - 2, n - 1], dtype=np.int64)
+        for mult in (1, n // 3, n - 1):
+            got = qd._phase_numerators(mult, u, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == [mult * int(v) % n for v in u]
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentlab import vinogradov
 from momentlab.errors import BudgetExceededError, MomentLabError
 from momentlab.qadic import QRational
 from momentlab.vinogradov import (
@@ -184,6 +186,30 @@ class TestCongruenceCounts:
         # s = 1: pairs (a, b) in [0, n)^2 with a = b mod each modulus
         assert count_power_sum_congruences(1, 1, 9, [9]) == 9
         assert count_power_sum_congruences(1, 1, 9, [3]) == 27
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 8), st.data())
+    def test_sparse_and_dense_residue_paths_agree(self, s, base, data):
+        k = data.draw(st.integers(1, 3))
+        moduli = data.draw(st.lists(st.integers(1, 30), min_size=k, max_size=k))
+        counts = []
+        for bound in (0, float("inf")):  # forces the sparse, then the dense path
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(vinogradov, "_multiset_bound", lambda blocks: bound)
+                counts.append(count_power_sum_congruences(s, k, base, moduli))
+        assert counts[0] == counts[1]
+
+    def test_sparse_residues_when_moduli_dwarf_the_tuples(self):
+        # 49^2 pairs of values against 7^8 residue cells
+        tracemalloc.start()
+        try:
+            value = count_power_sum_congruences(2, 2, 49, [7**4] * 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        keys = brute_keys(2, product(range(49), repeat=2), [7**4] * 2)
+        assert value == sum(m * m for m in keys.values())
+        assert peak < 5_000_000
 
 
 class TestNewtonGirard:

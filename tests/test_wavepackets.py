@@ -2,14 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from momentlab.errors import MomentLabError, SupportError
-from momentlab.geometry import ball, unit_interval
-from momentlab.qadic import QVector
+import momentlab.wavepackets as wp
+from momentlab.errors import BudgetExceededError, MomentLabError, SupportError
+from momentlab.geometry import Cube, Interval, ball, theta_of, unit_interval
+from momentlab.qadic import QRational, QVector, char_value
 from momentlab.random_instances import random_box_function, random_curve_supported
 from momentlab.stepfn import ModulatedStep
 from momentlab.wavepackets import (
     ScaleConfig,
+    freq_certificate,
     pigeonhole,
     verify_theta_support,
     wavepacket_decompose,
@@ -152,3 +156,153 @@ class TestPigeonhole:
             1 for gJ in f.freq_components(cfg.mid_partition()).values() if not gJ.is_zero
         )
         assert n_mid <= 3  # at most 1/nu intervals
+
+
+def _refined_transform(f, scale_exp):
+    """The transform refined to at least the given scale and canonicalized as a whole."""
+    hat = f.fourier()
+    return ModulatedStep(f.q, f.k, hat._terms_at_scale(max(hat.scale_exp, scale_exp)))
+
+
+def _refined_certificate(f, m):
+    """Reference certificate: test each term of the canonical refined transform."""
+    if f.is_zero:
+        return {}
+    out = {}
+    for _, _, cube in _refined_transform(f, m * f.k).terms:
+        first = cube.corner[0]
+        if not first.is_zero and first.valuation < 0:
+            raise SupportError("leaves the unit interval", offending_cube=cube)
+        K = Interval(first.rep_mod(m), m)
+        if not theta_of(K, f.k).contains_cube(cube):
+            raise SupportError("leaves the box", offending_cube=cube)
+        out.setdefault(K, []).append(cube)
+    return out
+
+
+def _refined_theta_support(g, K):
+    """Reference single-box check on the same refined transform."""
+    if not g.is_zero:
+        box = theta_of(K, g.k)
+        for _, _, cube in _refined_transform(g, K.scale_exp * g.k).terms:
+            if not box.contains_cube(cube):
+                raise SupportError("leaves the box", offending_cube=cube)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SupportError:
+        return SupportError
+
+
+class TestCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(3, 2), (5, 2)]),
+        st.integers(1, 2),
+        st.integers(-1, 1),
+        st.integers(0, 2**32),
+        st.sampled_from(["none", "wave", "coarse", "translates"]),
+    )
+    def test_matches_refined_canonicalization(self, qk, m, shift, seed, extra):
+        q, k = qk
+        rng = random.Random(seed)
+        f = random_curve_supported(rng, q, k, m, rng.randint(1, 3), rng.randint(1, 2))
+        if extra == "wave":  # one more frequency cell, on or off the curve
+            b = QVector([QRational(q, rng.randrange(q ** (m * k)), -m * k) for _ in range(k)])
+            f = f + ModulatedStep.indicator(ball(q, k, m * k), 0.3, b.rep_mod(0))
+        elif extra == "coarse":  # a frequency cube wider than any box
+            f = f + ModulatedStep.indicator(ball(q, k, m * k - 1), 0.2)
+        elif extra == "translates":
+            # f(x - v) for two v: two modulations on each transform cube that
+            # stay distinct below scale (m+1)k, so cells repeat in the lists
+            e, zeros = (m + 1) * k, [QRational(q, 0)] * (k - 1)
+            shifts = [QVector([QRational(q, u, -e - 1)] + zeros) for u in (-2, -1 - q)]
+            f = ModulatedStep(
+                q, k, [(c * char_value(-b.dot(v)), b, cube.translate(v)) for v in shifts for c, b, cube in f.terms]
+            )
+        m_check = max(1, m + shift)
+        hat = f.fourier()
+        # the reference builds every refined piece as an object; keep it quick
+        assume(len(hat.terms) * q ** (k * max(0, m_check * k - hat.scale_exp)) <= 3000)
+        expected = _outcome(_refined_certificate, f, m_check)
+        got = _outcome(freq_certificate, f, m_check)
+        if expected is SupportError:
+            assert got is SupportError
+        else:
+            assert list(got.items()) == list(expected.items())
+        K = rng.choice(unit_interval(q).partition(m_check))
+        assert _outcome(verify_theta_support, f, K) is _outcome(_refined_theta_support, f, K)
+
+    def test_degree_one_support_across_fine_intervals(self):
+        # k = 1: the transform fills a whole coarse interval, so each fine
+        # interval's box (the interval itself) holds its share; canonicalizing
+        # the refined transform as a whole merged the share back into one
+        # coarse cube, which failed every box
+        I = unit_interval(3).partition(1)[2]
+        f = ModulatedStep.indicator(Cube(QVector([I.corner]), 1)).inverse_fourier()
+        assert _outcome(_refined_certificate, f, 2) is SupportError
+        cert = freq_certificate(f, 2)
+        assert list(cert) == sorted(I.partition(2), key=Interval.key)
+        assert all(cubes == [Cube(QVector([K.corner]), 2)] for K, cubes in cert.items())
+
+    def test_packets_pass_and_foreign_intervals_fail(self):
+        rng = random.Random(9)
+        P = unit_interval(3).partition(2)
+        g = random_box_function(rng, 3, 2, P[5], 3)
+        assert set(freq_certificate(g, 2)) == {P[5]}
+        verify_theta_support(g, P[5])
+        with pytest.raises(SupportError) as err:
+            verify_theta_support(g, P[4])
+        assert err.value.offending_cube is not None
+
+    def test_budget_checked_before_any_cell_array(self, monkeypatch):
+        rng = random.Random(10)
+        f = random_curve_supported(rng, 3, 2, 2, 3, 2)
+
+        def no_kernel(*args):
+            raise AssertionError("cell kernel called past the budget")
+
+        monkeypatch.setattr(wp, "_cell_values", no_kernel)
+        monkeypatch.setattr(wp, "DEFAULT_CELL_BUDGET", 100)
+        # scale 3 refines each transform cube into 3^4 cells
+        with pytest.raises(BudgetExceededError) as err:
+            freq_certificate(f, 3)
+        assert err.value.estimated == len(f.fourier().terms) * 81
+
+
+def _chain(fns, q, k):
+    total = ModulatedStep.zero(q, k)
+    for g in fns:
+        total = total + g
+    return total
+
+
+class TestSinglePassSums:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("floor_exp", [None, Fraction(1, 4)])  # 1/4 leaves a remainder
+    def test_pigeonhole_matches_plus_chains(self, seed, floor_exp):
+        rng = random.Random(100 + seed)
+        cfg = ScaleConfig.from_epsilon(3, 2, 2, Fraction(1, 2))
+        f = random_curve_supported(rng, 3, 2, 2, rng.randint(2, 5), 2)
+        buckets, remainder, _ = pigeonhole(f, cfg, p=8, height_floor_exponent=floor_exp)
+        pieces = {}
+        for K, fK in f.freq_components(cfg.fine_partition()).items():
+            if not fK.is_zero:
+                pieces[K] = dict(wavepacket_decompose(fK, K).packets)
+        in_buckets = set()
+        for b in buckets:
+            chain = _chain((pieces[K][t] for K, tiles in b.packet_tiles.items() for t in tiles), 3, 2)
+            assert b.function.is_identical(chain)
+            in_buckets |= {(K, t) for K, tiles in b.packet_tiles.items() for t in tiles}
+        rest = _chain((g for K, ps in pieces.items() for t, g in ps.items() if (K, t) not in in_buckets), 3, 2)
+        assert remainder.is_identical(rest)
+
+    def test_reconstruct_matches_plus_chain(self):
+        rng = random.Random(11)
+        K = unit_interval(3).partition(2)[7]
+        ws = wavepacket_decompose(random_box_function(rng, 3, 2, K, 4), K)
+        assert ws.reconstruct().is_identical(_chain((g for _, g in ws.packets), 3, 2))
+        with pytest.raises(MomentLabError):
+            wp.WavepacketSet(K, []).reconstruct()
