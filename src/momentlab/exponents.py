@@ -125,9 +125,7 @@ class ExponentParams:
     k: int
     p0: int
     c0: Fraction
-    C1: float = 1.0
     epsilon: Fraction = Fraction(1, 100)
-    q: int | None = None
 
     def __post_init__(self):
         if self.k < 2:
@@ -138,8 +136,6 @@ class ExponentParams:
             raise ValueError("epsilon must lie in (0, 1)")
         if Fraction(self.c0) < 0:
             raise ValueError("c0 must be nonnegative")
-        if self.q is not None and self.q <= self.k:
-            raise ValueError("q must exceed k")
         if not positivity_hypothesis(self.k, self.p0, self.c0):
             raise MomentLabError(
                 "parameters violate the base positivity constraint; no admissible bound"

@@ -7,7 +7,8 @@ transform on that group, up to the Haar cell volume q^(-rk).
 
 This module evaluates functions pointwise on the quotient grid and
 transforms with numpy's FFT, giving a correctness anchor that shares no
-code path with the symbolic term calculus in stepfn.
+code path with the symbolic term calculus in stepfn.  Each term is a rank-1
+product of axis vectors written into its strided support slice of the grid.
 """
 
 from __future__ import annotations
@@ -81,19 +82,20 @@ def evaluate_on_grid(f, M: int, r: int, budget: int = DEFAULT_GRID_BUDGET) -> np
     n = q ** (M + r)
     if n**k > budget:
         raise BudgetExceededError(f"grid of {n**k} points exceeds the budget", n**k, budget)
-    u = np.arange(n, dtype=np.int64)
+    step = q ** (f.scale_exp + M)  # canonical cubes share one side; membership: u = w mod step
+    if not 1 <= step <= n:
+        raise ValueError("cube side outside the grid's resolution and radius")
     grid = np.zeros((n,) * k, dtype=np.complex128)
+    scratch = np.empty((n // step,) * k, dtype=np.complex128)
     for coeff, b, cube in f.terms:
-        axis_vectors = []
+        support, axis_vectors = [], []
         for i in range(k):
-            w = _axis_offsets(q, M, cube.corner[i])
-            step = q ** (cube.scale_exp + M)  # membership along the axis: u = w mod step
-            if step < 1:
-                raise ValueError("grid resolution coarser than the cube side")
-            mask = (u - w) % step == 0
+            w = _axis_offsets(q, M, cube.corner[i]) % step
+            support.append(slice(w, n, step))
+            u = np.arange(w, n, step, dtype=np.int64)
             bi = b[i]
             if bi.is_zero:
-                axis_vectors.append(mask.astype(np.complex128))
+                axis_vectors.append(np.ones(len(u), dtype=np.complex128))
             else:
                 # b_i * x_i = unit * u * q^(val - M); over denominator n the
                 # numerator unit * u * q^(val + r) is integral because any
@@ -102,11 +104,14 @@ def evaluate_on_grid(f, M: int, r: int, budget: int = DEFAULT_GRID_BUDGET) -> np
                     raise ValueError(f"modulation {bi} finer than the grid dual q^{r}")
                 mult = bi.unit * q ** (bi.valuation + r) % n
                 phase = _phase_numerators(mult, u, n)
-                axis_vectors.append(mask * np.exp(2j * np.pi * phase / n))
-        term_grid = axis_vectors[0].reshape((n,) + (1,) * (k - 1))
+                axis_vectors.append(np.exp(2j * np.pi * phase / n))
+        # multiply axis 0, axis 1, ..., then coeff: the rounding of a dense
+        # outer-product sum, to which the tests pin every grid value bitwise
+        term = axis_vectors[0]
         for i in range(1, k):
-            term_grid = term_grid * axis_vectors[i].reshape((1,) * i + (n,) + (1,) * (k - i - 1))
-        grid = grid + coeff * term_grid
+            term = np.multiply.outer(term, axis_vectors[i], out=scratch if i == k - 1 else None)
+        np.multiply(coeff, term, out=scratch)
+        grid[tuple(support)] += scratch
     return grid
 
 
@@ -115,21 +120,23 @@ def dft_grid(grid: np.ndarray, q: int, r: int) -> np.ndarray:
 
     Output indexes the frequency grid: index s encodes s * q^-r.
     """
-    k = grid.ndim
-    return np.fft.fftn(grid) * float(Fraction(q) ** (-r * k))
+    out = np.fft.fftn(grid)
+    out *= float(Fraction(q) ** (-r * grid.ndim))
+    return out
 
 
 def convolve_grids(a: np.ndarray, b: np.ndarray, q: int, r: int) -> np.ndarray:
     """Circular (= exact group) convolution of two spatial grids."""
-    k = a.ndim
-    prod = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
-    return prod * float(Fraction(q) ** (-r * k))
+    out = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
+    out *= float(Fraction(q) ** (-r * a.ndim))
+    return out
 
 
 def grid_l2_norm(grid: np.ndarray, q: int, r: int) -> float:
-    k = grid.ndim
-    cell = float(Fraction(q) ** (-r * k))
-    return float(np.sqrt((np.abs(grid) ** 2).sum() * cell))
+    cell = float(Fraction(q) ** (-r * grid.ndim))
+    mod_sq = np.abs(grid)
+    np.square(mod_sq, out=mod_sq)
+    return float(np.sqrt(mod_sq.sum() * cell))
 
 
 def grid_point(q: int, k: int, M: int, index: tuple[int, ...]) -> QVector:

@@ -228,25 +228,30 @@ class ModulatedStep:
         return ModulatedStep(self.q, self.k, out)
 
     def convolve(self, other: "ModulatedStep") -> "ModulatedStep":
-        """Haar convolution; only terms with matching modulations interact."""
+        """Haar convolution in closed form, one term per interacting pair.
+
+        Call the finer function (``self`` at equal scales) fine, at scale s,
+        and the other coarse, at scale t <= s.  A fine term
+        c2 chi(b2 . x) 1(a2 + q^s Z_q^k) and a coarse term
+        c1 chi(b1 . x) 1(a1 + q^t Z_q^k) interact only when b1 = b2 mod q^-s
+        (else the inner character integrates to zero), and then convolve to
+        c1 c2 q^(-sk) chi((b2 - b1) . a2) chi(b1 . x) 1(a1 + a2 + q^t Z_q^k).
+        """
         if not isinstance(other, ModulatedStep):
             raise TypeError("convolve expects a ModulatedStep")
         if self.is_zero or other.is_zero:
             return ModulatedStep.zero(self.q, self.k)
-        scale = max(self.scale_exp, other.scale_exp)
-        vol = float(Fraction(self.q) ** (-scale * self.k))
-        fterms = self._terms_at_scale(scale)
-        gterms = other._terms_at_scale(scale)
+        fine, coarse = (self, other) if self.scale_exp >= other.scale_exp else (other, self)
+        s, t = fine.scale_exp, coarse.scale_exp
+        vol = float(Fraction(self.q) ** (-s * self.k))
+        by_mod: dict[tuple, list] = {}
+        for term in coarse.terms:
+            by_mod.setdefault(term[1].rep_mod(-s).key(), []).append(term)
         out = []
-        for c1, b1, cube1 in fterms:
-            for c2, b2, cube2 in gterms:
-                d = b1 - b2
-                # the inner character integrates to zero unless the
-                # modulations agree at the cube's dual threshold
-                if any(not (di.is_zero or di.valuation >= -scale) for di in d):
-                    continue
-                corner = (cube1.corner + cube2.corner).rep_mod(scale)
-                out.append((c1 * c2 * vol * _phase(d, cube1.corner), b2, Cube(corner, scale)))
+        for c2, b2, cube2 in fine.terms:
+            for c1, b1, cube1 in by_mod.get(b2.key(), ()):
+                corner = (cube2.corner + cube1.corner).rep_mod(t)
+                out.append((c1 * c2 * vol * _phase(b2 - b1, cube2.corner), b1, Cube(corner, t)))
         return ModulatedStep(self.q, self.k, out)
 
     # -- frequency restriction --------------------------------------------------

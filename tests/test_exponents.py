@@ -96,8 +96,6 @@ class TestParams:
             ExponentParams(k=2, p0=5, c0=Fraction(3))
         with pytest.raises(ValueError):
             ExponentParams(k=1, p0=4, c0=Fraction(3))
-        with pytest.raises(ValueError):
-            ExponentParams(k=2, p0=4, c0=Fraction(3), q=2)
 
 
 class TestTheoremExponent:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import inf, isqrt
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import momentlab.quotient_dft as qd
 from momentlab.errors import BudgetExceededError
 from momentlab.geometry import Cube, ball, unit_interval
-from momentlab.qadic import QRational, QVector
+from momentlab.qadic import QRational, QVector, char_value
 from momentlab.random_instances import random_modstep
 from momentlab.stepfn import ModulatedStep, _cell_values, joint_cell_values
 
@@ -57,6 +58,102 @@ def small_modsteps(draw):
         coeff = complex(draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)))
         terms.append((coeff, mod, Cube(corner, scale)))
     return ModulatedStep(q, k, terms)
+
+
+def _draw_terms(draw, q, k, scale, n_terms, offset=0):
+    """n_terms random terms on cubes at one scale; corners may carry a digit
+    at valuation -offset (off the unit ball), modulations go up to one digit
+    finer than the cubes."""
+    terms = []
+    for _ in range(n_terms):
+        corner = []
+        for _ in range(k):
+            x = QRational(q, draw(st.integers(0, q ** max(scale, 0) - 1)))
+            if offset:
+                x = x + QRational(q, draw(st.integers(0, q**offset - 1)), -offset)
+            corner.append(x.rep_mod(scale))
+        depth = draw(st.integers(0, scale + 1))
+        mod = QVector(
+            [QRational(q, draw(st.integers(0, q**depth - 1)), -depth).rep_mod(0) for _ in range(k)]
+        )
+        coeff = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+        terms.append((coeff, mod, Cube(QVector(corner), scale)))
+    return terms
+
+
+@st.composite
+def convolution_pairs(draw):
+    """(f, g) with f drawn coarser than, finer than or at the scale of g."""
+    q, k = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)]))
+    relation = draw(st.sampled_from(["coarser", "finer", "equal"]))
+    base = draw(st.integers(0, 1))
+    gap = draw(st.integers(1, 2 if q**k <= 9 else 1))
+    sf, sg = {"coarser": (base, base + gap), "finer": (base + gap, base),
+              "equal": (base, base)}[relation]
+    f = ModulatedStep(q, k, _draw_terms(draw, q, k, sf, draw(st.integers(1, 4))))
+    g = ModulatedStep(q, k, _draw_terms(draw, q, k, sg, draw(st.integers(1, 4))))
+    return f, g
+
+
+@st.composite
+def grid_modsteps(draw):
+    """Small functions for full-grid checks: k = 1 included, corners off the
+    unit ball, terms at two scales; grids of at most a few thousand points."""
+    q, k = draw(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]))
+    digits = {(3, 1): 6, (5, 1): 4, (3, 2): 3, (5, 2): 2, (3, 3): 2}[(q, k)]  # max M + r
+    offset = draw(st.integers(0, 1))
+    top = draw(st.integers(0, digits - offset - 1))
+    terms = []
+    for scale in sorted({draw(st.integers(max(0, top - 1), top)) for _ in range(2)}):
+        terms += _draw_terms(draw, q, k, scale, draw(st.integers(1, 2)), offset)
+    return ModulatedStep(q, k, terms)
+
+
+def _subdivide_and_pair_convolve(f, g):
+    """Reference convolution: both functions subdivided to the finer scale,
+    then every piece pair tested."""
+    if f.is_zero or g.is_zero:
+        return ModulatedStep.zero(f.q, f.k)
+    scale = max(f.scale_exp, g.scale_exp)
+    vol = float(Fraction(f.q) ** (-scale * f.k))
+
+    def pieces(h):
+        return [(c, b, piece) for c, b, cube in h.terms
+                for piece in ([cube] if cube.scale_exp == scale else cube.subdivide(scale))]
+
+    out = []
+    for c1, b1, cube1 in pieces(f):
+        for c2, b2, cube2 in pieces(g):
+            d = b1 - b2
+            if any(not (di.is_zero or di.valuation >= -scale) for di in d):
+                continue
+            corner = (cube1.corner + cube2.corner).rep_mod(scale)
+            out.append((c1 * c2 * vol * char_value(d.dot(cube1.corner)), b2, Cube(corner, scale)))
+    return ModulatedStep(f.q, f.k, out)
+
+
+def _dense_evaluate_on_grid(f, M, r):
+    """Reference quotient grid: a full-grid mask and phase per axis, one
+    dense rank-1 grid per term."""
+    q, k = f.q, f.k
+    n = q ** (M + r)
+    u = np.arange(n, dtype=np.int64)
+    grid = np.zeros((n,) * k, dtype=np.complex128)
+    for coeff, b, cube in f.terms:
+        axis_vectors = []
+        for i in range(k):
+            w = qd._axis_offsets(q, M, cube.corner[i])
+            mask = (u - w) % q ** (cube.scale_exp + M) == 0
+            if b[i].is_zero:
+                axis_vectors.append(mask.astype(np.complex128))
+            else:
+                phase = qd._phase_numerators(b[i].unit * q ** (b[i].valuation + r) % n, u, n)
+                axis_vectors.append(mask * np.exp(2j * np.pi * phase / n))
+        term_grid = axis_vectors[0].reshape((n,) + (1,) * (k - 1))
+        for i in range(1, k):
+            term_grid = term_grid * axis_vectors[i].reshape((1,) * i + (n,) + (1,) * (k - i - 1))
+        grid = grid + coeff * term_grid
+    return grid
 
 
 class TestCanonicalize:
@@ -232,6 +329,31 @@ class TestConvolution:
         assert conv.support_cubes() == [Cube(vec(0, 2), 1)]
 
 
+class TestClosedFormConvolution:
+    @settings(max_examples=80, deadline=None)
+    @given(convolution_pairs())
+    def test_matches_subdivide_and_pair(self, pair):
+        f, g = pair
+        for a, b in ((f, g), (g, f)):
+            got, want = a.convolve(b), _subdivide_and_pair_convolve(a, b)
+            assert got.close_to(want, 1e-12)
+            if a.scale_exp == b.scale_exp:
+                assert got.is_identical(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(convolution_pairs())
+    def test_matches_grid_convolution(self, pair):
+        f, g = pair
+        (Mf, rf), (Mg, rg) = qd.grid_geometry(f), qd.grid_geometry(g)
+        M, r = max(Mf, Mg), max(rf, rg)
+        assume(f.q ** ((M + r) * f.k) <= 50_000)
+        oracle = qd.convolve_grids(
+            qd.evaluate_on_grid(f, M, r), qd.evaluate_on_grid(g, M, r), f.q, r
+        )
+        sym = qd.evaluate_on_grid(f.convolve(g), M, r)
+        assert np.abs(oracle - sym).max() <= 1e-12 * max(1.0, float(np.abs(oracle).max()))
+
+
 class TestRestriction:
     def test_full_interval_is_identity(self):
         # needs the transform inside the unit slab, so use curve support
@@ -387,6 +509,39 @@ class TestOracleAgreement:
             idx = (rng.randrange(n), rng.randrange(n))
             x = qd.grid_point(3, 2, M, idx)
             assert abs(grid[idx] - f.evaluate(x)) < 1e-12
+
+
+class TestSlicedGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_modsteps())
+    def test_bitwise_equal_to_dense_grid(self, f):
+        M, r = qd.grid_geometry(f)
+        for h, MM, rr in ((f, M, r), (f, M + 1, r), (f.fourier(), r, M)):
+            got, want = qd.evaluate_on_grid(h, MM, rr), _dense_evaluate_on_grid(h, MM, rr)
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(grid_modsteps())
+    def test_every_grid_point_matches_symbolic_evaluation(self, f):
+        M, r = qd.grid_geometry(f)
+        for h, MM, rr in ((f, M, r), (f.fourier(), r, M)):
+            grid = qd.evaluate_on_grid(h, MM, rr)
+            for idx in np.ndindex(grid.shape):
+                x = qd.grid_point(f.q, f.k, MM, idx)
+                assert abs(grid[idx] - h.evaluate(x)) < 1e-12
+
+    def test_budget_raised_before_any_array(self):
+        f = ModulatedStep.indicator(ball(3, 2, 0), 1.0, QVector([deep(1, -6), deep(2, -6)]))
+        M, r = qd.grid_geometry(f)
+        points = 3 ** ((M + r) * 2)  # 531441 points, 8.5 MB as complex128
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                qd.evaluate_on_grid(f, M, r, budget=points - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestGridPhases:
