@@ -26,6 +26,7 @@ from .exponents import ExponentParams, bdg_sharp_exponent, iterate_D_bound, theo
 from .qadic import QRational
 from .stepfn import ModulatedStep
 from .vinogradov import (
+    _is_prime,
     count_J,
     count_J_congruence,
     karatsuba_bound,
@@ -44,10 +45,12 @@ EXIT_VERIFICATION = 4
 
 
 def _prime_check(value: str) -> int:
-    from .vinogradov import _is_prime
-
     n = int(value)
-    if not _is_prime(n):
+    try:
+        prime = _is_prime(n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not prime:
         raise argparse.ArgumentTypeError(f"{n} is not prime")
     return n
 
@@ -155,8 +158,15 @@ def _config_dict(args) -> dict:
 
 
 def _load_fixture(path: str) -> ModulatedStep:
+    """Read a function fixture; a malformed one raises ValueError (exit 2)."""
     with open(path, encoding="utf-8") as fh:
-        return ModulatedStep.from_json(json.load(fh))
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("fixture must be a JSON object")
+    f = ModulatedStep.from_json(obj)
+    if not _is_prime(f.q) or f.q <= f.k:
+        raise ValueError(f"fixture needs a prime q > k, got q={f.q}, k={f.k}")
+    return f
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:

@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import frexp, fsum, isfinite
 
-from .errors import BudgetExceededError, MomentLabError
-from .geometry import Cube, Interval, ball, gamma, tau_of, unit_interval
+from .errors import MomentLabError
+from .geometry import Cube, Interval, ball, binomial_frame, frame_apply, gamma, tau_of, unit_interval
 from .qadic import QRational, QVector
 from .stepfn import ModulatedStep, joint_cell_values
 from .vinogradov import count_power_sum_congruences
@@ -562,69 +562,29 @@ def verify_reversed_holder(g: ModulatedStep, cfg: ScaleConfig, p: int, partition
 # -- affine rescaling ------------------------------------------------------------------
 
 
-def _binomial_matrix(c: QRational, k: int, negate: bool = False):
-    """Unipotent lower-triangular matrix with entries binom(j, i) c^(j-i)."""
-    from math import comb
-
-    base = -c if negate else c
-    rows = []
-    for j in range(1, k + 1):
-        row = []
-        for i in range(1, k + 1):
-            if i > j:
-                row.append(QRational(c.q, 0))
-            else:
-                row.append(QRational(c.q, comb(j, i)) * base ** (j - i))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _mat_apply(rows, v: QVector) -> QVector:
-    out = []
-    for row in rows:
-        acc = None
-        for entry, vi in zip(row, v):
-            term = entry * vi
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return QVector(out)
-
-
 def affine_rescale(g_I: ModulatedStep, I: Interval) -> tuple[ModulatedStep, Fraction]:
     """Pull a piece over the interval I back to the unit interval.
 
     Returns (h, det_modulus): h is the exact rescaled function and
     det_modulus = kappa^(k(k+1)/2) the q-adic modulus of the frequency
     map's determinant, so ||g_I||_p = det_modulus^((p-1)/p) ||h||_p.
+    Space maps by B(c)^T and frequency by diag(kappa^-i) B(-c) (xi - gamma(c)),
+    with B the binomial frame at the corner c of I.
     """
     q, k = g_I.q, g_I.k
-    r = I.scale_exp
-    c = I.corner
+    r, c = I.scale_exp, I.corner
+    gvec = gamma(c, k)  # raises ValueError unless |c| <= 1
+    anchor = int(c.to_fraction())
+    forward, inverse = binomial_frame(anchor, k), binomial_frame(-anchor, k)
     kappa_elt = QRational(q, 1, r)  # the element of norm kappa
-    btrans = _binomial_matrix(c, k)  # B^T applied via transpose below
-    bneg = _binomial_matrix(c, k, negate=True)  # B^(-1) = B(-c)
-    gvec = gamma(c, k) if c.qnorm() <= 1 else None
-    if gvec is None:
-        raise ValueError("interval corner must lie in the unit ball")
     det_modulus = Fraction(1, q ** (r * k * (k + 1) // 2))
     coeff_scale = float(Fraction(1) / det_modulus)
-
-    def b_transpose_apply(v: QVector) -> QVector:
-        out = []
-        for i in range(1, k + 1):
-            acc = None
-            for j in range(i, k + 1):
-                term = btrans[j - 1][i - 1] * v[j - 1]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return QVector(out)
 
     terms = []
     for coeff, b, cube in g_I.terms:
         s = cube.scale_exp
-        w = b_transpose_apply(cube.corner)
-        # new modulation: diag(kappa^-i) B(-c) (b - gamma(c))
-        shifted = _mat_apply(bneg, b - gvec)
+        w = frame_apply(forward, cube.corner, transpose=True)
+        shifted = frame_apply(inverse, b - gvec)
         new_mod = QVector(
             [QRational(q, 1, -r * (i + 1)) * shifted[i] for i in range(k)]
         )

@@ -6,15 +6,23 @@ with the corner's digits all below position m.  The anisotropic boxes
 along the moment curve and their dual tiles are represented by an anchor
 plus exact membership predicates; their cube decompositions are
 materialized only on demand.
+
+One integer matrix carries the whole moment-curve frame: the binomial
+frame B(a), with B(a)[i][j] = C(i, j) a^(i-j), satisfies
+gamma(a + t) = gamma(a) + B(a) gamma(t) and B(a) B(b) = B(a + b).  The
+tangent frame M_a = B(a) diag(1!, ..., k!) defines the curve boxes and
+their dual tiles, M_a^(-1) = diag(1/j!) B(-a) decides box membership, and
+B(a), B(-a) rescale a piece over an interval back to the unit interval.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm, prod
+from itertools import product
+from math import comb, factorial, perm, prod
 
 from .errors import MomentLabError
-from .qadic import QRational, QVector, qnorm_of_fraction
+from .qadic import QRational, QVector
 
 __all__ = [
     "Interval",
@@ -23,6 +31,8 @@ __all__ = [
     "ThetaBox",
     "Tile",
     "gamma",
+    "binomial_frame",
+    "frame_apply",
     "unit_interval",
     "ball",
     "theta_of",
@@ -177,18 +187,8 @@ class Cube:
         """All subcubes of side q^-scale_exp, in lexicographic digit order."""
         if scale_exp < self.scale_exp:
             raise ValueError("cannot subdivide at a coarser scale")
-        axes = [self.axis_interval(i).partition(scale_exp) for i in range(self.k)]
-        out = []
-        idx = [0] * self.k
-        n = len(axes[0])
-        total = n**self.k
-        for flat in range(total):
-            t = flat
-            for i in range(self.k - 1, -1, -1):
-                idx[i] = t % n
-                t //= n
-            out.append(Cube(QVector([axes[i][idx[i]].corner for i in range(self.k)]), scale_exp))
-        return out
+        axes = [self.axis_interval(i).sample_points(scale_exp) for i in range(self.k)]
+        return [Cube(QVector(corner), scale_exp) for corner in product(*axes)]
 
     def translate(self, v: QVector) -> "Cube":
         return Cube((self.corner + v).rep_mod(self.scale_exp), self.scale_exp)
@@ -255,29 +255,62 @@ def _scaled(values) -> tuple[list[int], int]:
     return [c.unit * c.q ** (c.valuation - L) if c.unit else 0 for c in values], L
 
 
+def _matvec(rows, n, transpose: bool = False) -> list[int]:
+    """rows . n, or rows^T . n, for a lower-triangular integer matrix."""
+    k = len(n)
+    if transpose:
+        return [sum(rows[j][i] * n[j] for j in range(i, k)) for i in range(k)]
+    return [sum(rows[i][j] * n[j] for j in range(i + 1)) for i in range(k)]
+
+
+def frame_apply(rows, v: QVector, transpose: bool = False) -> QVector:
+    """rows . v (or rows^T . v) for a lower-triangular integer matrix, exactly.
+
+    Works on the integer coordinates of v at its least valuation, so the
+    product stays in int arithmetic.
+    """
+    n, L = _scaled(v)
+    return QVector([QRational(v.q, y, L) for y in _matvec(rows, n, transpose)])
+
+
+def binomial_frame(a: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """B(a): entry (i, j) is C(i, j) * a^(i-j) for 1 <= j <= i <= k, else 0.
+
+    gamma(a + t) = gamma(a) + B(a) gamma(t) and B(a) B(b) = B(a + b), so
+    B(-a) is the exact inverse of B(a).
+    """
+    return tuple(
+        tuple(comb(i, j) * a ** (i - j) if i >= j else 0 for j in range(1, k + 1))
+        for i in range(1, k + 1)
+    )
+
+
+def _frame_anchor(a: QRational, k: int) -> int:
+    """The integer anchor of a unimodular frame: needs |a| <= 1 and q > k."""
+    if a.qnorm() > 1:
+        raise ValueError("anchor must satisfy |a| <= 1")
+    if a.q <= k:
+        raise ValueError(f"need q > k for a unimodular frame, got q={a.q}, k={k}")
+    return int(a.to_fraction())
+
+
 class MaMatrix:
     """The lower-triangular frame matrix with columns the curve derivatives.
 
-    With |a| <= 1 the anchor is an integer, and so is every entry
-    perm(i, j) * a^(i-j); they are kept as ints.  With q > k the
-    determinant has norm 1 (the diagonal is 1!, 2!, ..., k!), so the
-    matrix maps cubes of any side bijectively onto cubes of the same side.
+    M_a = B(a) diag(1!, ..., k!): with |a| <= 1 the anchor is an integer,
+    and so is every entry perm(i, j) * a^(i-j).  With q > k the
+    determinant has norm 1, so the matrix maps cubes of any side
+    bijectively onto cubes of the same side.
     """
 
     __slots__ = ("q", "k", "a", "entries")
 
     def __init__(self, a: QRational, k: int):
-        if a.qnorm() > 1:
-            raise ValueError("anchor must satisfy |a| <= 1")
-        q = a.q
-        if q <= k:
-            raise ValueError(f"need q > k for a unimodular frame, got q={q}, k={k}")
-        anchor = int(a.to_fraction())
         entries = tuple(
-            tuple(perm(i, j) * anchor ** (i - j) if i >= j else 0 for j in range(1, k + 1))
-            for i in range(1, k + 1)
+            tuple(b * factorial(j) for j, b in enumerate(row, 1))
+            for row in binomial_frame(_frame_anchor(a, k), k)
         )
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", a.q)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "entries", entries)
@@ -288,78 +321,37 @@ class MaMatrix:
     def det(self) -> QRational:
         return QRational(self.q, prod(self.entries[i][i] for i in range(self.k)))
 
-    def apply(self, v: QVector) -> QVector:
-        n, L = _scaled(v)
-        E = self.entries
-        return QVector(
-            [QRational(self.q, sum(E[i][j] * n[j] for j in range(i + 1)), L) for i in range(self.k)]
-        )
-
-    def _transpose_ints(self, n: list[int]) -> list[int]:
-        """M^T applied to integer coordinates."""
-        E, k = self.entries, self.k
-        return [sum(E[j][i] * n[j] for j in range(i, k)) for i in range(k)]
-
-    def transpose_apply(self, v: QVector) -> QVector:
-        n, L = _scaled(v)
-        return QVector([QRational(self.q, y, L) for y in self._transpose_ints(n)])
-
-    def adjugate(self) -> tuple[tuple[int, ...], ...]:
-        """det(M) * M^(-1), an integer matrix since M is integral.
-
-        Lets membership tests scale solutions by the unit-norm determinant
-        instead of dividing: the q-adic size of M^(-1) v is that of adj(M) v.
-        """
-        n, A = self.k, self.entries
-        det = prod(A[i][i] for i in range(n))
-        inv = [[0] * n for _ in range(n)]
-        for col in range(n):
-            # forward substitution for M x = det * e_col
-            x = [Fraction(0)] * n
-            for i in range(n):
-                s = Fraction(det if i == col else 0)
-                for j in range(i):
-                    s -= A[i][j] * x[j]
-                x[i] = s / A[i][i]
-            for i in range(n):
-                inv[i][col] = int(x[i])
-        return tuple(tuple(row) for row in inv)
-
 
 class ThetaBox:
     """The anisotropic box of dimensions d, d^2, ..., d^k along the curve.
 
     Anchored at a point of the base interval; membership is independent of
     which anchor is used.  As a set it is gamma(anchor) + M_a(theta group),
-    where the group is the product of the balls of radii d^j.
+    where the group is the product of the balls of radii d^j.  Since
+    M_a^(-1) = diag(1/j!) B(-a) and every j! is a unit when q > k, the
+    group coordinates of w have the norms of B(-a) w.
     """
 
-    __slots__ = ("q", "k", "anchor", "scale_exp", "_matrix", "_gamma", "_adj")
+    __slots__ = ("q", "k", "anchor", "scale_exp", "_gamma", "_inverse")
 
     def __init__(self, anchor: QRational, scale_exp: int, k: int):
-        matrix = MaMatrix(anchor, k)
+        inverse = binomial_frame(-_frame_anchor(anchor, k), k)
         object.__setattr__(self, "q", anchor.q)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "scale_exp", scale_exp)
-        object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_gamma", gamma(anchor, k))
-        object.__setattr__(self, "_adj", matrix.adjugate())
+        object.__setattr__(self, "_inverse", inverse)
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaBox is immutable")
 
-    @property
-    def matrix(self) -> MaMatrix:
-        return self._matrix
-
     def _group_member(self, w: list[int], L: int) -> bool:
-        # w_i * q^L are the coordinates; scaled solve: |t_j| = |(adj w)_j|
-        # because the determinant is a unit
+        # w_i * q^L are the coordinates; |t_j| = |(B(-a) w)_j| * q^-L
         q, m = self.q, self.scale_exp
-        for j, row in enumerate(self._adj):
+        for j, y in enumerate(_matvec(self._inverse, w)):
             e = m * (j + 1) - L
-            if e > 0 and sum(row[i] * w[i] for i in range(j + 1)) % q**e:
+            if e > 0 and y % q**e:
                 return False
         return True
 
@@ -394,29 +386,18 @@ def theta_diff_decompose(K: Interval, k: int) -> list[Cube]:
     """The centered box theta_K - theta_K as disjoint cubes of side d^k.
 
     Exactly d^(-k(k-1)/2) cubes: the group box (product of balls of radii
-    d^j) splits coordinatewise, and the unimodular frame matrix maps each
-    piece to a cube of the same side.
+    d^j) splits coordinatewise into the integer points t_j in q^(mj) Z
+    below q^(mk), and the unimodular frame matrix maps each piece to the
+    cube of the same side at M t mod q^(mk).
     """
     q, m = K.q, K.scale_exp
-    mat = MaMatrix(K.corner, k)
-    axis_choices = []
-    for j in range(1, k + 1):
-        base = Interval(QRational(q, 0), m * j)
-        axis_choices.append([c for c in base.partition(m * k)])
-    cubes = []
-    idx = [0] * k
-    sizes = [len(ax) for ax in axis_choices]
-    total = 1
-    for s in sizes:
-        total *= s
-    for flat in range(total):
-        t = flat
-        for i in range(k - 1, -1, -1):
-            idx[i] = t % sizes[i]
-            t //= sizes[i]
-        corner = QVector([axis_choices[i][idx[i]].corner for i in range(k)])
-        cubes.append(Cube(mat.apply(corner).rep_mod(m * k), m * k))
-    return cubes
+    entries = MaMatrix(K.corner, k).entries
+    modulus = q ** (m * k)
+    axes = [range(0, modulus, q ** (m * j)) for j in range(1, k + 1)]
+    return [
+        Cube(QVector.from_ints(q, [y % modulus for y in _matvec(entries, t)]), m * k)
+        for t in product(*axes)
+    ]
 
 
 class Tile:
@@ -457,7 +438,7 @@ class Tile:
     def contains(self, x: QVector) -> bool:
         q, k, m = self.q, self.k, self.base_interval.scale_exp
         n, L = _scaled((*x, *self.dual_corner))
-        y = self._matrix._transpose_ints(n[:k])
+        y = _matvec(self._matrix.entries, n[:k], transpose=True)
         for j in range(k):
             e = -m * (j + 1) - L
             if e > 0 and (y[j] - n[k + j]) % q**e:
@@ -471,22 +452,20 @@ class Tile:
     def offset_point(self) -> QVector:
         """A point of the tile with coordinates in Z[1/q].
 
-        Solves M^T x = w modulo the dual group by back substitution,
-        inverting the factorial diagonal q-adically to enough precision.
+        Solves M^T x = w modulo the dual group by back substitution on the
+        integer coordinates of w, inverting the factorial diagonal modulo
+        the precision each axis needs.
         """
         q, k, m = self.q, self.k, self.base_interval.scale_exp
-        x: list[QRational] = [QRational(q, 0)] * k
+        E = self._matrix.entries
+        n, L = _scaled(self.dual_corner)
+        x = [0] * k
         for j in range(k - 1, -1, -1):
-            r = self.dual_corner[j]
-            for i in range(j + 1, k):
-                r = r - x[i] * self._matrix.entries[i][j]
-            if r.is_zero or r.valuation >= -m * (j + 1):
-                x[j] = QRational(q, 0)
-                continue
-            e = -m * (j + 1) - r.valuation
-            inv = pow(self._matrix.entries[j][j], -1, q**e)
-            x[j] = QRational(q, (r.unit * inv) % q**e, r.valuation)
-        return QVector(x)
+            e = -m * (j + 1) - L
+            if e > 0:
+                r = n[j] - sum(x[i] * E[i][j] for i in range(j + 1, k))
+                x[j] = r * pow(E[j][j], -1, q**e) % q**e
+        return QVector([QRational(q, xj, L) for xj in x])
 
     def sample_points(self, count: int = 8) -> list[QVector]:
         """A few lattice points of the tile: the offset plus small shifts.
@@ -535,7 +514,7 @@ def tile_of_point(x: QVector, K: Interval, matrix: MaMatrix | None = None) -> Ti
     if matrix is None:
         matrix = MaMatrix(K.corner, k)
     n, L = _scaled(x)
-    y = matrix._transpose_ints(n)
+    y = _matvec(matrix.entries, n, transpose=True)
     # coordinate j keeps the digits of y_j = y[j] * q^L below position -m*(j+1)
     w = []
     for j in range(k):
@@ -556,25 +535,14 @@ def tile_partition(Q: Cube, K: Interval) -> list[Tile]:
             f"tile partition needs a cube of side q^{m * k}, got side exponent {-Q.scale_exp}"
         )
     matrix = MaMatrix(K.corner, k)
-    base = matrix.transpose_apply(Q.corner)
-    axis_reps = []
-    for j in range(1, k + 1):
-        reps = []
-        for t in range(q ** (m * (k - j))):
-            shift = QRational(q, t, -m * k)
-            reps.append((base[j - 1] + shift).rep_mod(-m * j))
-        axis_reps.append(sorted(set(reps), key=QRational.key))
-    tiles = []
-    sizes = [len(ax) for ax in axis_reps]
-    idx = [0] * k
-    total = 1
-    for s in sizes:
-        total *= s
-    for flat in range(total):
-        t = flat
-        for i in range(k - 1, -1, -1):
-            idx[i] = t % sizes[i]
-            t //= sizes[i]
-        w = QVector([axis_reps[i][idx[i]] for i in range(k)])
-        tiles.append(Tile(K, w, matrix))
-    return tiles
+    # scale jointly with the side q^(mk), so that shifts by it are integers
+    n, L = _scaled((*Q.corner, QRational(q, 1, -m * k)))
+    step = q ** (-m * k - L)
+    axis_reps = [
+        sorted(
+            (QRational(q, y % step + u * step, L) for u in range(q ** (m * (k - j)))),
+            key=QRational.key,
+        )
+        for j, y in enumerate(_matvec(matrix.entries, n[:k], transpose=True), 1)
+    ]
+    return [Tile(K, QVector(w), matrix) for w in product(*axis_reps)]

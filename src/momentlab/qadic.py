@@ -65,10 +65,6 @@ class QRational:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_int(cls, q: int, n: int) -> "QRational":
-        return cls(q, n, 0)
-
-    @classmethod
     def from_fraction(cls, q: int, value) -> "QRational":
         """Build from an int or Fraction whose denominator is a power of q."""
         fr = Fraction(value)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .geometry import Cube, Interval, MaMatrix, ball, gamma, theta_diff_decompose, unit_interval
+from .geometry import Cube, Interval, gamma, theta_diff_decompose, unit_interval
 from .qadic import QRational, QVector
 from .stepfn import ModulatedStep
 

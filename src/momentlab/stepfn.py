@@ -21,7 +21,7 @@ into the coefficient), and coefficients below a relative threshold pruned.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import fsum, inf
+from math import fsum, inf, isfinite
 
 from .errors import BudgetExceededError, MomentLabError
 from .geometry import Cube, Interval
@@ -393,7 +393,10 @@ class ModulatedStep:
         q, k = int(obj["q"]), int(obj["k"])
         terms = []
         for t in obj["terms"]:
-            coeff = complex(float(t["re"]), float(t.get("im", 0.0)))
+            re, im = float(t["re"]), float(t.get("im", 0.0))
+            if not (isfinite(re) and isfinite(im)):
+                raise ValueError(f"coefficient {re} + {im}i is not finite")
+            coeff = complex(re, im)
             modulation = QVector([QRational.from_text(q, s) for s in t["modulation"]])
             cube = Cube.from_json(q, t["cube"])
             terms.append((coeff, modulation, cube))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import fsum
 
 import numpy as np
 
@@ -32,14 +31,12 @@ from .exponents import (
 from .geometry import (
     MaMatrix,
     ball,
-    tau_of,
     theta_diff_decompose,
     theta_of,
     tile_of_point,
     tile_partition,
     unit_interval,
 )
-from .qadic import QRational, QVector
 from .random_instances import random_box_function, random_curve_supported, random_modstep
 from .stepfn import ModulatedStep
 from .vinogradov import (

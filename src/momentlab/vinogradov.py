@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, prod
 
 from .errors import BudgetExceededError, MomentLabError
 
@@ -268,11 +268,40 @@ def linnik_max(k: int, p: int, budget: int = DEFAULT_BUDGET):
 # -- the iteration bound --------------------------------------------------------
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _WITNESSES (Sorenson-Webster 2015)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for n below _MR_LIMIT (about 3.3e24).
+
+    Trial division by the primes up to 41 settles every n below 43^2;
+    larger n take Miller-Rabin with those primes as witnesses, which has
+    no false positive below _MR_LIMIT.  Larger n raise ValueError rather
+    than risk accepting a composite.
+    """
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {_MR_LIMIT}")
     if n < 2:
         return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

@@ -276,8 +276,6 @@ def pigeonhole(
         "height_floor_exponent": height_floor_exponent,
         "n_intervals": len(live),
     }
-    if h_star == 0.0:
-        return [], ModulatedStep.zero(q, k), report
 
     floor = float(Fraction(q) ** (-m * height_floor_exponent)) * h_star
     max_h_classes = 0

@@ -120,6 +120,9 @@ class TestFailureModes:
     def test_nonprime_q_rejected(self):
         r = run_cli("verify-all", "--q", "4", "--k", "2")
         assert r.returncode == 2
+        # past the bound where primality is exact, q is refused, not guessed
+        r = run_cli("verify-all", "--q", "3317044064679887385961981", "--k", "2")
+        assert r.returncode == 2 and "only decided below 3317044064679887385961981" in r.stderr
 
     def test_budget_exit_code(self):
         r = run_cli(
@@ -159,6 +162,48 @@ class TestFailureModes:
         shares = [rep["lhs"] / rep["rhs"] for rep in lemmas]
         assert abs(shares[1] - shares[0]) <= 1e-9 * shares[0]
         assert lemmas[0]["holds"] and lemmas[1]["holds"]
+
+    def test_zero_function_pigeonhole_report(self, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"q": 3, "k": 2, "terms": []}))
+        r = run_cli("pigeonhole-report", "--input", str(path), "--delta-exp", "2")
+        assert r.returncode == 0, r.stderr
+        data = json.loads(r.stdout)
+        assert data["H_star"] == 0.0 and data["buckets"] == []
+        assert data["remainder_lp"] == data["remainder_bound"] == 0.0
+        assert data["n_buckets"] == 0 and data["class_bound"] == 15
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            [1, 2],
+            {"q": 3, "k": 2, "terms": [{"re": "nan", "modulation": ["0", "0"],
+                                        "cube": {"corner": ["0", "0"], "scale_exp": 0}}]},
+            {"q": 4, "k": 2, "terms": [{"re": 1.0, "modulation": ["0", "0"],
+                                        "cube": {"corner": ["0", "0"], "scale_exp": 0}}]},
+            {"q": 3, "k": 3, "terms": [{"re": 1.0, "modulation": ["0", "0", "0"],
+                                        "cube": {"corner": ["0", "0", "0"], "scale_exp": 0}}]},
+            {"q": 3317044064679887385961981, "k": 2, "terms": []},
+        ],
+        ids=["top-level-list", "nan-coefficient", "nonprime-q", "q-not-above-k", "q-past-primality-bound"],
+    )
+    def test_malformed_fixture_is_usage_error(self, tmp_path, capsys, fixture):
+        from momentlab import cli
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(fixture))
+        for argv in (["ratio", "--p", "8"], ["main-lemma", "--p", "8"], ["pigeonhole-report"]):
+            assert cli.main([*argv, "--input", str(path), "--delta-exp", "2"]) == 2
+            assert '"usage"' in capsys.readouterr().err
+
+    def test_huge_prime_fixture_hits_the_budget(self, tmp_path, capsys):
+        from momentlab import cli
+
+        path = tmp_path / "bigq.json"
+        path.write_text(json.dumps({"q": 2**61 - 1, "k": 2, "terms": [
+            {"re": 1.0, "modulation": ["0", "0"], "cube": {"corner": ["0", "0"], "scale_exp": 0}}]}))
+        assert cli.main(["ratio", "--input", str(path), "--p", "8", "--delta-exp", "1"]) == 3
+        assert "budget-exceeded" in capsys.readouterr().err
 
     def test_budget_overrun_in_a_suite_is_not_a_failure(self):
         from momentlab.errors import BudgetExceededError

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from momentlab.geometry import (
     ThetaBox,
     Tile,
     ball,
+    binomial_frame,
+    frame_apply,
     gamma,
     gamma_derivative,
     interval_distance,
@@ -118,7 +121,7 @@ class TestMomentCurve:
     def test_anchor_change_is_unipotent_in_the_ring(self):
         # the frame at one anchor equals the frame at another times a
         # matrix preserving the anisotropic box: M_b^(-1) M_a t keeps
-        # |t_j| <= 5^-j, checked through the adjugate of M_b
+        # |t_j| <= 5^-j, checked through B(-b)
         rng = random.Random(0)
         K = unit_interval(5).partition(1)[1]
         a = K.corner
@@ -126,7 +129,7 @@ class TestMomentCurve:
         Ma, box_b = MaMatrix(a, 3), ThetaBox(b, 1, 3)
         for _ in range(25):
             t = QVector([QRational(5, rng.randrange(125), j) for j in (1, 2, 3)])
-            assert box_b.difference_contains(Ma.apply(t))
+            assert box_b.difference_contains(frame_apply(Ma.entries, t))
 
     def test_frame_requires_large_prime(self):
         with pytest.raises(ValueError):
@@ -272,11 +275,11 @@ class TestIntegerFrameMaps:
     def test_transpose_apply_and_tile_of_point(self, case):
         q, k, K, x, y = case
         a, m = K.corner, K.scale_exp
-        M = MaMatrix(a, k)
+        E = MaMatrix(a, k).entries
         image = _transpose_qr(a, k, x)
-        assert M.transpose_apply(x) == image
-        assert all(type(c.unit) is int for c in (*M.transpose_apply(x), *M.apply(x)))
-        assert M.apply(x) == QVector(
+        assert frame_apply(E, x, transpose=True) == image
+        assert all(type(c.unit) is int for c in (*frame_apply(E, x, transpose=True), *frame_apply(E, x)))
+        assert frame_apply(E, x) == QVector(
             [sum((col[i] * x[j] for j, col in enumerate(_frame_columns(a, k))), QRational(q, 0)) for i in range(k)]
         )
         t = tile_of_point(x, K)
@@ -299,3 +302,176 @@ class TestIntegerFrameMaps:
             inside = all(qnorm_of_fraction(tj, q) <= Fraction(1, q ** (m * j)) for j, tj in enumerate(t, 1))
             assert box.difference_contains(diff) == inside
             assert box.contains(g + diff) == inside
+
+
+def _legacy_binomial_matrix(c, k, negate=False):
+    """Rows binom(j, i) c^(j-i) in QRational arithmetic (the pre-frame copy)."""
+    from math import comb
+
+    base = -c if negate else c
+    return tuple(
+        tuple(QRational(c.q, comb(j, i)) * base ** (j - i) if i <= j else QRational(c.q, 0) for i in range(1, k + 1))
+        for j in range(1, k + 1)
+    )
+
+
+def _legacy_mat_apply(rows, v):
+    return QVector([sum((e * vi for e, vi in zip(row, v)), QRational(v.q, 0)) for row in rows])
+
+
+def _legacy_frame_rows(anchor, k, transpose=False):
+    """The frame matrix M_a as QRational rows (or its transpose)."""
+    rows = [[QRational(anchor.q, e) for e in row] for row in MaMatrix(anchor, k).entries]
+    return [list(col) for col in zip(*rows)] if transpose else rows
+
+
+def _legacy_affine_rescale(g_I, I):
+    from itertools import product
+
+    from momentlab.stepfn import ModulatedStep
+
+    q, k, r, c = g_I.q, g_I.k, I.scale_exp, I.corner
+    btrans, bneg = _legacy_binomial_matrix(c, k), _legacy_binomial_matrix(c, k, negate=True)
+    gvec = gamma(c, k)
+    coeff_scale = float(Fraction(q ** (r * k * (k + 1) // 2)))
+    terms = []
+    for coeff, b, cube in g_I.terms:
+        s = cube.scale_exp
+        w = QVector([sum((btrans[j][i] * cube.corner[j] for j in range(i, k)), QRational(q, 0)) for i in range(k)])
+        shifted = _legacy_mat_apply(bneg, b - gvec)
+        new_mod = QVector([QRational(q, 1, -r * (i + 1)) * shifted[i] for i in range(k)])
+        axes = [
+            [(QRational(q, 1, r) ** i * w[i - 1] + QRational(q, t, s + r * i)).rep_mod(s + r * k) for t in range(q ** (r * (k - i)))]
+            for i in range(1, k + 1)
+        ]
+        terms += [(coeff * coeff_scale, new_mod, Cube(QVector(combo), s + r * k)) for combo in product(*axes)]
+    return ModulatedStep(q, k, terms)
+
+
+def _legacy_offset_point(tile):
+    """Back substitution for M^T x = w in QRational arithmetic."""
+    q, k, m = tile.q, tile.k, tile.base_interval.scale_exp
+    E = MaMatrix(tile.base_interval.corner, k).entries
+    x = [QRational(q, 0)] * k
+    for j in range(k - 1, -1, -1):
+        r = tile.dual_corner[j]
+        for i in range(j + 1, k):
+            r = r - x[i] * E[i][j]
+        if r.is_zero or r.valuation >= -m * (j + 1):
+            continue
+        e = -m * (j + 1) - r.valuation
+        x[j] = QRational(q, (r.unit * pow(E[j][j], -1, q**e)) % q**e, r.valuation)
+    return QVector(x)
+
+
+def _flat_index(sizes):
+    """Mixed-radix index tuples, last axis fastest."""
+    total = 1
+    for s in sizes:
+        total *= s
+    for flat in range(total):
+        idx = []
+        for s in reversed(sizes):
+            idx.append(flat % s)
+            flat //= s
+        yield idx[::-1]
+
+
+def _legacy_theta_diff_decompose(K, k):
+    q, m = K.q, K.scale_exp
+    rows = _legacy_frame_rows(K.corner, k)
+    axes = [Interval(QRational(q, 0), m * j).partition(m * k) for j in range(1, k + 1)]
+    return [
+        Cube(_legacy_mat_apply(rows, QVector([axes[i][t].corner for i, t in enumerate(idx)])).rep_mod(m * k), m * k)
+        for idx in _flat_index([len(ax) for ax in axes])
+    ]
+
+
+def _legacy_tile_partition(Q, K):
+    q, k, m = Q.q, Q.k, K.scale_exp
+    base = _legacy_mat_apply(_legacy_frame_rows(K.corner, k, transpose=True), Q.corner)
+    axes = [
+        sorted(
+            {(base[j - 1] + QRational(q, t, -m * k)).rep_mod(-m * j) for t in range(q ** (m * (k - j)))},
+            key=QRational.key,
+        )
+        for j in range(1, k + 1)
+    ]
+    return [Tile(K, QVector([axes[i][t] for i, t in enumerate(idx)])) for idx in _flat_index([len(a) for a in axes])]
+
+
+CRITERION_3_GRID = [
+    (q, k, m, K)
+    for q, k in ((3, 2), (5, 2), (5, 3))
+    for m in (1, 2)
+    for K in unit_interval(q).partition(m)[: q - 1]
+]
+
+
+class TestBinomialFrame:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([(3, 1), (3, 2), (5, 2), (5, 3), (7, 3), (11, 5)]),
+        st.integers(-(10**6), 10**6),
+        st.integers(-(10**6), 10**6),
+    )
+    def test_frame_identities(self, qk, a, t):
+        q, k = qk
+        B, Binv = binomial_frame(a, k), binomial_frame(-a, k)
+        identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        assert tuple(tuple(sum(B[i][l] * Binv[l][j] for l in range(k)) for j in range(k)) for i in range(k)) == identity
+        gamma_int = lambda s: QVector.from_ints(q, [s**i for i in range(1, k + 1)])
+        assert gamma_int(a + t) == gamma_int(a) + frame_apply(B, gamma_int(t))
+        anchor = QRational(q, a)
+        columns = [gamma_derivative(anchor, j, k) for j in range(1, k + 1)]
+        entries = MaMatrix(anchor, k).entries
+        assert entries == tuple(tuple(B[i][j] * factorial(j + 1) for j in range(k)) for i in range(k))
+        assert all(QRational(q, entries[i][j]) == columns[j][i] for i in range(k) for j in range(k))
+
+    def test_offset_point_matches_rational_back_substitution(self):
+        for q, k, m, K in CRITERION_3_GRID:
+            for t in tile_partition(ball(q, k, m * k), K):
+                assert t.offset_point() == _legacy_offset_point(t)
+
+    def test_offset_point_on_translated_cubes(self):
+        rng = random.Random(5)
+        for q, k, m, K in CRITERION_3_GRID[:6]:
+            shift = QVector([QRational(q, rng.randrange(1, q**3), -m * k - 2) for _ in range(k)])
+            for t in tile_partition(ball(q, k, m * k).translate(shift), K):
+                assert t.offset_point() == _legacy_offset_point(t)
+                assert t.contains(t.offset_point())
+
+    @pytest.mark.parametrize("q, k", [(3, 1), (3, 2), (5, 2), (5, 3)])
+    def test_enumerations_match_flat_index_loops(self, q, k):
+        rng = random.Random(q * 10 + k)
+        for m, Ks in ((1, unit_interval(q).partition(1)[:3]), (2, unit_interval(q).partition(2)[7:8])):
+            for K in Ks:
+                assert theta_diff_decompose(K, k) == _legacy_theta_diff_decompose(K, k)
+                Q = ball(q, k, m * k)
+                shifted = Q.translate(QVector([QRational(q, rng.randrange(q**4), -m * k - 3) for _ in range(k)]))
+                for cube in (Q, shifted):
+                    new, old = tile_partition(cube, K), _legacy_tile_partition(cube, K)
+                    assert [t.dual_corner for t in new] == [t.dual_corner for t in old]
+        c = Cube(QVector([QRational(q, 1, -2)] * k), -1)
+        expected = [
+            Cube(QVector([c.axis_interval(i).partition(0)[t].corner for i, t in enumerate(idx)]), 0)
+            for idx in _flat_index([q] * k)
+        ]
+        assert c.subdivide(0) == expected
+
+    def test_affine_rescale_matches_rational_matrices(self):
+        from momentlab import decoupling as dec
+        from momentlab.random_instances import random_curve_supported
+
+        rng = random.Random(3)
+        checked = 0
+        for _ in range(6):
+            g = random_curve_supported(rng, 3, 2, 2, rng.randint(2, 9), 2)
+            for I in [*unit_interval(3).partition(1), *unit_interval(3).partition(2)[:3]]:
+                g_I = g.restrict_freq(I)
+                if g_I.is_zero:
+                    continue
+                h, _ = dec.affine_rescale(g_I, I)
+                assert h.is_identical(_legacy_affine_rescale(g_I, I))
+                checked += 1
+        assert checked >= 6

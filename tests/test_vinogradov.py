@@ -105,6 +105,39 @@ class TestAgainstBruteForce:
         assert linnik_max(k, p) == (value, list(key))
 
 
+class TestPrimality:
+    def test_matches_trial_division_and_rejects_strong_pseudoprimes(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert all(vinogradov._is_prime(n) == trial(n) for n in range(-2, 20000))
+        for n in (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051):
+            assert not vinogradov._is_prime(n)
+        assert vinogradov._is_prime(2**61 - 1) and not vinogradov._is_prime((2**61 - 1) * 1000003)
+
+    def test_refuses_past_the_exact_bound(self):
+        # the bound is a composite that every witness passes
+        def strong_probable_prime(n, a):
+            d, s = n - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            x = pow(a, d, n)
+            if x == 1:
+                return True
+            for _ in range(s):
+                if x == n - 1:
+                    return True
+                x = x * x % n
+            return False
+
+        limit = vinogradov._MR_LIMIT
+        assert limit == 1287836182261 * 2575672364521
+        assert all(strong_probable_prime(limit, a) for a in vinogradov._WITNESSES)
+        for n in (limit, limit + 2, 2**89 - 1):
+            with pytest.raises(ValueError, match="only decided below"):
+                vinogradov._is_prime(n)
+
+
 class TestExactCounts:
     def test_single_pair_is_diagonal(self):
         for k in (2, 3, 4):
