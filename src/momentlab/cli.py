@@ -179,7 +179,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
     }
     if args.format == "csv":
         if csv_rows is None:
-            raise MomentLabError("this subcommand has no tabular form; use --format json")
+            raise ValueError("this subcommand has no tabular form; use --format json")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["# momentlab", __version__])
@@ -236,7 +236,7 @@ def _cmd_linnik(args) -> int:
         payload.update({"max_count": value, "argmax_residues": argmax, "holds": value <= bound})
     if args.residues is not None:
         if len(args.residues) != args.k:
-            raise MomentLabError(f"need exactly {args.k} residues")
+            raise ValueError(f"need exactly {args.k} residues")
         payload["count"] = linnik_count(args.k, args.p, args.residues)
         payload["holds"] = payload["count"] <= bound
     if not payload.get("holds", True):
@@ -326,7 +326,7 @@ def _cmd_pigeonhole_report(args) -> int:
         q, k = f.q, f.k
     else:
         if args.q is None or args.k is None:
-            raise MomentLabError("need --q and --k (or --input) for a random instance")
+            raise ValueError("need --q and --k (or --input) for a random instance")
         import random
 
         from .random_instances import random_curve_supported

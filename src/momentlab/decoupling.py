@@ -80,7 +80,7 @@ def decoupling_ratio(inst: DecouplingInstance, budget: int | None = None):
     """
     f, m, p = inst.f, inst.delta_exp, inst.p
     if f.is_zero:
-        raise MomentLabError("the zero function has no decoupling ratio")
+        raise ValueError("the zero function has no decoupling ratio")
     kwargs = {"budget": budget} if budget else {}
     pieces = f.freq_components(unit_interval(f.q).partition(m))
     sq = fsum(fK.lp_norm(p, **kwargs) ** 2 for fK in pieces.values() if not fK.is_zero)
@@ -106,13 +106,9 @@ def exp_sum_extremizer(q: int, k: int, delta_exp: int) -> ModulatedStep:
     the ball of radius delta^-k; its p-th moments count power-sum
     congruences among the anchors.
     """
-    m = delta_exp
-    big = ball(q, k, m * k)
-    terms = []
-    for a in range(q**m):
-        mod = gamma(QRational(q, a), k)
-        terms.append((1.0 + 0j, mod, big))
-    return ModulatedStep(q, k, terms)
+    big = ball(q, k, delta_exp * k)
+    anchors = unit_interval(q).partition(delta_exp)
+    return ModulatedStep(q, k, [(1.0 + 0j, gamma(I.corner, k), big) for I in anchors])
 
 
 def exp_sum_lower_bound(q: int, k: int, delta_exp: int, p: int, budget: int | None = None):
@@ -148,16 +144,21 @@ def exp_sum_lower_bound(q: int, k: int, delta_exp: int, p: int, budget: int | No
 # -- broad-narrow ---------------------------------------------------------------
 
 
-def broad_narrow_check(g: ModulatedStep, cfg: ScaleConfig, sample_points=None):
+def broad_narrow_check(g: ModulatedStep, cfg: ScaleConfig):
     """Pointwise dichotomy: |g|^2k is controlled by the best narrow piece
     or by a transverse k-fold product, with explicit constants.
 
-    With no sample points given, checks every cell of the common
-    constancy grid (exhaustive for the instance), evaluated on the
-    quotient grid for speed.
+    Checked exhaustively on the modulus cells of g and its coarse pieces.
+    ``points`` counts the points of the grid of step q^-r over the ball of
+    radius q^M, with r = max(0, finest ``cell_scale``) and M the least
+    radius, at least 0, that holds every support.  A cell stands for the
+    grid points it holds; the points off every support, where all the
+    functions vanish, are narrow-binding.
     """
+    import numpy as np
+
     q, k = cfg.q, cfg.k
-    if g.is_zero and sample_points is None:
+    if g.is_zero:
         return {
             "points": 0,
             "narrow_binding": 0,
@@ -168,41 +169,19 @@ def broad_narrow_check(g: ModulatedStep, cfg: ScaleConfig, sample_points=None):
     kappa = float(cfg.kappa)
     coarse = cfg.coarse_partition()
     comps = g.freq_components(coarse)
-    intervals = list(coarse)
-    fns = [g] + [comps[I] for I in intervals]
-    if sample_points is None:
-        import numpy as np
-
-        from .quotient_dft import evaluate_on_grid, grid_geometry
-
-        geo = [grid_geometry(fn) for fn in fns if not fn.is_zero]
-        M = max((mm for mm, _ in geo), default=0)
-        r = max((rr for _, rr in geo), default=0)
-        flats = [
-            (
-                np.zeros(q ** ((M + r) * k), dtype=complex)
-                if fn.is_zero
-                else evaluate_on_grid(fn, M, r).reshape(-1)
-            )
-            for fn in fns
-        ]
-        n_points = flats[0].size
-        g_abs = np.abs(flats[0])
-        piece_abs = np.stack([np.abs(v) for v in flats[1:]])
-    else:
-        import numpy as np
-
-        points = list(sample_points)
-        g_abs = np.array([abs(g.evaluate(x)) for x in points])
-        piece_abs = np.stack(
-            [np.array([abs(fn.evaluate(x)) for x in points]) for fn in fns[1:]]
-        )
-        n_points = len(points)
+    fns = [g] + [comps[I] for I in coarse]
+    cubes = [cube for fn in fns for cube in fn.support_cubes()]
+    r = max([0] + [fn.cell_scale() for fn in fns if not fn.is_zero])
+    M = max([0] + [-cube.scale_exp for cube in cubes]
+            + [-c.valuation for cube in cubes for c in cube.corner if not c.is_zero])
+    n_points = q ** ((M + r) * k)
+    volumes, moduli = joint_cell_values(fns)
+    g_abs, piece_abs = moduli[0], moduli[1:]
     narrow_const = 2.0 ** (2 * k - 1) * float(k) ** (2 * k)
     broad_const = 2.0 ** (2 * k - 1) * kappa ** (-(4 * k - 2))
     narrow = narrow_const * piece_abs.max(axis=0) ** (2 * k)
     broad_core = None
-    for tup in permutations(range(len(intervals)), k):
+    for tup in permutations(range(len(coarse)), k):
         prod = piece_abs[tup[0]].copy()
         for i in tup[1:]:
             prod = prod * piece_abs[i]
@@ -213,11 +192,13 @@ def broad_narrow_check(g: ModulatedStep, cfg: ScaleConfig, sample_points=None):
     holds = bool((lhs <= rhs * (1 + REL_TOL)).all())
     live = rhs > 0
     worst = float((lhs[live] / rhs[live]).max()) if live.any() else 0.0
-    narrow_binding = int((narrow >= broad).sum())
+    # a cell of volume q^-e stands for q^(rk - e) grid points, counted in exact integers
+    exps, counts = np.unique(np.rint(-np.log(volumes[narrow < broad]) / np.log(q)), return_counts=True)
+    broad_binding = sum(int(n) * q ** (r * k - int(e)) for e, n in zip(exps, counts))
     return {
-        "points": int(n_points),
-        "narrow_binding": narrow_binding,
-        "broad_binding": int(n_points - narrow_binding),
+        "points": n_points,
+        "narrow_binding": n_points - broad_binding,
+        "broad_binding": broad_binding,
         "holds": holds,
         "worst_ratio": worst,
     }
@@ -511,12 +492,11 @@ def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supp
     return report
 
 
-def verify_reversed_holder(g: ModulatedStep, cfg: ScaleConfig, p: int, partition: str = "nu"):
+def verify_reversed_holder(g: ModulatedStep, cfg: ScaleConfig, p: int):
     """Instance check of the reversed Hoelder chain for the square sum.
 
-    The max over parents runs over the intermediate partition by default
-    (what the main inequality consumes); 'kappa' selects the coarse one,
-    which only weakens the right side.
+    The max over parents runs over the intermediate partition, which is
+    what the main inequality consumes.
     """
     q, k = cfg.q, cfg.k
     if p % 2 != 0 or p <= 2 * k:
@@ -528,8 +508,8 @@ def verify_reversed_holder(g: ModulatedStep, cfg: ScaleConfig, p: int, partition
     norms_p = _norms_over(comps, p)
     norms_inf = _norms_over(comps, float("inf"))
     norms_low = _norms_over(comps, p - 2 * k)
-    parents = cfg.mid_partition() if partition == "nu" else cfg.coarse_partition()
-    mid_comps = g.freq_components(cfg.mid_partition())
+    parents = cfg.mid_partition()
+    mid_comps = g.freq_components(parents)
     N = sum(1 for gJ in mid_comps.values() if not gJ.is_zero)
 
     lhs = fsum(v**2 for v in norms_p.values()) ** (p / 2.0)
@@ -652,13 +632,12 @@ def affine_rescale_verify(g: ModulatedStep, I: Interval, cfg: ScaleConfig, p: in
 
 
 def _square_sum_moment(pieces: list[ModulatedStep], k_power: int) -> float:
-    """integral of (sum |g_K|^2)^k over the joint cells."""
+    """integral of (sum |g_K|^2)^k over the modulus cells."""
     live = [f for f in pieces if not f.is_zero]
     if not live:
         return 0.0
-    vol, values = joint_cell_values(live)
-    square_sum = (abs(values) ** 2).sum(axis=0)
-    return fsum((square_sum**k_power).tolist()) * float(vol)
+    volumes, moduli = joint_cell_values(live)
+    return fsum((volumes * (moduli**2).sum(axis=0) ** k_power).tolist())
 
 
 def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
@@ -671,7 +650,7 @@ def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
     """
     q, k = g.q, g.k
     if g.is_zero:
-        raise MomentLabError("zero function has no reverse-square ratio")
+        raise ValueError("zero function has no reverse-square ratio")
     cfg = ScaleConfig(q, k, delta_exp, -(-delta_exp // k), kappa_exp)
     freq_certificate(g, delta_exp)
     fine = cfg.fine_partition()
@@ -701,10 +680,10 @@ def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
     broad_sum = 0.0
     if len(live) >= k:
         fns = [f for _, f in live]
-        vol, values = joint_cell_values(fns)
-        squares = abs(values) ** 2
+        volumes, moduli = joint_cell_values(fns)
+        squares = moduli**2
         for tup in permutations(range(len(live)), k):
-            broad_sum += fsum(squares[list(tup)].prod(axis=0).tolist()) * float(vol)
+            broad_sum += fsum((volumes * squares[list(tup)].prod(axis=0)).tolist())
     kappa = float(cfg.kappa)
     count_bound = float(q) ** ((kappa_exp - 1) * k * (k - 1))
     broad_vs_square = count_bound * denom

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, perm, prod
 
-from .errors import MomentLabError
+from .errors import BudgetExceededError, MomentLabError
 from .qadic import QRational, QVector
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
     "tile_of_point",
     "interval_distance",
 ]
+
+DEFAULT_CELL_BUDGET = 8_000_000
 
 
 class Interval:
@@ -84,9 +86,14 @@ class Interval:
                 f"cannot partition length {self.length} interval at coarser scale {scale_exp}"
             )
         q = self.q
+        n = q ** (scale_exp - self.scale_exp)
+        if n > DEFAULT_CELL_BUDGET:
+            raise BudgetExceededError(
+                f"partition into {n} intervals exceeds the budget", estimated=n, budget=DEFAULT_CELL_BUDGET
+            )
         step = QRational(q, 1, self.scale_exp)
         out = []
-        for t in range(q ** (scale_exp - self.scale_exp)):
+        for t in range(n):
             corner = self.corner + step * QRational(q, t)
             out.append(Interval(corner.rep_mod(scale_exp), scale_exp))
         return out
@@ -192,11 +199,6 @@ class Cube:
 
     def translate(self, v: QVector) -> "Cube":
         return Cube((self.corner + v).rep_mod(self.scale_exp), self.scale_exp)
-
-    def minkowski_add(self, other: "Cube") -> "Cube":
-        """Sum set; a cube again, at the coarser of the two scales."""
-        m = min(self.scale_exp, other.scale_exp)
-        return Cube((self.corner + other.corner).rep_mod(m), m)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cube):

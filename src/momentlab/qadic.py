@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
 
 __all__ = [
     "QRational",
@@ -409,28 +408,20 @@ class UnitComplex:
         return f"e(2*pi*i*{self.angle})"
 
 
-def char_chi(x: QRational, unit_twist: int = 1) -> UnitComplex:
+def char_chi(x: QRational) -> UnitComplex:
     """The additive character chi(x) = exp(2*pi*i*frac_q(x)).
 
     Trivial exactly on Z_q (valuation >= 0) and nontrivial on (1/q)Z_q.
-    ``unit_twist`` selects the alternate admissible character
-    chi_u(x) = chi(u*x) for u coprime to q; every downstream check uses
-    the default u = 1.
     """
-    if unit_twist != 1 and gcd(unit_twist, x.q) != 1:
-        raise ValueError(f"twist {unit_twist} must be coprime to {x.q}")
-    return UnitComplex(x.frac_part() * unit_twist)
+    return UnitComplex(x.frac_part())
 
 
-def char_value(x: QRational, unit_twist: int = 1) -> complex:
+def char_value(x: QRational) -> complex:
     """chi(x) as a floating complex number (allocation-light hot path)."""
     if x.unit == 0 or x.valuation >= 0:
         return 1 + 0j
-    if unit_twist == 1:
-        den = x.q ** (-x.valuation)
-        angle = Fraction(x.unit % den, den)
-    else:
-        angle = char_chi(x, unit_twist).angle
+    den = x.q ** (-x.valuation)
+    angle = Fraction(x.unit % den, den)
     cached = _CHAR_CACHE.get(angle)
     if cached is None:
         cached = -1 + 0j if angle == Fraction(1, 2) else cmath.exp(2j * cmath.pi * float(angle))

@@ -9,6 +9,10 @@ This module evaluates functions pointwise on the quotient grid and
 transforms with numpy's FFT, giving a correctness anchor that shares no
 code path with the symbolic term calculus in stepfn.  Each term is a rank-1
 product of axis vectors written into its strided support slice of the grid.
+
+It is an oracle only: ``verify.oracle_agreement``, the tests and the
+Fourier demo use it, and no check or norm computes through it, so it stays
+independent of the modulus-cell planner it checks.
 """
 
 from __future__ import annotations

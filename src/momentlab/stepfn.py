@@ -7,10 +7,14 @@ transform and convolution, all computed term by term in closed form.
 Two evaluation layers coexist: support and cube bookkeeping is exact
 (canonical corners, exact character angles), while coefficients are
 floating complex numbers.  Norms and integrals are therefore exact up to
-float rounding; the documented tolerance for comparisons is 1e-9.  One
-numpy kernel, ``_cell_values``, gives the cell values behind ``lp_norm``
-and ``joint_cell_values``; its oracles, sharing no code with it, are the
-symbolic ``evaluate`` and ``quotient_dft.evaluate_on_grid``.
+float rounding; the documented tolerance for comparisons is 1e-9.
+
+Moduli are computed in one place.  One planner, ``joint_cell_values``,
+decides the cells on which several functions have constant modulus; one
+numpy kernel, ``_cell_values``, gives a cube's values on its cells.
+``lp_norm``, the square-function checks and the broad-narrow dichotomy all
+read |f| from the planner.  The oracles, sharing no code with either, are
+the symbolic ``evaluate`` and ``quotient_dft.evaluate_on_grid``.
 
 Canonical form: all cubes at one common scale, at most one term per
 (cube, modulation) pair with modulations reduced to canonical digit
@@ -24,13 +28,12 @@ from fractions import Fraction
 from math import fsum, inf, isfinite
 
 from .errors import BudgetExceededError, MomentLabError
-from .geometry import Cube, Interval
+from .geometry import DEFAULT_CELL_BUDGET, Cube, Interval
 from .qadic import QRational, QVector, char_value
 
 __all__ = ["ModulatedStep", "joint_cell_values"]
 
 PRUNE_REL_TOL = 1e-12
-DEFAULT_CELL_BUDGET = 8_000_000
 
 
 def _phase(b: QVector, point: QVector) -> complex:
@@ -197,16 +200,7 @@ class ModulatedStep:
                 out.append((c1 * c2, b1 + b2, cube))
         return ModulatedStep(self.q, self.k, out)
 
-    def modulus_sq(self) -> "ModulatedStep":
-        return self * self.conj()
-
     # -- integral calculus ----------------------------------------------------
-
-    def integrate(self) -> complex:
-        """Haar integral; a canonical modulation integrates to zero unless it vanishes."""
-        vol = float(Fraction(self.q) ** (-self.scale_exp * self.k))
-        parts = [c * vol for c, b, _ in self.terms if all(bi.is_zero for bi in b)]
-        return complex(fsum(p.real for p in parts), fsum(p.imag for p in parts))
 
     def fourier(self) -> "ModulatedStep":
         """Exact transform: a modulated cube maps to a modulated dual cube."""
@@ -288,9 +282,6 @@ class ModulatedStep:
             for i, terms in buckets.items()
         }
 
-    def freq_support_cubes(self) -> list[Cube]:
-        return self.fourier().support_cubes()
-
     # -- evaluation and norms ----------------------------------------------------
 
     def evaluate(self, x: QVector) -> complex:
@@ -312,40 +303,20 @@ class ModulatedStep:
         return r
 
     def lp_norm(self, p, budget: int = DEFAULT_CELL_BUDGET) -> float:
-        """L^p norm, p in [1, inf].  Integrals are exact sums over cells.
-
-        Within one cube only modulation *differences* oscillate (a common
-        phase has unit modulus), so each cube is refined only to the scale
-        of its differences; a one-term cube is one cell.  Moduli are divided
-        by the sup before the p-th power, so huge coefficients cannot overflow.
+        """L^p norm, p in [1, inf]: an exact sum over the modulus cells of
+        ``joint_cell_values``.  Moduli are divided by the sup before the p-th
+        power, so huge coefficients cannot overflow.
         """
         if self.is_zero:
             return 0.0
         if p < 1:
             raise ValueError(f"p must be at least 1, got {p}")
-        q, k = self.q, self.k
-        consts, plan = [], []  # (volume, |f|) on one-term cubes; the rest are refined
-        for cube, parts in self._by_cube.items():
-            if len(parts) == 1:
-                consts.append((float(cube.volume), abs(parts[0][0])))
-                continue
-            rel = [(c, b - parts[0][1]) for c, b in parts]
-            r = max([cube.scale_exp] + [-di.valuation for _, d in rel for di in d if not di.is_zero])
-            plan.append((cube, rel, r))
-        spent = sum(q ** ((r - cube.scale_exp) * k) for cube, _, r in plan)
-        if spent > budget:
-            raise BudgetExceededError("modulus cells exceed the budget", estimated=spent, budget=budget)
-        grids = [(float(Fraction(q) ** (-r * k)), abs(_cell_values(cube, rel, r)))
-                 for cube, rel, r in plan]
-        sup = max([m for _, m in consts] + [float(a.max()) for _, a in grids])
+        volumes, moduli = joint_cell_values([self], budget)
+        sup = float(moduli.max())
         if p == inf:
             return sup
         p = float(p)
-        total = fsum(
-            [vol * (m / sup) ** p for vol, m in consts]
-            + [x for vol, a in grids for x in (vol * (a / sup) ** p).tolist()]
-        )
-        return sup * total ** (1.0 / p)
+        return sup * fsum((volumes * (moduli[0] / sup) ** p).tolist()) ** (1.0 / p)
 
     # -- comparison ----------------------------------------------------------------
 
@@ -433,32 +404,55 @@ def _cell_values(cube: Cube, parts, r: int):
 
 
 def joint_cell_values(fns, budget: int = DEFAULT_CELL_BUDGET):
-    """Evaluate several functions on the common refinement of their cells.
+    """Moduli of several functions on cells where each modulus is constant.
 
-    Returns (volume, values) where values[i, j] is fns[i] at the corner of
-    cell j.  The cells cover the union of supports: each support cube at
-    the common scale, refined to the finest cell scale.
+    Returns (volumes, moduli): cell j has volume volumes[j], and
+    moduli[i, j] is |fns[i]| on it.  The cells cover the union of supports:
+    each support cube at the finest cube scale s, in order of first
+    appearance among the functions' canonical terms, refined in
+    ``Cube.subdivide`` order to the coarsest scale (at least s) at which
+    every function's modulation differences on that cube are constant.  A
+    common phase has unit modulus, so a cube where every function has at
+    most one term is one cell.  A row with two or more terms goes through
+    the kernel even unrefined: its differences may be constant there yet
+    not trivial.
     """
     import numpy as np
 
     fns = list(fns)
     if not fns:
         raise MomentLabError("need at least one function")
-    q, k = fns[0].q, fns[0].k
     live = [f for f in fns if not f.is_zero]
     if not live:
-        return Fraction(0), np.zeros((len(fns), 0), dtype=np.complex128)
+        return np.zeros(0), np.zeros((len(fns), 0))
+    q, k = live[0].q, live[0].k
     s = max(f.scale_exp for f in live)
-    r = max(f.cell_scale() for f in live)
-    cubes = {piece for f in live for cube in f._by_cube
-             for piece in (cube.subdivide(s) if cube.scale_exp < s else [cube])}
-    per_cube = q ** ((r - s) * k)
-    estimated = len(cubes) * per_cube * len(fns)
+    cubes = dict.fromkeys(piece for f in live for cube in f._by_cube
+                          for piece in (cube.subdivide(s) if cube.scale_exp < s else [cube]))
+    plan = []
+    for cube in cubes:
+        rows, r = [], s
+        for f in fns:
+            parts = f._by_cube.get(cube if f.scale_exp == s else Cube.containing(cube.corner, f.scale_exp), ())
+            if len(parts) > 1:
+                parts = [(c, b - parts[0][1]) for c, b in parts]
+                r = max([r] + [-di.valuation for _, d in parts for di in d if not di.is_zero])
+            rows.append(parts)
+        plan.append((cube, rows, r))
+    sizes = [q ** ((r - s) * k) for _, _, r in plan]
+    estimated = sum(sizes) * len(fns)
     if estimated > budget:
-        raise BudgetExceededError("joint cells exceed the budget", estimated=estimated, budget=budget)
-    values = np.empty((len(fns), len(cubes) * per_cube), dtype=np.complex128)
-    for j, cube in enumerate(sorted(cubes, key=Cube.key)):
-        for i, f in enumerate(fns):
-            parts = f._by_cube.get(Cube.containing(cube.corner, f.scale_exp), ())
-            values[i, j * per_cube : (j + 1) * per_cube] = _cell_values(cube, parts, r)
-    return Fraction(q) ** (-r * k), values
+        raise BudgetExceededError("modulus cells exceed the budget", estimated=estimated, budget=budget)
+    scales = [r for _, _, r in plan]
+    cell_volume = {r: float(Fraction(q) ** (-r * k)) for r in set(scales)}
+    volumes = np.repeat([cell_volume[r] for r in scales], sizes)
+    moduli = np.zeros((len(fns), volumes.size))
+    start = 0
+    for (cube, rows, r), n in zip(plan, sizes):
+        for i, parts in enumerate(rows):
+            if len(parts) == 1:
+                moduli[i, start : start + n] = abs(parts[0][0])
+            elif parts:
+                moduli[i, start : start + n] = np.abs(_cell_values(cube, parts, r))
+        start += n
+    return volumes, moduli

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
 
-from .errors import BudgetExceededError, MomentLabError
+from .errors import BudgetExceededError
 
 __all__ = [
     "count_J",
@@ -350,7 +350,7 @@ def karatsuba_bound(s: int, k: int, X) -> KaratsubaTrace:
     s to be a multiple of k.
     """
     if s % k != 0 or s < k:
-        raise MomentLabError(f"iteration needs s a positive multiple of k, got s={s}, k={k}")
+        raise ValueError(f"iteration needs s a positive multiple of k, got s={s}, k={k}")
     X = Fraction(X)
     if X < 1:
         raise ValueError("X must be at least 1")
@@ -419,7 +419,7 @@ def karatsuba_exponent_trace(s: int, k: int):
     All arithmetic is exact rational.
     """
     if s % k != 0 or s < k:
-        raise MomentLabError(f"iteration needs s a positive multiple of k, got s={s}, k={k}")
+        raise ValueError(f"iteration needs s a positive multiple of k, got s={s}, k={k}")
     steps = []
     exponent = Fraction(0)
     shrink = Fraction(1)  # current X is X_original^shrink
@@ -439,6 +439,6 @@ def karatsuba_exponent_trace(s: int, k: int):
 def classical_iteration_exponent(s: int, k: int) -> Fraction:
     """Closed form 2s - k(k+1)/2 + (k^2/2)(1-1/k)^(s/k) for s a multiple of k."""
     if s % k != 0 or s < k:
-        raise MomentLabError("closed form needs s a positive multiple of k")
+        raise ValueError("closed form needs s a positive multiple of k")
     l = s // k
     return 2 * s - Fraction(k * (k + 1), 2) + Fraction(k**2, 2) * Fraction(k - 1, k) ** l

@@ -15,9 +15,19 @@ from fractions import Fraction
 from math import ceil
 
 from .errors import BudgetExceededError, MomentLabError, SupportError
-from .geometry import Cube, Interval, MaMatrix, ThetaBox, Tile, theta_of, tile_of_point, unit_interval
+from .geometry import (
+    DEFAULT_CELL_BUDGET,
+    Cube,
+    Interval,
+    MaMatrix,
+    ThetaBox,
+    Tile,
+    theta_of,
+    tile_of_point,
+    unit_interval,
+)
 from .qadic import QVector
-from .stepfn import DEFAULT_CELL_BUDGET, PRUNE_REL_TOL, ModulatedStep, _cell_values
+from .stepfn import PRUNE_REL_TOL, ModulatedStep, _cell_values
 
 __all__ = [
     "ScaleConfig",

@@ -205,6 +205,55 @@ class TestFailureModes:
         assert cli.main(["ratio", "--input", str(path), "--p", "8", "--delta-exp", "1"]) == 3
         assert "budget-exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["linnik", "--k", "2", "--p", "3", "--residues", "1"],
+            ["pigeonhole-report", "--delta-exp", "2"],
+            ["karatsuba", "--s", "3", "--k", "2", "--X", "10"],
+            ["ratio", "--p", "8", "--delta-exp", "2", "--input", "ZERO"],
+            ["reverse-square", "--delta-exp", "2", "--kappa-exp", "1", "--input", "ZERO"],
+            ["counting-lemma", "--q", "3", "--k", "2", "--delta-exp", "2", "--kappa-exp", "1", "--format", "csv"],
+        ],
+        ids=["residue-count", "no-q-or-k", "s-not-multiple-of-k", "zero-ratio", "zero-reverse-square",
+             "csv-without-table"],
+    )
+    def test_usage_error_exits_2(self, tmp_path, capsys, argv):
+        from momentlab import cli
+
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"q": 3, "k": 2, "terms": []}))
+        assert cli.main([str(zero) if a == "ZERO" else a for a in argv]) == 2
+        assert '"usage"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pigeonhole-report", "--q", str(2**61 - 1), "--k", "2", "--delta-exp", "2"],
+         ["verify-all", "--q", str(2**61 - 1), "--k", "2"]],
+        ids=["pigeonhole-report", "verify-all"],
+    )
+    def test_huge_prime_q_hits_the_budget_quickly(self, argv):
+        r = subprocess.run([sys.executable, "-m", "momentlab", *argv], capture_output=True, text=True, timeout=20)
+        assert r.returncode == 3, r.stderr
+
+    def test_production_paths_do_not_load_the_oracle(self, fixture_path):
+        # quotient_dft checks the cell planner, so the checks themselves must not use it
+        code = f"""
+import random, sys
+from fractions import Fraction
+from momentlab import cli
+from momentlab.decoupling import broad_narrow_check
+from momentlab.random_instances import random_curve_supported
+from momentlab.wavepackets import ScaleConfig
+for argv in (["ratio", "--p", "8"], ["main-lemma", "--p", "8"], ["reverse-square", "--kappa-exp", "1"]):
+    assert cli.main([*argv, "--delta-exp", "2", "--input", {fixture_path!r}]) == 0
+g = random_curve_supported(random.Random(0), 3, 2, 2, 4, 2)
+assert broad_narrow_check(g, ScaleConfig.from_epsilon(3, 2, 2, Fraction(1, 2)))["holds"]
+assert "momentlab.quotient_dft" not in sys.modules
+"""
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+
     def test_budget_overrun_in_a_suite_is_not_a_failure(self):
         from momentlab.errors import BudgetExceededError
         from momentlab.verify import _suite

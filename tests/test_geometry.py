@@ -78,12 +78,6 @@ class TestCubes:
         assert len({p.corner for p in parts}) == 9
         assert sum((p.volume for p in parts), Fraction(0)) == c.volume
 
-    def test_minkowski_add_corners(self):
-        a = Cube(QVector([q3(1), q3(0)]), 1)
-        b = Cube(QVector([q3(2), q3(1)]), 1)
-        s = a.minkowski_add(b)
-        assert s.corner == QVector([q3(0), q3(1)]) and s.scale_exp == 1
-
     def test_equal_scale_cubes_disjoint_or_identical(self):
         a = Cube(QVector([q3(1), q3(0)]), 1)
         b = Cube(QVector([q3(1), q3(1)]), 1)

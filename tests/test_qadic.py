@@ -136,12 +136,6 @@ class TestCharacter:
                 d //= 3
             assert d == 1
 
-    def test_alternate_character_hook(self):
-        x = q3(1, -1)
-        assert char_chi(x, unit_twist=2).angle == Fraction(2, 3)
-        with pytest.raises(ValueError):
-            char_chi(x, unit_twist=3)
-
     def test_char_value_matches_unit_complex(self):
         x = q3(5, -3)
         assert char_value(x) == char_chi(x).value()

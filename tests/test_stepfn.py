@@ -28,20 +28,28 @@ def deep(n, v):
     return QRational(3, n, v)
 
 
+GROUPS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)]
+
+
+def integral(f):
+    """The Haar integral of f, read off as its transform at the origin."""
+    return f.fourier().evaluate(QVector.zero(f.q, f.k))
+
+
 def _parts(f):
     """(support cube, its (coeff, modulation) parts) pairs of a function."""
     return [(cube, [(c, b) for c, b, Q in f.terms if Q == cube]) for cube in f.support_cubes()]
 
 
 @st.composite
-def small_modsteps(draw):
+def small_modsteps(draw, qk=None):
     """Random functions on the unit cube with modulations up to one digit
-    finer than their cubes.
+    finer than their cubes, over the group qk when given.
 
     Where q^k <= 25, term cubes sit at two scales, so the canonical form
     subdivides the coarser ones.
     """
-    q, k = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)]))
+    q, k = qk or draw(st.sampled_from(GROUPS))
     small = q**k <= 25
     top = draw(st.integers(0, 2 if small else 1))
     low = max(0, top - 1) if small else top
@@ -201,19 +209,19 @@ class TestCanonicalize:
 class TestIntegration:
     def test_unit_mass(self):
         for k in (1, 2, 3):
-            assert ModulatedStep.indicator(ball(3, k, 0)).integrate() == 1
+            assert integral(ModulatedStep.indicator(ball(3, k, 0))) == 1
 
     def test_haar_scaling(self):
         for m in (1, 2):
             f = ModulatedStep.indicator(Cube(QVector.zero(3, 2).rep_mod(m), m))
-            assert abs(f.integrate() - float(Fraction(1, 9**m))) < 1e-15
+            assert abs(integral(f) - float(Fraction(1, 9**m))) < 1e-15
 
     def test_oscillation_kills_the_integral(self):
         f = ModulatedStep.indicator(ball(3, 1, 0), 1.0, QVector([q3(1, -1)]))
-        assert f.integrate() == 0
+        assert integral(f) == 0
         # oracle: the three cube-rooted character values sum to zero
         s = sum(np.exp(2j * np.pi * j / 3) for j in range(3)) / 3
-        assert abs(f.integrate() - s) < 1e-15
+        assert abs(integral(f) - s) < 1e-15
 
 
 class TestFourier:
@@ -269,7 +277,7 @@ class TestPointwise:
     def test_unit_modulus_squares_to_indicator(self):
         Q = ball(3, 2, 0)
         f = ModulatedStep.indicator(Q, 1.0, QVector([deep(1, -2), q3(0)]))
-        sq = f.modulus_sq()
+        sq = f * f.conj()
         assert sq.is_identical(ModulatedStep.indicator(Q))
 
     def test_multiplication_by_zero(self):
@@ -303,11 +311,12 @@ class TestPointwise:
         for _ in range(5):
             f = random_modstep(rng, 3, 1, 2, 1, mod_depth=1)
             g = random_modstep(rng, 3, 1, 2, 1, mod_depth=1)
-            prod_cubes = (f * g).freq_support_cubes()
+            prod_cubes = (f * g).fourier().support_cubes()
             sums = set()
-            for a in f.freq_support_cubes():
-                for b in g.freq_support_cubes():
-                    sums.add(a.minkowski_add(b))
+            for a in f.fourier().support_cubes():
+                for b in g.fourier().support_cubes():
+                    m = min(a.scale_exp, b.scale_exp)
+                    sums.add(Cube((a.corner + b.corner).rep_mod(m), m))
             for cube in prod_cubes:
                 assert any(s.contains_cube(cube) or cube.contains_cube(s) for s in sums)
 
@@ -466,10 +475,67 @@ class TestCellKernel:
         assert abs(f.lp_norm(inf) - sup) < 1e-12 * max(1.0, sup)
         # joint cells align functions of different scales on common cubes
         coarse = ModulatedStep.indicator(ball(f.q, f.k, 0), 0.5)
-        vol, values = joint_cell_values([coarse, f])
-        energies = float(vol) * (np.abs(values) ** 2).sum(axis=1)
+        volumes, moduli = joint_cell_values([coarse, f])
+        energies = (volumes * moduli**2).sum(axis=1)
         assert abs(energies[0] - 0.25) < 1e-12
         assert abs(energies[1] - l2**2) < 1e-12 * max(1.0, l2**2)
+
+
+class TestJointCells:
+    """``joint_cell_values`` against |``evaluate``| at every cell corner."""
+
+    @staticmethod
+    def check(fns):
+        q, k = fns[0].q, fns[0].k
+        live = [f for f in fns if not f.is_zero]
+        s = max(f.scale_exp for f in live)
+        finest = max(f.cell_scale() for f in live)
+        volumes, moduli = joint_cell_values(fns)
+        assert moduli.shape == (len(fns), volumes.size)
+        # the documented order: support cubes at scale s as they first appear, each refined
+        cubes = dict.fromkeys(p for f in live for _, _, c in f.terms for p in c.subdivide(s))
+        start = 0
+        for cube in cubes:
+            n = round(float(cube.volume) / volumes[start])
+            r = s + round(np.log(n) / np.log(q)) // k
+            assert n == q ** ((r - s) * k) and s <= r <= max(s, finest)
+            for j, cell in enumerate(cube.subdivide(r), start):
+                assert volumes[j] == float(cell.volume)
+                # |f| is constant on the cell: one value at every point of the finest scale
+                points = [x.corner for x in cell.subdivide(max(r, finest))]
+                for i, f in enumerate(fns):
+                    want = [abs(f.evaluate(x)) for x in points]
+                    assert max(abs(w - moduli[i, j]) for w in want) < 1e-12 * max(1.0, moduli[i, j])
+            start += n
+        assert start == volumes.size
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_symbolic_evaluation_across_scales(self, data):
+        qk = data.draw(st.sampled_from(GROUPS))
+        fns = [data.draw(small_modsteps(qk)) for _ in range(data.draw(st.integers(1, 3)))]
+        assume(any(not f.is_zero for f in fns))
+        live = [f for f in fns if not f.is_zero]
+        s, finest = max(f.scale_exp for f in live), max(f.cell_scale() for f in live)
+        cubes = {p for f in live for c in f.support_cubes() for p in c.subdivide(s)}
+        assume(len(cubes) * qk[0] ** (qk[1] * (finest - s)) * len(fns) <= 3000)
+        self.check(fns)
+
+    def test_two_terms_on_an_unrefined_cube(self):
+        # 1 + chi(x/3) on Z_3 has moduli 2, 1, 1 by residue, though its modulation
+        # difference is constant on the scale-2 cells the indicator forces
+        f = ModulatedStep(3, 1, [(1.0, vec(0), ball(3, 1, 0)), (1.0, QVector([deep(1, -1)]), ball(3, 1, 0))])
+        g = ModulatedStep.indicator(Cube(vec(0), 2))
+        self.check([f, g])
+        volumes, moduli = joint_cell_values([f, g])
+        assert volumes.size == 9 and sorted(np.round(moduli[0], 12).tolist()) == [1.0] * 6 + [2.0] * 3
+
+    def test_zero_rows_and_budget(self):
+        f = ModulatedStep.indicator(ball(3, 2, 0), 2.0)
+        volumes, moduli = joint_cell_values([ModulatedStep.zero(3, 2), f])
+        assert volumes.tolist() == [1.0] and moduli.tolist() == [[0.0], [2.0]]
+        with pytest.raises(BudgetExceededError):
+            joint_cell_values([f, ModulatedStep.indicator(Cube(vec(0, 0), 4))], budget=100)
 
 
 class TestOracleAgreement:
@@ -565,6 +631,6 @@ class TestSerialization:
     def test_joint_cells_cover_union(self):
         a = ModulatedStep.indicator(Cube(vec(0, 0), 1))
         b = ModulatedStep.indicator(Cube(vec(1, 1), 1))
-        vol, values = joint_cell_values([a, b])
-        assert values.shape == (2, 2) and vol == Fraction(1, 9)
-        assert sorted(np.abs(values).sum(axis=1).tolist()) == [1.0, 1.0]
+        volumes, moduli = joint_cell_values([a, b])
+        assert moduli.shape == (2, 2) and volumes.tolist() == [1 / 9, 1 / 9]
+        assert sorted(moduli.sum(axis=1).tolist()) == [1.0, 1.0]
