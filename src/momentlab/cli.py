@@ -373,7 +373,8 @@ def main(argv=None) -> int:
     except (SupportError, MomentLabError) as exc:
         print(json.dumps({"error": "verification-failure", "reason": str(exc)}), file=sys.stderr)
         return EXIT_VERIFICATION
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
+        # ArithmeticError: a fixture whose numbers overflow a float (say scale_exp -400)
         print(json.dumps({"error": "usage", "reason": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

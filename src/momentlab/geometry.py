@@ -103,10 +103,6 @@ class Interval:
             raise ValueError("parent must be coarser")
         return Interval(self.corner.rep_mod(scale_exp), scale_exp)
 
-    def sample_points(self, scale_exp: int) -> list[QRational]:
-        """Representatives of the sub-intervals at the given finer scale."""
-        return [i.corner for i in self.partition(scale_exp)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Interval):
             return NotImplemented
@@ -194,7 +190,7 @@ class Cube:
         """All subcubes of side q^-scale_exp, in lexicographic digit order."""
         if scale_exp < self.scale_exp:
             raise ValueError("cannot subdivide at a coarser scale")
-        axes = [self.axis_interval(i).sample_points(scale_exp) for i in range(self.k)]
+        axes = [[sub.corner for sub in self.axis_interval(i).partition(scale_exp)] for i in range(self.k)]
         return [Cube(QVector(corner), scale_exp) for corner in product(*axes)]
 
     def translate(self, v: QVector) -> "Cube":
@@ -257,12 +253,20 @@ def _scaled(values) -> tuple[list[int], int]:
     return [c.unit * c.q ** (c.valuation - L) if c.unit else 0 for c in values], L
 
 
-def _matvec(rows, n, transpose: bool = False) -> list[int]:
-    """rows . n, or rows^T . n, for a lower-triangular integer matrix."""
-    k = len(n)
-    if transpose:
-        return [sum(rows[j][i] * n[j] for j in range(i, k)) for i in range(k)]
-    return [sum(rows[i][j] * n[j] for j in range(i + 1)) for i in range(k)]
+def _matvec(rows, n, transpose: bool = False) -> list:
+    """rows . n, or rows^T . n, for a lower-triangular integer matrix.
+
+    n holds ints, or integer numpy columns for a whole lattice of points at
+    once; the frame kernels built on it inherit that.
+    """
+    out = [0] * len(n)
+    for i, row in enumerate(rows):
+        for j in range(i + 1):
+            if transpose:
+                out[j] += row[j] * n[i]
+            else:
+                out[i] += row[j] * n[j]
+    return out
 
 
 def frame_apply(rows, v: QVector, transpose: bool = False) -> QVector:
@@ -348,14 +352,16 @@ class ThetaBox:
     def __setattr__(self, name, value):
         raise AttributeError("ThetaBox is immutable")
 
-    def _group_member(self, w: list[int], L: int) -> bool:
-        # w_i * q^L are the coordinates; |t_j| = |(B(-a) w)_j| * q^-L
+    def _group_member(self, w, L: int):
+        """Whether w * q^L lies in the group box (a mask for columns)."""
+        # |t_j| = |(B(-a) w)_j| * q^-L
         q, m = self.q, self.scale_exp
+        inside = True
         for j, y in enumerate(_matvec(self._inverse, w)):
             e = m * (j + 1) - L
-            if e > 0 and y % q**e:
-                return False
-        return True
+            if e > 0:
+                inside = inside & (y % q**e == 0)
+        return inside
 
     def contains(self, xi: QVector) -> bool:
         k = self.k
@@ -365,10 +371,6 @@ class ThetaBox:
     def contains_cube(self, cube: Cube) -> bool:
         """Exact: a cube lies inside iff its corner does and its side is <= d^k."""
         return cube.scale_exp >= self.scale_exp * self.k and self.contains(cube.corner)
-
-    def difference_contains(self, xi: QVector) -> bool:
-        """Membership in the centered group box (the set minus itself)."""
-        return self._group_member(*_scaled(xi))
 
 
 def theta_of(K: Interval, k: int) -> ThetaBox:
@@ -396,10 +398,12 @@ def theta_diff_decompose(K: Interval, k: int) -> list[Cube]:
     entries = MaMatrix(K.corner, k).entries
     modulus = q ** (m * k)
     axes = [range(0, modulus, q ** (m * j)) for j in range(1, k + 1)]
-    return [
-        Cube(QVector.from_ints(q, [y % modulus for y in _matvec(entries, t)]), m * k)
-        for t in product(*axes)
-    ]
+    return [Cube(QVector.from_ints(q, _diff_corners(entries, t, modulus)), m * k) for t in product(*axes)]
+
+
+def _diff_corners(rows, t, modulus: int) -> list:
+    """Corner M t mod q^(mk) of the difference cube at group point t."""
+    return [y % modulus for y in _matvec(rows, t)]
 
 
 class Tile:
@@ -447,27 +451,11 @@ class Tile:
                 return False
         return True
 
-    def contains_cube(self, cube: Cube) -> bool:
-        """A cube of side at most d^-1 lies in a single tile."""
-        return cube.scale_exp >= -self.base_interval.scale_exp and self.contains(cube.corner)
-
     def offset_point(self) -> QVector:
-        """A point of the tile with coordinates in Z[1/q].
-
-        Solves M^T x = w modulo the dual group by back substitution on the
-        integer coordinates of w, inverting the factorial diagonal modulo
-        the precision each axis needs.
-        """
-        q, k, m = self.q, self.k, self.base_interval.scale_exp
-        E = self._matrix.entries
+        """A point of the tile with coordinates in Z[1/q]: M^T x = w modulo the dual group."""
         n, L = _scaled(self.dual_corner)
-        x = [0] * k
-        for j in range(k - 1, -1, -1):
-            e = -m * (j + 1) - L
-            if e > 0:
-                r = n[j] - sum(x[i] * E[i][j] for i in range(j + 1, k))
-                x[j] = r * pow(E[j][j], -1, q**e) % q**e
-        return QVector([QRational(q, xj, L) for xj in x])
+        x = _offset_digits(self._matrix.entries, n, L, self.base_interval.scale_exp, self.q)
+        return QVector([QRational(self.q, xj, L) for xj in x])
 
     def sample_points(self, count: int = 8) -> list[QVector]:
         """A few lattice points of the tile: the offset plus small shifts.
@@ -510,19 +498,41 @@ class Tile:
         }
 
 
+def _offset_digits(rows, n, L: int, m: int, q: int) -> list:
+    """x with M^T x = n modulo the dual group of scale m, all at scale L.
+
+    Back substitution, inverting the factorial diagonal modulo the
+    precision each axis needs.
+    """
+    k = len(n)
+    x = [0] * k
+    for j in range(k - 1, -1, -1):
+        e = -m * (j + 1) - L
+        if e > 0:
+            r = n[j] - sum(x[i] * rows[i][j] for i in range(j + 1, k))
+            x[j] = r * pow(rows[j][j], -1, q**e) % q**e
+    return x
+
+
+def _owner_digits(rows, n, L: int, m: int, q: int) -> list:
+    """Dual-corner digits, at scale L, of the tile of scale m holding n * q^L.
+
+    Coordinate j keeps the digits of (M^T n)_j * q^L below position -m(j+1).
+    """
+    digits = []
+    for j, y in enumerate(_matvec(rows, n, transpose=True)):
+        e = -m * (j + 1) - L
+        digits.append(y % q**e if e > 0 else y * 0)
+    return digits
+
+
 def tile_of_point(x: QVector, K: Interval, matrix: MaMatrix | None = None) -> Tile:
     """The unique tile over K containing x."""
-    q, k, m = x.q, x.k, K.scale_exp
     if matrix is None:
-        matrix = MaMatrix(K.corner, k)
+        matrix = MaMatrix(K.corner, x.k)
     n, L = _scaled(x)
-    y = _matvec(matrix.entries, n, transpose=True)
-    # coordinate j keeps the digits of y_j = y[j] * q^L below position -m*(j+1)
-    w = []
-    for j in range(k):
-        e = -m * (j + 1) - L
-        w.append(QRational(q, y[j] % q**e if e > 0 else 0, L))
-    return Tile(K, QVector(w), matrix)
+    w = _owner_digits(matrix.entries, n, L, K.scale_exp, x.q)
+    return Tile(K, QVector([QRational(x.q, d, L) for d in w]), matrix)
 
 
 def tile_partition(Q: Cube, K: Interval) -> list[Tile]:

@@ -30,13 +30,16 @@ from .exponents import (
 )
 from .geometry import (
     MaMatrix,
+    _diff_corners,
+    _offset_digits,
+    _owner_digits,
+    _scaled,
     ball,
-    theta_diff_decompose,
     theta_of,
-    tile_of_point,
     tile_partition,
     unit_interval,
 )
+from .qadic import QRational, QVector
 from .random_instances import random_box_function, random_curve_supported, random_modstep
 from .stepfn import ModulatedStep
 from .vinogradov import (
@@ -51,6 +54,8 @@ from .vinogradov import (
 from .wavepackets import ScaleConfig, pigeonhole, verify_theta_support, wavepacket_decompose
 
 GRID_CHECK_LIMIT = 600_000
+RESIDUE_CHECK_LIMIT = 200_000
+INT64_LIMIT = 2**63
 
 
 def _suite(name):
@@ -128,61 +133,88 @@ def oracle_agreement(report, q: int, k: int, n_instances: int = 100, seed: int =
 
 
 @_suite("tilings")
-def tilings(report, q: int, k: int, delta_exps=(1, 2), residue_check_limit: int = 200_000):
-    """Counts, disjointness, and exact unions for both tiling statements."""
-    fine = []
+def tilings(report, q: int, k: int, delta_exps=(1, 2)):
+    """Counts, disjointness, and exact unions for both tiling statements.
+
+    One pass per base interval K runs geometry's frame kernels on integer
+    columns (int64 where a bound rules out overflow): the difference-box
+    corners M t mod q^(mk) are distinct and in theta_K - theta_K; the tiles
+    of ``tile_partition`` are distinct, fill Q and own their offset points;
+    up to RESIDUE_CHECK_LIMIT residues of Q at side d^-1, each is owned by
+    one of them, evenly, and every 40th lies in exactly one tile by
+    ``Tile.contains``.
+    """
+    checked = 0
     for m in delta_exps:
         expected = q ** (m * k * (k - 1) // 2)
         Q = ball(q, k, m * k)
-        # pointwise partition on the full residue lattice when affordable:
-        # every residue's canonical owner exists and owners split evenly,
-        # with direct membership double-checked on a sample
         n_residues = q ** (m * (k - 1) * k)
-        subcubes = Q.subdivide(-m) if n_residues <= residue_check_limit else None
+        modulus = q ** (m * k)
         for K in unit_interval(q).partition(m)[: q - 1]:
-            box = theta_of(K, k)
-            cubes = theta_diff_decompose(K, k)
-            if len(cubes) != expected:
-                report["failures"].append(f"difference-box count at m={m}: {len(cubes)}")
-            if len({c.corner for c in cubes}) != expected:
-                report["failures"].append(f"difference-box corners collide at m={m}")
-            vol = sum((c.volume for c in cubes), Fraction(0))
-            if vol != Fraction(1, q ** (m * k * (k + 1) // 2)):
-                report["failures"].append(f"difference-box volume at m={m}: {vol}")
-            if not all(box.difference_contains(c.corner) for c in cubes):
-                report["failures"].append(f"difference-box corner escapes at m={m}")
-
+            entries = MaMatrix(K.corner, k).entries
             tiles = tile_partition(Q, K)
-            if len(tiles) != expected:
-                report["failures"].append(f"tile count at m={m}: {len(tiles)}")
-            if len({t.dual_corner for t in tiles}) != expected:
-                report["failures"].append(f"tile coset reps collide at m={m}")
-            tvol = sum((t.volume for t in tiles), Fraction(0))
-            if tvol != Q.volume:
-                report["failures"].append(f"tile volumes at m={m}: {tvol} != {Q.volume}")
-            if not all(t.contains(t.offset_point()) for t in tiles):
-                report["failures"].append(f"tile offset point escapes at m={m}")
-            if subcubes is not None:
-                matrix = MaMatrix(K.corner, k)
-                tile_set = set(tiles)
-                owners: dict = {}
-                for sub in subcubes:
-                    t = tile_of_point(sub.corner, K, matrix)
-                    if t not in tile_set:
-                        report["failures"].append(f"residue {sub.corner} owned by a foreign tile")
-                        break
-                    owners[t] = owners.get(t, 0) + 1
-                if owners and set(owners.values()) != {len(subcubes) // len(tiles)}:
+            # one scale L <= -mk for every dual corner and the residue step q^-mk
+            flat, L = _scaled([c for t in tiles for c in t.dual_corner] + [QRational(q, 1, -m * k)])
+            # every column value stays below this; B(-a) has M_a's entries up to sign and factorials
+            bound = q ** (-L * max(2, k)) * (1 + sum(abs(e) for row in entries for e in row))
+            dtype = np.int64 if bound < INT64_LIMIT else object
+            radices = [q ** max(-m * j - L, 0) for j in range(1, k + 1)]
+
+            group = _lattice([q ** (m * (k - j)) for j in range(1, k + 1)], dtype)
+            corners = _diff_corners(entries, [u * q ** (m * j) for j, u in enumerate(group, 1)], modulus)
+            count = len(corners[0])
+            vol = Fraction(count, q ** (m * k * k))
+            duals = list(np.array(flat[:-1], dtype=dtype).reshape(len(tiles), k).T)
+            keys = _pack(duals, radices)
+            tvol = len(tiles) * tiles[0].volume if tiles else Fraction(0)
+            offsets = _offset_digits(entries, duals, L, m, q)
+            checks = (
+                (count == expected, f"difference-box count at m={m}: {count}"),
+                (np.unique(_pack(corners, [modulus] * k)).size == expected,
+                 f"difference-box corners collide at m={m}"),
+                (vol == Fraction(1, q ** (m * k * (k + 1) // 2)), f"difference-box volume at m={m}: {vol}"),
+                (np.all(theta_of(K, k)._group_member(corners, 0)), f"difference-box corner escapes at m={m}"),
+                (len(tiles) == expected, f"tile count at m={m}: {len(tiles)}"),
+                (np.unique(keys).size == expected, f"tile coset reps collide at m={m}"),
+                (len({t.base_interval.scale_exp for t in tiles}) <= 1, f"tile scales differ at m={m}"),
+                (tvol == Q.volume, f"tile volumes at m={m}: {tvol} != {Q.volume}"),
+                (np.all(_pack(_owner_digits(entries, offsets, L, m, q), radices) == keys),
+                 f"tile offset point escapes at m={m}"),
+            )
+            report["failures"].extend(message for holds, message in checks if not holds)
+
+            if n_residues <= RESIDUE_CHECK_LIMIT:
+                x = [u * q ** (-m * k - L) for u in _lattice([q ** (m * (k - 1))] * k, dtype)]
+                owners = _pack(_owner_digits(entries, x, L, m, q), radices)
+                foreign = np.flatnonzero(~np.isin(owners, keys))
+                first = int(foreign[0]) if foreign.size else n_residues
+                if foreign.size:
+                    point = QVector([QRational(q, int(c[first]), L) for c in x])
+                    report["failures"].append(f"residue {point} owned by a foreign tile")
+                _, shares = np.unique(owners[:first], return_counts=True)
+                if shares.size and set(shares.tolist()) != {n_residues // len(tiles)}:
                     report["failures"].append(f"uneven tile ownership at m={m}")
-                for sub in subcubes[:: max(1, len(subcubes) // 40)]:
-                    direct = sum(1 for t in tiles if t.contains(sub.corner))
+                for i in range(0, n_residues, max(1, n_residues // 40)):
+                    point = QVector([QRational(q, int(c[i]), L) for c in x])
+                    direct = sum(1 for t in tiles if t.contains(point))
                     if direct != 1:
-                        report["failures"].append(
-                            f"residue {sub.corner} lies in {direct} tiles at m={m}"
-                        )
+                        report["failures"].append(f"residue {point} lies in {direct} tiles at m={m}")
                         break
-            fine.append((m, K))
-    report["checked"] = len(fine)
+            checked += 1
+    report["checked"] = checked
+
+
+def _lattice(sides, dtype) -> list:
+    """Every point of prod(range(s) for s in sides) as integer columns, in itertools.product order."""
+    return list(np.indices(sides).reshape(len(sides), -1).astype(dtype))
+
+
+def _pack(digits, radices):
+    """Mixed-radix key of digit columns, each digit below its radix."""
+    key = 0
+    for d, r in zip(digits, radices):
+        key = key * r + d
+    return key
 
 
 @_suite("interval-separation")
@@ -328,14 +360,32 @@ def counting_lemma_suite(report, cases=((3, 2, 2, 1), (5, 2, 2, 1))):
     report["results"] = results
 
 
+def _curve_instances(q: int, k: int, n_instances: int, seed: int, least_terms: int = 1):
+    """Seeded functions Fourier supported on the curve boxes at delta = q^-2."""
+    rng = random.Random(seed)
+    for _ in range(n_instances):
+        yield random_curve_supported(rng, q, k, 2, rng.randint(least_terms, q**2), 2)
+
+
+def _slack_suite(report, check, statement, q, k, p, n_instances, seed):
+    cfg = ScaleConfig.from_epsilon(q, k, 2, Fraction(1, 2))
+    slack = []
+    for i, g in enumerate(_curve_instances(q, k, n_instances, seed)):
+        rep = check(g, cfg, p)
+        if not rep["holds"]:
+            report["failures"].append(f"{statement} fails at instance {i}")
+        if rep["lhs"] > 0:
+            slack.append(rep["rhs"] / rep["lhs"])
+    report["instances"] = n_instances
+    report["min_slack"] = min(slack, default=float("inf"))
+
+
 @_suite("broad-narrow")
 def broad_narrow_suite(report, q: int = 3, k: int = 2, n_instances: int = 50, seed: int = 0):
     """Pointwise dichotomy on every constancy cell of seeded instances."""
-    rng = random.Random(seed)
     cfg = ScaleConfig.from_epsilon(q, k, 2, Fraction(1, 2))
     narrow = broad = 0
-    for i in range(n_instances):
-        g = random_curve_supported(rng, q, k, 2, rng.randint(1, q**2), 2)
+    for i, g in enumerate(_curve_instances(q, k, n_instances, seed)):
         rep = dec.broad_narrow_check(g, cfg)
         if not rep["holds"]:
             report["failures"].append(f"dichotomy fails at instance {i}")
@@ -348,43 +398,19 @@ def broad_narrow_suite(report, q: int = 3, k: int = 2, n_instances: int = 50, se
 
 @_suite("main-inequality")
 def main_lemma_suite(report, q: int = 3, k: int = 2, p: int = 8, n_instances: int = 20, seed: int = 0):
-    rng = random.Random(seed)
-    cfg = ScaleConfig.from_epsilon(q, k, 2, Fraction(1, 2))
-    slack = []
-    for i in range(n_instances):
-        g = random_curve_supported(rng, q, k, 2, rng.randint(1, q**2), 2)
-        rep = dec.verify_main_lemma(g, cfg, p)
-        if not rep["holds"]:
-            report["failures"].append(f"main inequality fails at instance {i}")
-        if rep["lhs"] > 0:
-            slack.append(rep["rhs"] / rep["lhs"])
-    report["instances"] = n_instances
-    report["min_slack"] = min(slack, default=float("inf"))
+    _slack_suite(report, dec.verify_main_lemma, "main inequality", q, k, p, n_instances, seed)
 
 
 @_suite("reversed-holder")
 def reversed_holder_suite(report, q: int = 3, k: int = 2, p: int = 8, n_instances: int = 20, seed: int = 0):
-    rng = random.Random(seed)
-    cfg = ScaleConfig.from_epsilon(q, k, 2, Fraction(1, 2))
-    slack = []
-    for i in range(n_instances):
-        g = random_curve_supported(rng, q, k, 2, rng.randint(1, q**2), 2)
-        rep = dec.verify_reversed_holder(g, cfg, p)
-        if not rep["holds"]:
-            report["failures"].append(f"reversed Hoelder fails at instance {i}")
-        if rep["lhs"] > 0:
-            slack.append(rep["rhs"] / rep["lhs"])
-    report["instances"] = n_instances
-    report["min_slack"] = min(slack, default=float("inf"))
+    _slack_suite(report, dec.verify_reversed_holder, "reversed Hoelder", q, k, p, n_instances, seed)
 
 
 @_suite("affine-rescaling")
 def affine_rescaling_suite(report, q: int = 3, k: int = 2, p: int = 8, n_instances: int = 10, seed: int = 0):
-    rng = random.Random(seed)
     cfg = ScaleConfig.from_epsilon(q, k, 2, Fraction(1, 2))
     done = 0
-    for i in range(n_instances):
-        g = random_curve_supported(rng, q, k, 2, rng.randint(2, q**2), 2)
+    for i, g in enumerate(_curve_instances(q, k, n_instances, seed, least_terms=2)):
         for I in unit_interval(q).partition(1):
             if g.restrict_freq(I).is_zero:
                 continue
@@ -397,9 +423,7 @@ def affine_rescaling_suite(report, q: int = 3, k: int = 2, p: int = 8, n_instanc
 
 @_suite("reverse-square")
 def reverse_square_suite(report, q: int = 3, k: int = 2, n_instances: int = 20, seed: int = 0):
-    rng = random.Random(seed)
-    for i in range(n_instances):
-        g = random_curve_supported(rng, q, k, 2, rng.randint(1, q**2), 2)
+    for i, g in enumerate(_curve_instances(q, k, n_instances, seed)):
         rep = dec.reverse_square_check(g, 2, 1)
         if not (rep["recursion_holds"] and rep["broad_holds"]):
             report["failures"].append(f"reverse-square recursion fails at instance {i}")

@@ -1,11 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from momentlab.random_instances import random_curve_supported
+
+
+FIXTURE_COMMANDS = (["ratio", "--p", "8"], ["main-lemma", "--p", "8"], ["reverse-square", "--kappa-exp", "1"],
+                    ["pigeonhole-report"])
 
 
 def run_cli(*argv):
@@ -205,6 +215,17 @@ class TestFailureModes:
         assert cli.main(["ratio", "--input", str(path), "--p", "8", "--delta-exp", "1"]) == 3
         assert "budget-exceeded" in capsys.readouterr().err
 
+    def test_float_overflow_in_a_fixture_is_usage_error(self, tmp_path, capsys):
+        # a cube of side 3^400 overflows float(Fraction) in the transform's coefficient
+        from momentlab import cli
+
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"q": 3, "k": 2, "terms": [
+            {"re": 1.0, "modulation": ["0", "0"], "cube": {"corner": ["0", "0"], "scale_exp": -400}}]}))
+        for argv in FIXTURE_COMMANDS:
+            assert cli.main([*argv, "--input", str(path), "--delta-exp", "2"]) == 2
+            assert '"usage"' in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -235,6 +256,12 @@ class TestFailureModes:
     def test_huge_prime_q_hits_the_budget_quickly(self, argv):
         r = subprocess.run([sys.executable, "-m", "momentlab", *argv], capture_output=True, text=True, timeout=20)
         assert r.returncode == 3, r.stderr
+
+    def test_cli_and_geometry_load_without_numpy(self):
+        # the frame kernels take numpy columns from their callers but never import numpy
+        code = "import sys, momentlab.cli, momentlab.geometry; assert 'numpy' not in sys.modules"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
 
     def test_production_paths_do_not_load_the_oracle(self, fixture_path):
         # quotient_dft checks the cell planner, so the checks themselves must not use it
@@ -299,3 +326,48 @@ assert "momentlab.quotient_dft" not in sys.modules
         data = json.loads(out.read_text())
         assert data["count"] == 15
         assert not os.path.exists(str(out) + ".tmp")
+
+
+@st.composite
+def fixture_documents(draw):
+    """Tiny q = 3 fixtures, each with at most one defect from the ways real fixtures go wrong."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(st.lists(st.integers(), max_size=2), st.integers(), st.text(max_size=3), st.none()))
+    k = draw(st.integers(1, 2))
+    rat = st.builds(lambda u, v: f"{u}*3^{v}", st.integers(-8, 8), st.integers(-2, 0))
+    terms = []
+    for _ in range(draw(st.integers(0, 2))):
+        s = draw(st.integers(0, 1))  # mixing cube scales 0 and 2 already costs 3^12 certificate cells
+        corner = [f"{draw(st.integers(0, 3 ** s - 1))}" for _ in range(k)]
+        terms.append({"re": draw(st.floats(-2, 2)), "im": draw(st.floats(-2, 2)),
+                      "modulation": [draw(rat) for _ in range(k)], "cube": {"corner": corner, "scale_exp": s}})
+    defect = draw(st.sampled_from(["none", "scale", "coefficient", "huge", "corner", "length"]))
+    if terms:
+        t = terms[0]
+        if defect == "scale":
+            t["cube"] = {"corner": ["0"] * k, "scale_exp": draw(st.sampled_from([-400, -40, 40, 400]))}
+        elif defect == "coefficient":
+            t["re"] = draw(st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, 5e-324, "nan"]))
+        elif defect == "huge":
+            t["modulation"][0] = f"{draw(st.sampled_from([10**30 + 1, -(7**40)]))}*3^{draw(st.integers(-2, 40))}"
+        elif defect == "corner":
+            t["cube"]["corner"][0] = f"1*3^{t['cube']['scale_exp'] + draw(st.integers(-3, -1))}"
+        elif defect == "length":
+            t["modulation"].append("0")
+    return {"q": 3, "k": k, "terms": terms}
+
+
+class TestFixtureFuzz:
+    @settings(max_examples=40, deadline=timedelta(seconds=30), suppress_health_check=[HealthCheck.too_slow])
+    @given(fixture_documents(), st.sampled_from(FIXTURE_COMMANDS), st.sampled_from(["1", "2"]))
+    def test_every_fixture_exits_within_the_contract(self, doc, argv, delta_exp):
+        from momentlab import cli
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([*argv, "--input", path, "--delta-exp", delta_exp,
+                                 "--output", os.path.join(tmp, "r.json")])
+        assert code in (0, 2, 3, 4)

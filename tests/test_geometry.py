@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,10 @@ from momentlab.geometry import (
     MaMatrix,
     ThetaBox,
     Tile,
+    _diff_corners,
+    _offset_digits,
+    _owner_digits,
+    _scaled,
     ball,
     binomial_frame,
     frame_apply,
@@ -26,6 +31,7 @@ from momentlab.geometry import (
     unit_interval,
 )
 from momentlab.qadic import QRational, QVector, qnorm_of_fraction
+from momentlab.verify import _lattice
 
 
 def q3(n, v=0):
@@ -123,7 +129,7 @@ class TestMomentCurve:
         Ma, box_b = MaMatrix(a, 3), ThetaBox(b, 1, 3)
         for _ in range(25):
             t = QVector([QRational(5, rng.randrange(125), j) for j in (1, 2, 3)])
-            assert box_b.difference_contains(frame_apply(Ma.entries, t))
+            assert box_b._group_member(*_scaled(frame_apply(Ma.entries, t)))
 
     def test_frame_requires_large_prime(self):
         with pytest.raises(ValueError):
@@ -294,7 +300,7 @@ class TestIntegerFrameMaps:
         for diff in (x, y, x - g):
             t = _solve_fractions(a, k, diff)
             inside = all(qnorm_of_fraction(tj, q) <= Fraction(1, q ** (m * j)) for j, tj in enumerate(t, 1))
-            assert box.difference_contains(diff) == inside
+            assert box._group_member(*_scaled(diff)) == inside
             assert box.contains(g + diff) == inside
 
 
@@ -469,3 +475,108 @@ class TestBinomialFrame:
                 assert h.is_identical(_legacy_affine_rescale(g_I, I))
                 checked += 1
         assert checked >= 6
+
+
+# every (q, k, m) whose residue lattice the tilings suite walks: criterion 3 and the benchmark's (3, 2, 3)
+RESIDUE_CELLS = [(3, 2, 1), (3, 2, 2), (3, 2, 3), (5, 2, 1), (5, 2, 2), (5, 3, 1)]
+
+
+class TestLatticeKernels:
+    """The frame kernels on numpy columns against their one-point wrappers."""
+
+    @pytest.mark.parametrize("q, k, m", RESIDUE_CELLS)
+    def test_owner_digits_match_tile_of_point_on_every_residue(self, q, k, m):
+        L = -m * k
+        x = _lattice([q ** (m * (k - 1))] * k, object)
+        for K in unit_interval(q).partition(m)[: q - 1]:
+            matrix = MaMatrix(K.corner, k)
+            digits = _owner_digits(matrix.entries, x, L, m, q)
+            for i in range(len(x[0])):
+                point = QVector([QRational(q, c[i], L) for c in x])
+                want = tile_of_point(point, K, matrix).dual_corner
+                assert QVector([QRational(q, int(d[i]), L) for d in digits]) == want
+
+    @pytest.mark.parametrize("dtype", ["int64", object])
+    def test_column_offsets_and_corners_match_the_objects(self, dtype):
+        # Python-int columns are slow, so they skip the 15,625-tile cell
+        for q, k, m, K in [c for c in CRITERION_3_GRID if dtype == "int64" or c[:3] != (5, 3, 2)]:
+            entries = MaMatrix(K.corner, k).entries
+            tiles = tile_partition(ball(q, k, m * k), K)
+            L = -m * k
+            duals = [[c.unit * q ** (c.valuation - L) if c.unit else 0 for c in t.dual_corner] for t in tiles]
+            offsets = _offset_digits(entries, list(np.array(duals, dtype=dtype).T), L, m, q)
+            offsets = [o if hasattr(o, "__len__") else [o] * len(tiles) for o in offsets]
+            assert [QVector([QRational(q, int(o[i]), L) for o in offsets]) for i in range(len(tiles))] == [
+                t.offset_point() for t in tiles
+            ]
+            group = _lattice([q ** (m * (k - j)) for j in range(1, k + 1)], dtype)
+            corners = _diff_corners(entries, [u * q ** (m * j) for j, u in enumerate(group, 1)], q ** (m * k))
+            assert [QVector.from_ints(q, [int(c[i]) for c in corners]) for i in range(len(corners[0]))] == [
+                cube.corner for cube in theta_diff_decompose(K, k)
+            ]
+            box = theta_of(K, k)
+            assert box._group_member(corners, 0).all()
+            assert not box._group_member([corners[0] + 1, *corners[1:]], 0).any()
+
+
+class TestTilingsLatticePass:
+    """The suite reports a failure for each way the lattice pass can go wrong."""
+
+    def _failures(self, q=5, k=2, m=1):
+        from momentlab import verify
+
+        report = verify.tilings(q, k, delta_exps=(m,))
+        assert not report["passed"]
+        return report["failures"]
+
+    def test_dropped_tile(self, monkeypatch):
+        from momentlab import verify
+
+        monkeypatch.setattr(verify, "tile_partition", lambda Q, K: tile_partition(Q, K)[1:])
+        failures = self._failures()
+        assert "tile count at m=1: 4" in failures
+        assert any("owned by a foreign tile" in f for f in failures)
+
+    def test_shifted_owner_digit(self, monkeypatch):
+        from momentlab import geometry, verify
+
+        def shifted(rows, n, L, m, q):
+            digits = geometry._owner_digits(rows, n, L, m, q)
+            return [digits[0] + 1, *digits[1:]]
+
+        monkeypatch.setattr(verify, "_owner_digits", shifted)
+        failures = self._failures()
+        assert "tile offset point escapes at m=1" in failures
+        assert any("owned by a foreign tile" in f for f in failures)
+
+    def test_moved_difference_corner(self, monkeypatch):
+        from momentlab import geometry, verify
+
+        def moved(rows, t, modulus):
+            corners = geometry._diff_corners(rows, t, modulus)
+            corners[0] = corners[0].copy()
+            corners[0][-1] = (corners[0][-1] + 1) % modulus
+            return corners
+
+        monkeypatch.setattr(verify, "_diff_corners", moved)
+        assert "difference-box corner escapes at m=1" in self._failures()
+
+    def test_wrong_offset(self, monkeypatch):
+        from momentlab import geometry, verify
+
+        def wrong(rows, n, L, m, q):
+            x = geometry._offset_digits(rows, n, L, m, q)
+            return [x[0] + 1, *x[1:]]
+
+        monkeypatch.setattr(verify, "_offset_digits", wrong)
+        assert set(self._failures(5, 3, 1)) == {"tile offset point escapes at m=1"}
+
+    def test_python_int_columns_give_the_same_reports(self, monkeypatch):
+        from momentlab import verify
+
+        def reports():
+            return [{**verify.tilings(q, k, delta_exps=(m,)), "runtime_s": 0} for q, k, m in RESIDUE_CELLS]
+
+        fast = reports()
+        monkeypatch.setattr(verify, "INT64_LIMIT", 0)
+        assert reports() == fast and all(r["passed"] for r in fast)
