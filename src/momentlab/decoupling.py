@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import frexp, fsum, isfinite
 
-from .errors import MomentLabError
+from .errors import MomentLabError, VerificationError
 from .geometry import Cube, Interval, ball, binomial_frame, frame_apply, gamma, tau_of, unit_interval
 from .qadic import QRational, QVector
 from .stepfn import ModulatedStep, joint_cell_values
@@ -72,7 +72,7 @@ def trivial_decoupling_bound(q: int, scale_exp: int) -> float:
     return float(q) ** (scale_exp / 2.0)
 
 
-def decoupling_ratio(inst: DecouplingInstance, budget: int | None = None):
+def decoupling_ratio(inst: DecouplingInstance):
     """||f||_p divided by the square-function ell^2 aggregate of the pieces.
 
     Every instance certifies a lower bound for the decoupling constant at
@@ -81,14 +81,13 @@ def decoupling_ratio(inst: DecouplingInstance, budget: int | None = None):
     f, m, p = inst.f, inst.delta_exp, inst.p
     if f.is_zero:
         raise ValueError("the zero function has no decoupling ratio")
-    kwargs = {"budget": budget} if budget else {}
     pieces = f.freq_components(unit_interval(f.q).partition(m))
-    sq = fsum(fK.lp_norm(p, **kwargs) ** 2 for fK in pieces.values() if not fK.is_zero)
-    numerator = f.lp_norm(p, **kwargs)
+    sq = fsum(fK.lp_norm(p) ** 2 for fK in pieces.values() if not fK.is_zero)
+    numerator = f.lp_norm(p)
     ratio = numerator / sq**0.5
     ceiling = trivial_decoupling_bound(f.q, m)
     if ratio > ceiling * (1 + REL_TOL):
-        raise MomentLabError(f"ratio {ratio} exceeds the trivial ceiling {ceiling}")
+        raise VerificationError(f"ratio {ratio} exceeds the trivial ceiling {ceiling}")
     report = {
         "ratio": ratio,
         "numerator": numerator,
@@ -111,7 +110,7 @@ def exp_sum_extremizer(q: int, k: int, delta_exp: int) -> ModulatedStep:
     return ModulatedStep(q, k, [(1.0 + 0j, gamma(I.corner, k), big) for I in anchors])
 
 
-def exp_sum_lower_bound(q: int, k: int, delta_exp: int, p: int, budget: int | None = None):
+def exp_sum_lower_bound(q: int, k: int, delta_exp: int, p: int):
     """Decoupling ratio of the canonical wave superposition, cross-checked
     against the exact congruence count of anchor power sums."""
     if p % 2 != 0 or p < 2:
@@ -119,7 +118,7 @@ def exp_sum_lower_bound(q: int, k: int, delta_exp: int, p: int, budget: int | No
     m = delta_exp
     f = exp_sum_extremizer(q, k, delta_exp)
     inst = DecouplingInstance(f, delta_exp=m, p=p)
-    ratio, report = decoupling_ratio(inst, budget=budget)
+    ratio, report = decoupling_ratio(inst)
     s = p // 2
     n_cong = count_power_sum_congruences(s, k, q**m, [q ** (m * k)] * k)
     # ||f||_p^p = vol(ball) * N and each ||f_K||_p = vol^(1/p), so the ratio
@@ -135,7 +134,7 @@ def exp_sum_lower_bound(q: int, k: int, delta_exp: int, p: int, budget: int | No
         }
     )
     if abs(ratio - predicted) > REL_TOL * max(1.0, predicted):
-        raise MomentLabError(
+        raise VerificationError(
             f"analytic ratio {ratio} disagrees with counting value {predicted}"
         )
     return ratio, report
@@ -268,7 +267,7 @@ def counting_set(qry: CountingQuery, supports: dict[Interval, list[Cube]] | None
                 hits.append(combo)
     bound = _counting_bound(cfg)
     if len(hits) > bound:
-        raise MomentLabError(
+        raise VerificationError(
             f"counting set has {len(hits)} tuples, above the bound {bound}"
         )
     return hits
@@ -377,7 +376,7 @@ def counting_lemma_exhaustive(q: int, k: int, delta_exp: int, kappa_exp: int):
             "box_residue": list(w),
         }
     if not report["holds"]:
-        raise MomentLabError(
+        raise VerificationError(
             f"counting lemma violated: {worst} > {bound} at {report['worst_query']}"
         )
     return report
@@ -406,6 +405,15 @@ def _norms_over(pieces: dict[Interval, ModulatedStep], p) -> dict[Interval, floa
     return {K: fK.lp_norm(p) for K, fK in pieces.items() if not fK.is_zero}
 
 
+def _live_children(live, nu_exp: int) -> dict[Interval, list[Interval]]:
+    """The live fine intervals grouped by nu-parent.  The keys are the live
+    nu-intervals, since a nu-piece is the sum of the fine pieces below it."""
+    children: dict[Interval, list[Interval]] = {}
+    for K in live:
+        children.setdefault(K.parent(nu_exp), []).append(K)
+    return children
+
+
 def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supplier=None):
     """Instance check of the two-branch inequality controlling the p-th
     moment by a coarse decoupling term plus a counted transverse term.
@@ -424,21 +432,17 @@ def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supp
         return {"lhs": 0.0, "rhs": 0.0, "holds": True, "zero": True}
     freq_certificate(g, cfg.delta_exp)
 
-    fine = cfg.fine_partition()
-    comps = g.freq_components(fine)
+    comps = g.freq_components(cfg.fine_partition())
     norms_p = _norms_over(comps, p)
     norms_inf = _norms_over(comps, float("inf"))
     norms_low = _norms_over(comps, p - 2 * k)
-    mid = cfg.mid_partition()
-    mid_comps = g.freq_components(mid)
-    live_J = [J for J, gJ in mid_comps.items() if not gJ.is_zero]
-    N = len(live_J)
+    children = _live_children(norms_p, cfg.nu_exp)
+    N = len(children)
 
     gnorm = g.lp_norm(p)
     c_narrow, c_broad = main_inequality_constants(k, p)
     d_kappa = dec_bound_supplier(p, cfg.delta_exp - cfg.kappa_exp)
     d_nu = dec_bound_supplier(p - 2 * k, cfg.delta_exp - cfg.nu_exp)
-    children = {J: [K for K in fine if J.contains_interval(K)] for J in live_J}
     kappa, nu = float(cfg.kappa), float(cfg.nu)
     # both sides are homogeneous of degree p in g: out of float range, check g / 2^e ~ g / ||g||_p
     for scale in (1.0, 2.0 ** frexp(gnorm)[1]):
@@ -448,8 +452,8 @@ def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supp
             narrow_term = c_narrow * d_kappa**p * sq_sum ** (p / 2.0)
             max_inner = max(
                 (
-                    fsum((norms_low.get(K, 0.0) / scale) ** 2 for K in children[J]) ** ((p - 2 * k) / 2.0)
-                    for J in live_J
+                    fsum((norms_low[K] / scale) ** 2 for K in Ks) ** ((p - 2 * k) / 2.0)
+                    for Ks in children.values()
                 ),
                 default=0.0,
             )
@@ -488,37 +492,32 @@ def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supp
     if scale != 1.0:
         report["normalized_by"] = scale
     if not report["holds"]:
-        raise MomentLabError(f"main inequality failed: {lhs} > {rhs}")
+        raise VerificationError(f"main inequality failed: {lhs} > {rhs}")
     return report
 
 
 def verify_reversed_holder(g: ModulatedStep, cfg: ScaleConfig, p: int):
     """Instance check of the reversed Hoelder chain for the square sum.
 
-    The max over parents runs over the intermediate partition, which is
-    what the main inequality consumes.
+    The max over parents runs over the live intervals of the intermediate
+    partition (a dead one adds zero), which is what the main inequality
+    consumes.
     """
     q, k = cfg.q, cfg.k
     if p % 2 != 0 or p <= 2 * k:
         raise ValueError("p must be even and exceed 2k")
     if g.is_zero:
         return {"lhs": 0.0, "rhs": 0.0, "holds": True, "zero": True}
-    fine = cfg.fine_partition()
-    comps = g.freq_components(fine)
+    comps = g.freq_components(cfg.fine_partition())
     norms_p = _norms_over(comps, p)
     norms_inf = _norms_over(comps, float("inf"))
     norms_low = _norms_over(comps, p - 2 * k)
-    parents = cfg.mid_partition()
-    mid_comps = g.freq_components(parents)
-    N = sum(1 for gJ in mid_comps.values() if not gJ.is_zero)
+    children = _live_children(norms_p, cfg.nu_exp)
+    N = len(children)
 
     lhs = fsum(v**2 for v in norms_p.values()) ** (p / 2.0)
     max_parent = max(
-        (
-            fsum(norms_low.get(K, 0.0) ** 2 for K in fine if J.contains_interval(K))
-            ** ((p - 2 * k) / 2.0)
-            for J in parents
-        ),
+        (fsum(norms_low[K] ** 2 for K in Ks) ** ((p - 2 * k) / 2.0) for Ks in children.values()),
         default=0.0,
     )
     rhs = (
@@ -535,7 +534,7 @@ def verify_reversed_holder(g: ModulatedStep, cfg: ScaleConfig, p: int):
         "holds": lhs <= rhs * (1 + REL_TOL),
     }
     if not report["holds"]:
-        raise MomentLabError(f"reversed Hoelder failed: {lhs} > {rhs}")
+        raise VerificationError(f"reversed Hoelder failed: {lhs} > {rhs}")
     return report
 
 
@@ -586,7 +585,7 @@ def affine_rescale(g_I: ModulatedStep, I: Interval) -> tuple[ModulatedStep, Frac
 def affine_rescale_verify(g: ModulatedStep, I: Interval, cfg: ScaleConfig, p: int):
     """Norm equalities and support transport under the rescaling map."""
     q, k, m = cfg.q, cfg.k, cfg.delta_exp
-    g_I = g.restrict_freq(I)
+    g_I = g.freq_components([I])[I]
     if g_I.is_zero:
         raise MomentLabError("the piece over I vanishes; nothing to rescale")
     h, det_modulus = affine_rescale(g_I, I)
@@ -604,13 +603,16 @@ def affine_rescale_verify(g: ModulatedStep, I: Interval, cfg: ScaleConfig, p: in
     # the rescaled function decouples at the quotient scale over O
     new_exp = m - I.scale_exp
     freq_certificate(h, new_exp)
-    for K in I.partition(m):
-        g_K = g.restrict_freq(K)
+    rescaled = {
+        K: Interval(((K.corner - I.corner) / QRational(q, 1, I.scale_exp)).rep_mod(new_exp), new_exp)
+        for K in I.partition(m)
+    }
+    g_parts = g.freq_components(list(rescaled))
+    h_parts = h.freq_components(list(rescaled.values()))
+    for K, K_new in rescaled.items():
+        g_K, h_K = g_parts[K], h_parts[K_new]
         if g_K.is_zero:
             continue
-        child_corner = (K.corner - I.corner) / QRational(q, 1, I.scale_exp)
-        K_new = Interval(child_corner.rep_mod(new_exp), new_exp)
-        h_K = h.restrict_freq(K_new)
         a = g_K.lp_norm(p)
         bnorm = factor * h_K.lp_norm(p)
         report["pieces"].append(
@@ -624,7 +626,7 @@ def affine_rescale_verify(g: ModulatedStep, I: Interval, cfg: ScaleConfig, p: in
         )
     report["holds"] = report["holds_parent"] and all(x["holds"] for x in report["pieces"])
     if not report["holds"]:
-        raise MomentLabError("affine rescaling failed to reproduce the norms")
+        raise VerificationError("affine rescaling failed to reproduce the norms")
     return report
 
 
@@ -661,7 +663,7 @@ def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
     ratio = numer / denom
     ceiling = float(q) ** (delta_exp * k)  # delta^-k, the trivial ceiling
     if ratio > ceiling * (1 + REL_TOL):
-        raise MomentLabError(f"reverse-square ratio {ratio} above trivial ceiling {ceiling}")
+        raise VerificationError(f"reverse-square ratio {ratio} above trivial ceiling {ceiling}")
 
     coarse = cfg.coarse_partition()
     coarse_comps = g.freq_components(coarse)
@@ -702,5 +704,5 @@ def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
         "recursion_holds": ratio <= recursion_rhs * (1 + REL_TOL),
     }
     if not (report["broad_holds"] and report["recursion_holds"]):
-        raise MomentLabError(f"reverse-square recursion failed: {report}")
+        raise VerificationError(f"reverse-square recursion failed: {report}")
     return report

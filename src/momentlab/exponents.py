@@ -137,9 +137,7 @@ class ExponentParams:
         if Fraction(self.c0) < 0:
             raise ValueError("c0 must be nonnegative")
         if not positivity_hypothesis(self.k, self.p0, self.c0):
-            raise MomentLabError(
-                "parameters violate the base positivity constraint; no admissible bound"
-            )
+            raise ValueError("parameters violate the base positivity constraint; no admissible bound")
 
 
 def theorem_exponent(params: ExponentParams, p: int):

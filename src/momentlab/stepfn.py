@@ -16,6 +16,9 @@ numpy kernel, ``_cell_values``, gives a cube's values on its cells.
 read |f| from the planner.  The oracles, sharing no code with either, are
 the symbolic ``evaluate`` and ``quotient_dft.evaluate_on_grid``.
 
+Frequency restriction also has one path: ``freq_components`` splits f over
+a partition of the first frequency coordinate with one transform.
+
 Canonical form: all cubes at one common scale, at most one term per
 (cube, modulation) pair with modulations reduced to canonical digit
 representatives (so a modulation that is constant on its cube is absorbed
@@ -176,7 +179,11 @@ class ModulatedStep:
         return ModulatedStep(self.q, self.k, list(self.terms) + list(other.terms))
 
     def __sub__(self, other: "ModulatedStep") -> "ModulatedStep":
-        return self + other.scaled(-1)
+        if not isinstance(other, ModulatedStep):
+            return NotImplemented
+        if self.q != other.q or self.k != other.k:
+            raise ValueError("cannot subtract functions over different groups")
+        return ModulatedStep(self.q, self.k, list(self.terms) + [(-c, b, cube) for c, b, cube in other.terms])
 
     def scaled(self, factor: complex) -> "ModulatedStep":
         return ModulatedStep(self.q, self.k, [(c * factor, b, cube) for c, b, cube in self.terms])
@@ -185,40 +192,44 @@ class ModulatedStep:
         return ModulatedStep(self.q, self.k, [(c.conjugate(), -b, cube) for c, b, cube in self.terms])
 
     def __mul__(self, other: "ModulatedStep") -> "ModulatedStep":
-        """Pointwise product; supports intersect cube by cube."""
+        """Pointwise product, cube by cube: each support cube of the finer
+        factor meets one cube of the coarser, the one containing it.  Per
+        cube, ``other``'s terms pair in the outer loop, ``self``'s inner."""
         if not isinstance(other, ModulatedStep):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ModulatedStep.zero(self.q, self.k)
-        scale = max(self.scale_exp, other.scale_exp)
-        by_cube: dict[Cube, list[tuple[complex, QVector]]] = {}
-        for c, b, cube in self._terms_at_scale(scale):
-            by_cube.setdefault(cube, []).append((c, b))
+        fine, coarse = (self, other) if self.scale_exp >= other.scale_exp else (other, self)
+        s, t = fine.scale_exp, coarse.scale_exp
         out = []
-        for c2, b2, cube in other._terms_at_scale(scale):
-            for c1, b1 in by_cube.get(cube, ()):
-                out.append((c1 * c2, b1 + b2, cube))
+        for cube, fine_parts in fine._by_cube.items():
+            coarse_parts = coarse._by_cube.get(cube if t == s else Cube.containing(cube.corner, t), ())
+            mine, theirs = (fine_parts, coarse_parts) if fine is self else (coarse_parts, fine_parts)
+            for c2, b2 in theirs:
+                for c1, b1 in mine:
+                    out.append((c1 * c2, b1 + b2, cube))
         return ModulatedStep(self.q, self.k, out)
 
     # -- integral calculus ----------------------------------------------------
 
     def fourier(self) -> "ModulatedStep":
         """Exact transform: a modulated cube maps to a modulated dual cube."""
-        out = []
-        volume = float(Fraction(self.q) ** (-self.scale_exp * self.k))
-        for c, b, cube in self.terms:
-            corner = cube.corner
-            coeff = c * volume * _phase(b, corner)
-            out.append((coeff, -corner, Cube(b, -self.scale_exp)))
-        return ModulatedStep(self.q, self.k, out)
+        return self._transform(inverse=False)
 
     def inverse_fourier(self) -> "ModulatedStep":
+        return self._transform(inverse=True)
+
+    def _transform(self, inverse: bool) -> "ModulatedStep":
+        """c chi(b . x) 1(a + q^s Z_q^k) maps to
+        c q^(-sk) chi(b . a) chi(-+a . xi) 1(+-b + q^-s Z_q^k), upper signs
+        forward.  A canonical b is reduced at scale -s already; -b is not."""
+        s = self.scale_exp
+        volume = float(Fraction(self.q) ** (-s * self.k))
         out = []
-        volume = float(Fraction(self.q) ** (-self.scale_exp * self.k))
         for c, b, cube in self.terms:
             corner = cube.corner
-            coeff = c * volume * _phase(b, corner)
-            out.append((coeff, corner, Cube((-b).rep_mod(-self.scale_exp), -self.scale_exp)))
+            dual = Cube((-b).rep_mod(-s), -s) if inverse else Cube(b, -s)
+            out.append((c * volume * _phase(b, corner), corner if inverse else -corner, dual))
         return ModulatedStep(self.q, self.k, out)
 
     def convolve(self, other: "ModulatedStep") -> "ModulatedStep":
@@ -250,21 +261,13 @@ class ModulatedStep:
 
     # -- frequency restriction --------------------------------------------------
 
-    def restrict_freq(self, I: Interval) -> "ModulatedStep":
-        """The piece whose transform lives over the interval I in coordinate 1."""
-        hat = self.fourier()
-        kept = hat._filter_axis0(I)
-        return kept.inverse_fourier()
-
-    def _filter_axis0(self, I: Interval) -> "ModulatedStep":
-        if self.is_zero:
-            return self
-        terms = self._terms_at_scale(max(self.scale_exp, I.scale_exp))
-        out = [(c, b, cube) for c, b, cube in terms if I.contains(cube.corner[0])]
-        return ModulatedStep(self.q, self.k, out)
-
     def freq_components(self, partition) -> dict[Interval, "ModulatedStep"]:
-        """All restrictions over a partition at once (one transform, shared)."""
+        """The pieces whose transforms live over each interval of a
+        uniform-scale partition of coordinate 1, from one shared transform.
+
+        This is the only frequency restriction: one interval's piece is the
+        entry for it in a partition that contains it.
+        """
         hat = self.fourier()
         buckets: dict[Interval, list] = {i: [] for i in partition}
         if not hat.is_zero:

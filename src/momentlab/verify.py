@@ -285,10 +285,7 @@ def pigeonhole_suite(report, q: int, k: int, delta_exp: int = 2, p: int = 8, n_i
             for J, children in parents.items():
                 if not (b.sibling_count_beta / 2 < len(children) <= b.sibling_count_beta):
                     report["failures"].append(f"sibling class broken in instance {i}")
-            n_mid = sum(
-                1 for gJ in b.function.freq_components(cfg.mid_partition()).values() if not gJ.is_zero
-            )
-            if n_mid > q**cfg.nu_exp:
+            if len(parents) > q**cfg.nu_exp:
                 report["failures"].append("mid-interval count exceeds its ceiling")
     report["instances"] = n_instances
 
@@ -411,8 +408,9 @@ def affine_rescaling_suite(report, q: int = 3, k: int = 2, p: int = 8, n_instanc
     cfg = ScaleConfig.from_epsilon(q, k, 2, Fraction(1, 2))
     done = 0
     for i, g in enumerate(_curve_instances(q, k, n_instances, seed, least_terms=2)):
-        for I in unit_interval(q).partition(1):
-            if g.restrict_freq(I).is_zero:
+        comps = g.freq_components(unit_interval(q).partition(1))
+        for I, g_I in comps.items():
+            if g_I.is_zero:
                 continue
             rep = dec.affine_rescale_verify(g, I, cfg, p)
             if not rep["holds"]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from .errors import BudgetExceededError, MomentLabError, SupportError
+from .errors import BudgetExceededError, MomentLabError, SupportError, VerificationError
 from .geometry import (
     DEFAULT_CELL_BUDGET,
     Cube,
@@ -312,22 +312,17 @@ def pigeonhole(
         staged[(K, j, alpha)] = [(t, piece) for t, piece, _ in items]
 
     # stage 3: sibling counts within the nu-parent
-    mid = cfg.mid_partition()
+    siblings: dict[tuple[int, int, Interval], list[Interval]] = {}
+    for K, j, alpha in staged:
+        siblings.setdefault((j, alpha, K.parent(cfg.nu_exp)), []).append(K)
     buckets: dict[tuple[int, int, int], dict] = {}
-    for j in {j for (_, j, _) in staged}:
-        for alpha in {a for (_, jj, a) in staged if jj == j}:
-            siblings: dict[Interval, list[Interval]] = {}
-            for (K, jj, aa) in staged:
-                if jj == j and aa == alpha:
-                    J = K.parent(cfg.nu_exp)
-                    siblings.setdefault(J, []).append(K)
-            for J, children in siblings.items():
-                beta = _dyadic_class_up(len(children))
-                slot = buckets.setdefault((j, alpha, beta), {"terms": [], "tiles": {}})
-                for K in children:
-                    for tile, piece in staged[(K, j, alpha)]:
-                        slot["terms"].extend(piece.terms)
-                        slot["tiles"].setdefault(K, []).append(tile)
+    for (j, alpha, _), children in siblings.items():
+        beta = _dyadic_class_up(len(children))
+        slot = buckets.setdefault((j, alpha, beta), {"terms": [], "tiles": {}})
+        for K in children:
+            for tile, piece in staged[(K, j, alpha)]:
+                slot["terms"].extend(piece.terms)
+                slot["tiles"].setdefault(K, []).append(tile)
 
     out = []
     for (j, alpha, beta), slot in sorted(buckets.items()):
@@ -344,7 +339,7 @@ def pigeonhole(
     # closure checks: exact reconstruction and the remainder L^p bound
     total = ModulatedStep(q, k, [t for g in (remainder, *(b.function for b in out)) for t in g.terms])
     if not total.close_to(f, 1e-9):
-        raise MomentLabError("pigeonhole buckets plus remainder do not reconstruct f")
+        raise VerificationError("pigeonhole buckets plus remainder do not reconstruct f")
     if not remainder.is_zero:
         rhs = (
             sum(fK.lp_norm(p) ** 2 for fK in live.values()) ** 0.5
@@ -353,7 +348,7 @@ def pigeonhole(
         report["remainder_lp"] = lhs
         report["remainder_bound"] = rhs
         if lhs > rhs * (1 + 1e-9):
-            raise MomentLabError(
+            raise VerificationError(
                 f"remainder bound violated: {lhs} > {rhs}"
             )
     else:
@@ -368,5 +363,5 @@ def pigeonhole(
     report["n_buckets"] = len(out)
     report["class_bound"] = max_h_classes * n_alpha_classes * n_beta_classes
     if len(out) > report["class_bound"]:
-        raise MomentLabError("bucket count exceeds its logarithmic-cube bound")
+        raise VerificationError("bucket count exceeds its logarithmic-cube bound")
     return out, remainder, report

@@ -235,9 +235,10 @@ class TestFailureModes:
             ["ratio", "--p", "8", "--delta-exp", "2", "--input", "ZERO"],
             ["reverse-square", "--delta-exp", "2", "--kappa-exp", "1", "--input", "ZERO"],
             ["counting-lemma", "--q", "3", "--k", "2", "--delta-exp", "2", "--kappa-exp", "1", "--format", "csv"],
+            ["exponents", "--k", "2", "--p0", "4", "--c0", "0", "--eps", "1/10", "--p-max", "12"],
         ],
         ids=["residue-count", "no-q-or-k", "s-not-multiple-of-k", "zero-ratio", "zero-reverse-square",
-             "csv-without-table"],
+             "csv-without-table", "positivity-violated"],
     )
     def test_usage_error_exits_2(self, tmp_path, capsys, argv):
         from momentlab import cli

@@ -8,8 +8,8 @@ import pytest
 
 import momentlab.quotient_dft as qd
 from momentlab import decoupling as dec
-from momentlab.errors import SupportError
-from momentlab.geometry import Cube, ball, gamma, tau_of, unit_interval
+from momentlab.errors import MomentLabError, SupportError, VerificationError
+from momentlab.geometry import Cube, Interval, ball, gamma, tau_of, unit_interval
 from momentlab.qadic import QRational, QVector
 from momentlab.random_instances import random_box_function, random_curve_supported
 from momentlab.stepfn import ModulatedStep
@@ -313,6 +313,13 @@ class TestMainInequality:
         )
         assert generous["rhs"] > loose["rhs"]
 
+    def test_failed_inequality_raises_verification_error(self):
+        g = random_curve_supported(random.Random(10), 3, 2, 2, 4, 2)
+        # a claimed decoupling constant of 0 empties the right-hand side
+        with pytest.raises(VerificationError, match="main inequality failed") as info:
+            dec.verify_main_lemma(g, cfg92(), 8, dec_bound_supplier=lambda p, m: 0.0)
+        assert isinstance(info.value, MomentLabError)
+
     def test_same_verdict_when_p_th_powers_leave_the_float_range(self):
         g = random_curve_supported(random.Random(0), 3, 2, 2, 4, 2)
         plain = dec.verify_main_lemma(g, cfg92(), 40)
@@ -353,6 +360,36 @@ class TestReversedHoelder:
             assert dec.verify_reversed_holder(g, cfg92(), 8)["holds"]
 
 
+def _live_mid_intervals(g, nu_exp):
+    """Reference mid split: the nu-intervals of the unit interval whose piece
+    of g, cut out of the transform refined to scale nu, is nonzero."""
+    hat = g.fourier()
+    s = max(hat.scale_exp, nu_exp)
+    buckets = {}
+    for c, b, cube in hat.terms:
+        for piece in [cube] if cube.scale_exp == s else cube.subdivide(s):
+            buckets.setdefault(Interval.containing(piece.corner[0], nu_exp), []).append((c, b, piece))
+    O = unit_interval(g.q)
+    return {
+        J for J, terms in buckets.items()
+        if O.contains_interval(J) and not ModulatedStep(g.q, g.k, terms).inverse_fourier().is_zero
+    }
+
+
+class TestLiveParents:
+    @pytest.mark.parametrize("q, k, m", [(3, 2, 2), (3, 2, 3), (5, 2, 2), (5, 3, 1)])
+    def test_parents_of_live_fine_pieces_are_the_live_mid_pieces(self, q, k, m):
+        cfg = ScaleConfig.from_epsilon(q, k, m, Fraction(1, 2))
+        rng = random.Random(100 * q + 10 * k + m)
+        for i in range(40):
+            g = random_curve_supported(rng, q, k, m, rng.randint(1, q**m), 1)
+            live = [K for K, gK in g.freq_components(cfg.fine_partition()).items() if not gK.is_zero]
+            parents = {K.parent(cfg.nu_exp) for K in live}
+            assert parents == _live_mid_intervals(g, cfg.nu_exp)
+            if i < 4:
+                assert dec.verify_reversed_holder(g, cfg, 2 * k + 2)["N"] == len(parents)
+
+
 class TestAffineRescaling:
     def test_identity_interval(self):
         rng = random.Random(14)
@@ -364,8 +401,8 @@ class TestAffineRescaling:
     def test_norms_reproduced(self):
         rng = random.Random(15)
         g = random_curve_supported(rng, 3, 2, 2, 6, 2)
-        for I in unit_interval(3).partition(1):
-            if g.restrict_freq(I).is_zero:
+        for I, g_I in g.freq_components(unit_interval(3).partition(1)).items():
+            if g_I.is_zero:
                 continue
             rep = dec.affine_rescale_verify(g, I, cfg92(), 8)
             assert rep["holds"]
@@ -373,8 +410,9 @@ class TestAffineRescaling:
     def test_rescaled_support_lands_at_the_quotient_scale(self):
         rng = random.Random(16)
         g = random_curve_supported(rng, 3, 2, 2, 6, 2)
-        I = next(i for i in unit_interval(3).partition(1) if not g.restrict_freq(i).is_zero)
-        h, _ = dec.affine_rescale(g.restrict_freq(I), I)
+        I, g_I = next((i, g_i) for i, g_i in g.freq_components(unit_interval(3).partition(1)).items()
+                      if not g_i.is_zero)
+        h, _ = dec.affine_rescale(g_I, I)
         cert = dec.freq_certificate(h, 2 - I.scale_exp)
         assert all(K.scale_exp == 1 for K in cert)
 

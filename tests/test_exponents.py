@@ -87,7 +87,7 @@ class TestBFunction:
 
 class TestParams:
     def test_invariant_enforced(self):
-        with pytest.raises(MomentLabError):
+        with pytest.raises(ValueError):
             ExponentParams(k=2, p0=4, c0=Fraction(1))
         ExponentParams(k=2, p0=4, c0=Fraction(2))  # boundary case admissible
 

@@ -467,8 +467,9 @@ class TestBinomialFrame:
         checked = 0
         for _ in range(6):
             g = random_curve_supported(rng, 3, 2, 2, rng.randint(2, 9), 2)
-            for I in [*unit_interval(3).partition(1), *unit_interval(3).partition(2)[:3]]:
-                g_I = g.restrict_freq(I)
+            pieces = {**g.freq_components(unit_interval(3).partition(1)),
+                      **g.freq_components(unit_interval(3).partition(2)[:3])}
+            for I, g_I in pieces.items():
                 if g_I.is_zero:
                     continue
                 h, _ = dec.affine_rescale(g_I, I)

@@ -117,6 +117,47 @@ def grid_modsteps(draw):
     return ModulatedStep(q, k, terms)
 
 
+@st.composite
+def product_pairs(draw):
+    """(f, g) with f drawn coarser than, finer than or at the scale of g.
+
+    Most finer cubes are drawn inside cubes of the coarser function, so that
+    products are rarely zero; a few land anywhere.
+    """
+    q, k = draw(st.sampled_from(GROUPS))
+    relation = draw(st.sampled_from(["coarser", "finer", "equal"]))
+    base = draw(st.integers(0, 1))
+    gap = 0 if relation == "equal" else draw(st.integers(1, 2 if q**k <= 9 else 1))
+    coarse = _draw_terms(draw, q, k, base, draw(st.integers(1, 4)))
+    fine = _draw_terms(draw, q, k, base + gap, draw(st.integers(0, 1)))
+    for _ in range(draw(st.integers(1, 5))):
+        cube = draw(st.sampled_from(coarse))[2]
+        shift = QVector([QRational(q, draw(st.integers(0, q**gap - 1)), base) for _ in range(k)])
+        c, b, _ = _draw_terms(draw, q, k, base + gap, 1)[0]
+        fine.append((c, b, Cube((cube.corner + shift).rep_mod(base + gap), base + gap)))
+    f, g = ModulatedStep(q, k, coarse), ModulatedStep(q, k, fine)
+    return (g, f) if relation == "finer" else (f, g)
+
+
+def _pieces(h, scale):
+    """h's terms with every cube subdivided to the given finer scale."""
+    return [(c, b, piece) for c, b, cube in h.terms
+            for piece in ([cube] if cube.scale_exp == scale else cube.subdivide(scale))]
+
+
+def _subdivide_and_pair_product(f, g):
+    """Reference product: both functions subdivided to the finer scale, then
+    paired on equal cubes, g's pieces in the outer loop."""
+    if f.is_zero or g.is_zero:
+        return ModulatedStep.zero(f.q, f.k)
+    scale = max(f.scale_exp, g.scale_exp)
+    by_cube = {}
+    for c, b, cube in _pieces(f, scale):
+        by_cube.setdefault(cube, []).append((c, b))
+    out = [(c1 * c2, b1 + b2, cube) for c2, b2, cube in _pieces(g, scale) for c1, b1 in by_cube.get(cube, ())]
+    return ModulatedStep(f.q, f.k, out)
+
+
 def _subdivide_and_pair_convolve(f, g):
     """Reference convolution: both functions subdivided to the finer scale,
     then every piece pair tested."""
@@ -125,13 +166,9 @@ def _subdivide_and_pair_convolve(f, g):
     scale = max(f.scale_exp, g.scale_exp)
     vol = float(Fraction(f.q) ** (-scale * f.k))
 
-    def pieces(h):
-        return [(c, b, piece) for c, b, cube in h.terms
-                for piece in ([cube] if cube.scale_exp == scale else cube.subdivide(scale))]
-
     out = []
-    for c1, b1, cube1 in pieces(f):
-        for c2, b2, cube2 in pieces(g):
+    for c1, b1, cube1 in _pieces(f, scale):
+        for c2, b2, cube2 in _pieces(g, scale):
             d = b1 - b2
             if any(not (di.is_zero or di.valuation >= -scale) for di in d):
                 continue
@@ -321,6 +358,27 @@ class TestPointwise:
                 assert any(s.contains_cube(cube) or cube.contains_cube(s) for s in sums)
 
 
+class TestProductByParentLookup:
+    @settings(max_examples=150, deadline=None)
+    @given(product_pairs())
+    def test_matches_subdivide_and_pair(self, pair):
+        f, g = pair
+        for a, b in ((f, g), (g, f)):
+            assert (a * b).is_identical(_subdivide_and_pair_product(a, b))
+
+    def test_subdivides_nothing(self, monkeypatch):
+        f = ModulatedStep.indicator(ball(3, 2, 0), 2.0, QVector([deep(1, -1), q3(0)]))
+        g = ModulatedStep.indicator(Cube(vec(1, 2), 2), 1.5, QVector([deep(5, -3), q3(0)]))
+        want = _subdivide_and_pair_product(f, g)
+
+        def refuse(self, scale_exp):
+            raise AssertionError("the product subdivided a cube")
+
+        monkeypatch.setattr(Cube, "subdivide", refuse)
+        assert (f * g).is_identical(want)
+        assert len(want.terms) == 1
+
+
 class TestConvolution:
     def test_unit_ball_idempotent(self):
         one = ModulatedStep.indicator(ball(3, 2, 0))
@@ -370,14 +428,14 @@ class TestRestriction:
 
         rng = random.Random(6)
         f = random_curve_supported(rng, 3, 2, 2, 3, 2)
-        assert f.restrict_freq(unit_interval(3)).close_to(f, 1e-10)
+        O = unit_interval(3)
+        assert f.freq_components([O])[O].close_to(f, 1e-10)
 
     def test_disjoint_interval_kills(self):
         hat = ModulatedStep.indicator(Cube(vec(1, 0), 1))
         f = hat.inverse_fourier()
-        I = unit_interval(3).partition(1)[2]
-        assert f.restrict_freq(I).is_zero
-        assert not f.restrict_freq(unit_interval(3).partition(1)[1]).is_zero
+        comps = f.freq_components(unit_interval(3).partition(1))
+        assert [g.is_zero for g in comps.values()] == [True, False, True]
 
     def test_partition_of_unity(self):
         from momentlab.random_instances import random_curve_supported
@@ -397,9 +455,10 @@ class TestRestriction:
         rng = random.Random(8)
         f = random_curve_supported(rng, 3, 2, 1, 3, 2)
         P = unit_interval(3).partition(1)
-        a = f.restrict_freq(P[0])
-        assert a.restrict_freq(P[0]).close_to(a, 1e-10)
-        assert a.restrict_freq(P[1]).is_zero
+        a = f.freq_components(P)[P[0]]
+        again = a.freq_components(P)
+        assert again[P[0]].close_to(a, 1e-10)
+        assert again[P[1]].is_zero
 
 
 class TestNorms:
