@@ -174,7 +174,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
     payload = {
         "version": __version__,
         "config": _config_dict(args),
-        "threads": int(os.environ.get("MOMENTLAB_THREADS", "1")),
+        "threads": 1,
         **payload,
     }
     if args.format == "csv":
@@ -239,11 +239,8 @@ def _cmd_linnik(args) -> int:
             raise ValueError(f"need exactly {args.k} residues")
         payload["count"] = linnik_count(args.k, args.p, args.residues)
         payload["holds"] = payload["count"] <= bound
-    if not payload.get("holds", True):
-        _emit(args, payload)
-        return EXIT_VERIFICATION
     _emit(args, payload)
-    return EXIT_OK
+    return EXIT_OK if payload.get("holds", True) else EXIT_VERIFICATION
 
 
 def _cmd_karatsuba(args) -> int:

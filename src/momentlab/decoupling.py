@@ -19,12 +19,12 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import frexp, fsum, isfinite
+from math import frexp, fsum, inf, isfinite
 
 from .errors import MomentLabError, VerificationError
 from .geometry import Cube, Interval, ball, binomial_frame, frame_apply, gamma, tau_of, unit_interval
 from .qadic import QRational, QVector
-from .stepfn import ModulatedStep, joint_cell_values
+from .stepfn import ModulatedStep, _lp_from_cells, joint_cell_values
 from .vinogradov import count_power_sum_congruences
 from .wavepackets import ScaleConfig, freq_certificate
 
@@ -37,7 +37,6 @@ __all__ = [
     "exp_sum_extremizer",
     "exp_sum_lower_bound",
     "broad_narrow_check",
-    "counting_set",
     "counting_set_pointwise_oracle",
     "counting_lemma_exhaustive",
     "main_inequality_constants",
@@ -239,66 +238,6 @@ class CountingQuery:
             raise ValueError("box side must be at most delta")
 
 
-def counting_set(qry: CountingQuery, supports: dict[Interval, list[Cube]] | None = None):
-    """All ordered fine-interval tuples whose cube sums capture zero.
-
-    Default mode decides membership on the enclosing cubes of the curve
-    points (independent of any particular function); with explicit
-    Fourier supports it uses those cubes instead, a strictly tighter
-    test.  The count never exceeds (q kappa)^(-k(k-1)).
-    """
-    cfg = qry.cfg
-    q, k, m = cfg.q, cfg.k, cfg.delta_exp
-    choices = [I.partition(m) for I in qry.intervals]
-    anchor_sum = QVector.zero(q, k)
-    for Kb in qry.anchors:
-        anchor_sum = anchor_sum + tau_of(Kb, k).corner
-    target = qry.box.corner - anchor_sum
-    hits = []
-    for combo in product(*choices):
-        if supports is None:
-            total = target
-            for K in combo:
-                total = total + tau_of(K, k).corner
-            if all(c.is_zero or c.valuation >= m for c in total):
-                hits.append(combo)
-        else:
-            if _support_mode_member(qry, combo, supports):
-                hits.append(combo)
-    bound = _counting_bound(cfg)
-    if len(hits) > bound:
-        raise VerificationError(
-            f"counting set has {len(hits)} tuples, above the bound {bound}"
-        )
-    return hits
-
-
-def _counting_bound(cfg: ScaleConfig) -> int:
-    # (q kappa)^(-k(k-1)) with kappa = q^-kappa_exp
-    k = cfg.k
-    return cfg.q ** ((cfg.kappa_exp - 1) * k * (k - 1))
-
-
-def _support_mode_member(qry, combo, supports) -> bool:
-    cubes_pos = [supports.get(K, []) for K in combo]
-    cubes_neg = [supports.get(Kb, []) for Kb in qry.anchors]
-    if any(not lst for lst in cubes_pos) or any(not lst for lst in cubes_neg):
-        return False
-    for pos in product(*cubes_pos):
-        for neg in product(*cubes_neg):
-            total = qry.box.corner
-            scale = qry.box.scale_exp
-            for c in pos:
-                total = total + c.corner
-                scale = min(scale, c.scale_exp)
-            for c in neg:
-                total = total - c.corner
-                scale = min(scale, c.scale_exp)
-            if all(x.is_zero or x.valuation >= scale for x in total):
-                return True
-    return False
-
-
 def counting_set_pointwise_oracle(qry: CountingQuery, rng: random.Random | None = None):
     """Independent membership route: sample actual points of every cube,
     sum them, and test the q-adic size of the result.
@@ -340,8 +279,8 @@ def counting_lemma_exhaustive(q: int, k: int, delta_exp: int, kappa_exp: int):
     """
     cfg = ScaleConfig(q, k, delta_exp, -(-delta_exp // k), kappa_exp)
     m, r = delta_exp, kappa_exp
-    coarse = unit_interval(q).partition(r)
-    bound = _counting_bound(cfg)
+    coarse = cfg.coarse_partition()
+    bound = q ** ((r - 1) * k * (k - 1))  # (q kappa)^(-k(k-1)) with kappa = q^-r
     qm = q**m
     fine_by_coarse = {I: I.partition(m) for I in coarse}
     tau_corner: dict[Interval, tuple[int, ...]] = {}
@@ -401,8 +340,15 @@ def main_inequality_constants(k: int, p: int) -> tuple[float, float]:
     return c_narrow, c_broad
 
 
-def _norms_over(pieces: dict[Interval, ModulatedStep], p) -> dict[Interval, float]:
-    return {K: fK.lp_norm(p) for K, fK in pieces.items() if not fK.is_zero}
+def _fine_piece_norms(g: ModulatedStep, cfg: ScaleConfig, p: int) -> dict[Interval, tuple[float, float, float]]:
+    """The L^p, L^inf and L^(p-2k) norms of each live fine piece of g, all
+    three read off one modulus-cell plan of the piece."""
+    norms = {}
+    for K, fK in g.freq_components(cfg.fine_partition()).items():
+        if not fK.is_zero:
+            volumes, moduli = joint_cell_values([fK])
+            norms[K] = tuple(_lp_from_cells(volumes, moduli[0], e) for e in (p, inf, p - 2 * cfg.k))
+    return norms
 
 
 def _live_children(live, nu_exp: int) -> dict[Interval, list[Interval]]:
@@ -412,6 +358,20 @@ def _live_children(live, nu_exp: int) -> dict[Interval, list[Interval]]:
     for K in live:
         children.setdefault(K.parent(nu_exp), []).append(K)
     return children
+
+
+def _holder_factors(norms, children, p: int, k: int, scale: float):
+    """The reversed-Hoelder factors of the fine pieces, each norm divided by
+    ``scale``: the square sum of the L^p norms, the max over nu-parents of
+    the l^2 sum of their L^(p-2k) norms to the power p-2k, and the max and
+    the sum of the sup norms."""
+    sq_sum = fsum((v / scale) ** 2 for v, _, _ in norms.values())
+    max_parent = max(
+        (fsum((norms[K][2] / scale) ** 2 for K in Ks) ** ((p - 2 * k) / 2.0) for Ks in children.values()),
+        default=0.0,
+    )
+    sups = [v for _, v, _ in norms.values()]
+    return sq_sum, max_parent, max(sups, default=0.0) / scale, fsum(sups) / scale
 
 
 def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supplier=None):
@@ -432,11 +392,8 @@ def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supp
         return {"lhs": 0.0, "rhs": 0.0, "holds": True, "zero": True}
     freq_certificate(g, cfg.delta_exp)
 
-    comps = g.freq_components(cfg.fine_partition())
-    norms_p = _norms_over(comps, p)
-    norms_inf = _norms_over(comps, float("inf"))
-    norms_low = _norms_over(comps, p - 2 * k)
-    children = _live_children(norms_p, cfg.nu_exp)
+    norms = _fine_piece_norms(g, cfg, p)
+    children = _live_children(norms, cfg.nu_exp)
     N = len(children)
 
     gnorm = g.lp_norm(p)
@@ -448,17 +405,8 @@ def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supp
     for scale in (1.0, 2.0 ** frexp(gnorm)[1]):
         with suppress(OverflowError):
             lhs = (gnorm / scale) ** p
-            sq_sum = fsum((v / scale) ** 2 for v in norms_p.values())
+            sq_sum, max_inner, max_inf, sum_inf = _holder_factors(norms, children, p, k, scale)
             narrow_term = c_narrow * d_kappa**p * sq_sum ** (p / 2.0)
-            max_inner = max(
-                (
-                    fsum((norms_low[K] / scale) ** 2 for K in Ks) ** ((p - 2 * k) / 2.0)
-                    for Ks in children.values()
-                ),
-                default=0.0,
-            )
-            max_inf = max(norms_inf.values(), default=0.0) / scale
-            sum_inf = fsum(norms_inf.values()) / scale
             broad_term = (
                 c_broad
                 * float(q) ** (-k * (k - 1))
@@ -503,29 +451,17 @@ def verify_reversed_holder(g: ModulatedStep, cfg: ScaleConfig, p: int):
     partition (a dead one adds zero), which is what the main inequality
     consumes.
     """
-    q, k = cfg.q, cfg.k
+    k = cfg.k
     if p % 2 != 0 or p <= 2 * k:
         raise ValueError("p must be even and exceed 2k")
     if g.is_zero:
         return {"lhs": 0.0, "rhs": 0.0, "holds": True, "zero": True}
-    comps = g.freq_components(cfg.fine_partition())
-    norms_p = _norms_over(comps, p)
-    norms_inf = _norms_over(comps, float("inf"))
-    norms_low = _norms_over(comps, p - 2 * k)
-    children = _live_children(norms_p, cfg.nu_exp)
+    norms = _fine_piece_norms(g, cfg, p)
+    children = _live_children(norms, cfg.nu_exp)
     N = len(children)
-
-    lhs = fsum(v**2 for v in norms_p.values()) ** (p / 2.0)
-    max_parent = max(
-        (fsum(norms_low[K] ** 2 for K in Ks) ** ((p - 2 * k) / 2.0) for Ks in children.values()),
-        default=0.0,
-    )
-    rhs = (
-        N ** ((p - 2 * k) / 2.0)
-        * max(norms_inf.values(), default=0.0) ** k
-        * fsum(norms_inf.values()) ** k
-        * max_parent
-    )
+    sq_sum, max_parent, max_inf, sum_inf = _holder_factors(norms, children, p, k, 1.0)
+    lhs = sq_sum ** (p / 2.0)
+    rhs = N ** ((p - 2 * k) / 2.0) * max_inf**k * sum_inf**k * max_parent
     report = {
         "lhs": lhs,
         "rhs": rhs,

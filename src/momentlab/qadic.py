@@ -327,9 +327,6 @@ class QVector:
     def __neg__(self) -> "QVector":
         return QVector([-a for a in self.coords])
 
-    def scale(self, c: QRational) -> "QVector":
-        return QVector([c * a for a in self.coords])
-
     def dot(self, other: "QVector") -> QRational:
         total = QRational(self.q, 0)
         for a, b in zip(self.coords, other.coords, strict=True):

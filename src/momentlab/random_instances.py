@@ -83,7 +83,5 @@ def random_curve_supported(
     """
     fine = unit_interval(q).partition(delta_exp)
     chosen = rng.sample(fine, min(n_intervals, len(fine)))
-    total = ModulatedStep.zero(q, k)
-    for K in chosen:
-        total = total + random_box_function(rng, q, k, K, terms_per_interval)
-    return total
+    boxes = [random_box_function(rng, q, k, K, terms_per_interval) for K in chosen]
+    return ModulatedStep(q, k, [term for box in boxes for term in box.terms])

@@ -315,11 +315,7 @@ class ModulatedStep:
         if p < 1:
             raise ValueError(f"p must be at least 1, got {p}")
         volumes, moduli = joint_cell_values([self], budget)
-        sup = float(moduli.max())
-        if p == inf:
-            return sup
-        p = float(p)
-        return sup * fsum((volumes * (moduli[0] / sup) ** p).tolist()) ** (1.0 / p)
+        return _lp_from_cells(volumes, moduli[0], p)
 
     # -- comparison ----------------------------------------------------------------
 
@@ -377,6 +373,16 @@ class ModulatedStep:
         if not terms:
             return cls.zero(q, k)
         return cls(q, k, terms)
+
+
+def _lp_from_cells(volumes, modulus, p) -> float:
+    """L^p norm of a function of modulus ``modulus[j]`` on cells of volume
+    ``volumes[j]``, p in [1, inf], dividing by the sup before the p-th power."""
+    sup = float(modulus.max())
+    if p == inf:
+        return sup
+    p = float(p)
+    return sup * fsum((volumes * (modulus / sup) ** p).tolist()) ** (1.0 / p)
 
 
 def _cell_values(cube: Cube, parts, r: int):

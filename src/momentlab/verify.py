@@ -492,7 +492,7 @@ def exponent_suite(report):
 def run_all(q: int, k: int, seed: int = 0) -> list[dict]:
     """Every suite that applies at (q, k), smallest first."""
     if q <= k:
-        raise MomentLabError(f"need a prime q > k, got q={q}, k={k}")
+        raise ValueError(f"need a prime q > k, got q={q}, k={k}")
     reports = [
         fourier_identity(q),
         interval_separation(q),

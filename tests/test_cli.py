@@ -65,6 +65,21 @@ class TestSubcommands:
         assert r.returncode == 0
         assert data["max_count"] <= data["bound"] == 6
 
+    def test_linnik_failure_still_emits_its_report(self, monkeypatch, capsys):
+        from momentlab import cli
+
+        monkeypatch.setattr(cli, "linnik_bound", lambda k, p: 0)
+        assert cli.main(["linnik", "--k", "2", "--p", "3", "--exhaustive"]) == 4
+        data = json.loads(capsys.readouterr().out)
+        assert data["bound"] == 0 and not data["holds"]
+
+    def test_threads_is_a_constant_of_the_report(self, monkeypatch, capsys):
+        from momentlab import cli
+
+        monkeypatch.setenv("MOMENTLAB_THREADS", "7")
+        assert cli.main(["linnik", "--k", "2", "--p", "3", "--exhaustive"]) == 0
+        assert json.loads(capsys.readouterr().out)["threads"] == 1
+
     def test_karatsuba_trace(self):
         r = run_cli("karatsuba", "--s", "4", "--k", "2", "--X", "8")
         data = json.loads(r.stdout)
@@ -236,9 +251,10 @@ class TestFailureModes:
             ["reverse-square", "--delta-exp", "2", "--kappa-exp", "1", "--input", "ZERO"],
             ["counting-lemma", "--q", "3", "--k", "2", "--delta-exp", "2", "--kappa-exp", "1", "--format", "csv"],
             ["exponents", "--k", "2", "--p0", "4", "--c0", "0", "--eps", "1/10", "--p-max", "12"],
+            ["verify-all", "--q", "3", "--k", "3"],
         ],
         ids=["residue-count", "no-q-or-k", "s-not-multiple-of-k", "zero-ratio", "zero-reverse-square",
-             "csv-without-table", "positivity-violated"],
+             "csv-without-table", "positivity-violated", "verify-all-q-not-above-k"],
     )
     def test_usage_error_exits_2(self, tmp_path, capsys, argv):
         from momentlab import cli

@@ -20,25 +20,37 @@ def cfg92():
     return ScaleConfig.from_epsilon(3, 2, 2, Fraction(1, 2))
 
 
-def counting_lemma_box_loop(q, k, delta_exp, kappa_exp):
-    """Reference: counting_lemma_exhaustive's report with every box residue
-    w looked up one at a time, anchor tuple by anchor tuple."""
-    cfg = ScaleConfig(q, k, delta_exp, -(-delta_exp // k), kappa_exp)
-    m, r = delta_exp, kappa_exp
-    coarse = unit_interval(q).partition(r)
-    qm = q**m
-    fine_by_coarse = {I: I.partition(m) for I in coarse}
+def tau_corners(q, k, delta_exp, kappa_exp):
+    """The coarse intervals, their fine children, and each child's tau
+    corner as an integer tuple."""
+    coarse = unit_interval(q).partition(kappa_exp)
+    fine_by_coarse = {I: I.partition(delta_exp) for I in coarse}
     tau_corner = {}
     for I in coarse:
         for K in fine_by_coarse[I]:
             corner = tau_of(K, k).corner
             tau_corner[K] = tuple(c.unit * q**c.valuation if not c.is_zero else 0 for c in corner)
+    return coarse, fine_by_coarse, tau_corner
+
+
+def box_loop_table(combo_I, fine_by_coarse, tau_corner, qm):
+    """How many fine tuples under the coarse tuple have each tau-corner sum mod q^m."""
+    k = len(combo_I)
+    table = {}
+    for combo_K in product(*(fine_by_coarse[I] for I in combo_I)):
+        key = tuple(sum(tau_corner[K][i] for K in combo_K) % qm for i in range(k))
+        table[key] = table.get(key, 0) + 1
+    return table
+
+
+def counting_lemma_box_loop(q, k, delta_exp, kappa_exp):
+    """Reference: counting_lemma_exhaustive's report with every box residue
+    w looked up one at a time, anchor tuple by anchor tuple."""
+    qm = q**delta_exp
+    coarse, fine_by_coarse, tau_corner = tau_corners(q, k, delta_exp, kappa_exp)
     worst, worst_query, n_queries = 0, None, 0
     for combo_I in permutations(coarse, k):
-        table = {}
-        for combo_K in product(*(fine_by_coarse[I] for I in combo_I)):
-            key = tuple(sum(tau_corner[K][i] for K in combo_K) % qm for i in range(k))
-            table[key] = table.get(key, 0) + 1
+        table = box_loop_table(combo_I, fine_by_coarse, tau_corner, qm)
         for combo_Kbar in product(*(fine_by_coarse[I] for I in combo_I)):
             base = tuple(sum(tau_corner[K][i] for K in combo_Kbar) % qm for i in range(k))
             for w in product(range(qm), repeat=k):
@@ -46,7 +58,7 @@ def counting_lemma_box_loop(q, k, delta_exp, kappa_exp):
                 count = table.get(tuple((base[i] - w[i]) % qm for i in range(k)), 0)
                 if count > worst:
                     worst, worst_query = count, (combo_I, combo_Kbar, w)
-    bound = dec._counting_bound(cfg)
+    bound = q ** ((kappa_exp - 1) * k * (k - 1))
     report = {
         "worst_count": worst,
         "bound": bound,
@@ -216,42 +228,36 @@ class TestCountingLemma:
         K2 = coarse[2].partition(2)[0]
         box = Cube(QVector.zero(3, 2), cfg.nu_exp * 2)
         qry = dec.CountingQuery([coarse[0], coarse[2]], [K1, K2], box, cfg)
-        hits = dec.counting_set(qry)
+        hits = dec.counting_set_pointwise_oracle(qry)
         assert (K1, K2) in hits
         assert len(hits) <= 1
 
-    def test_pointwise_oracle_agreement(self):
-        cfg = ScaleConfig(3, 2, 2, 1, 1)
-        coarse = cfg.coarse_partition()
-        rng = random.Random(6)
-        for trial in range(20):
-            I = rng.sample(coarse, 2)
-            anchors = [rng.choice(i.partition(2)) for i in I]
-            w = QVector([QRational(3, rng.randrange(9)), QRational(3, rng.randrange(9))])
-            box = Cube(w.rep_mod(cfg.nu_exp * 2), cfg.nu_exp * 2)
-            qry = dec.CountingQuery(I, anchors, box, cfg)
-            assert set(dec.counting_set(qry)) == set(
-                dec.counting_set_pointwise_oracle(qry, random.Random(trial))
-            )
+    @pytest.mark.parametrize("q,k,delta_exp,kappa_exp", [(3, 2, 2, 1), (5, 2, 2, 1), (3, 2, 3, 1), (3, 2, 2, 2)])
+    def test_pointwise_oracle_matches_the_exhaustive_table(self, q, k, delta_exp, kappa_exp):
+        rep = dec.counting_lemma_exhaustive(q, k, delta_exp, kappa_exp)
+        cfg = ScaleConfig(q, k, delta_exp, -(-delta_exp // k), kappa_exp)
+        qm = q**delta_exp
+        coarse, fine_by_coarse, tau_corner = tau_corners(q, k, delta_exp, kappa_exp)
 
-    def test_support_mode_is_tighter(self):
-        cfg = ScaleConfig(3, 2, 2, 1, 1)
-        rng = random.Random(7)
-        g = random_curve_supported(rng, 3, 2, 2, 9, 1)
-        supports = dec.freq_certificate(g, 2)
-        coarse = cfg.coarse_partition()
-        tried = 0
+        def oracle_count(combo_I, combo_Kbar, w, rng):
+            box = Cube(QVector.from_ints(q, w).rep_mod(cfg.nu_exp * k), cfg.nu_exp * k)
+            return len(dec.counting_set_pointwise_oracle(dec.CountingQuery(combo_I, combo_Kbar, box, cfg), rng))
+
+        worst = rep["worst_query"]
+        combo_I = [Interval.from_json(q, j) for j in worst["intervals"]]
+        combo_Kbar = [Interval.from_json(q, j) for j in worst["anchors"]]
+        assert oracle_count(combo_I, combo_Kbar, worst["box_residue"], random.Random(0)) == rep["worst_count"]
+
+        rng = random.Random(6)
         for trial in range(30):
-            I = rng.sample(coarse, 2)
-            anchors = [rng.choice(i.partition(2)) for i in I]
-            w = QVector([QRational(3, rng.randrange(9)), QRational(3, rng.randrange(9))])
-            box = Cube(w.rep_mod(cfg.nu_exp * 2), cfg.nu_exp * 2)
-            qry = dec.CountingQuery(I, anchors, box, cfg)
-            loose = set(dec.counting_set(qry))
-            tight = set(dec.counting_set(qry, supports=supports))
-            assert tight <= loose
-            tried += 1
-        assert tried == 30
+            combo_I = rng.sample(coarse, k)
+            combo_Kbar = [rng.choice(fine_by_coarse[I]) for I in combo_I]
+            w = [rng.randrange(qm) for _ in range(k)]
+            count = oracle_count(combo_I, combo_Kbar, w, random.Random(trial))
+            table = box_loop_table(combo_I, fine_by_coarse, tau_corner, qm)
+            base = [sum(tau_corner[K][i] for K in combo_Kbar) for i in range(k)]
+            assert count <= rep["worst_count"]
+            assert count == table.get(tuple((base[i] - w[i]) % qm for i in range(k)), 0)
 
     def test_exhaustive_bound_small(self):
         rep = dec.counting_lemma_exhaustive(3, 2, 2, 1)
@@ -358,6 +364,47 @@ class TestReversedHoelder:
         for _ in range(8):
             g = random_curve_supported(rng, 3, 2, 2, rng.randint(1, 9), 2)
             assert dec.verify_reversed_holder(g, cfg92(), 8)["holds"]
+
+
+class TestFinePiecePass:
+    """Both moment inequalities read every fine piece's norms off one cell plan."""
+
+    @pytest.mark.parametrize("check, extra", [(dec.verify_main_lemma, 1), (dec.verify_reversed_holder, 0)],
+                             ids=["main-lemma", "reversed-holder"])
+    def test_one_cell_plan_per_live_fine_piece(self, monkeypatch, check, extra):
+        import momentlab.stepfn as stepfn
+
+        calls = []
+        original = stepfn.joint_cell_values
+
+        def counted(fns, *args, **kwargs):
+            calls.append(len(fns))
+            return original(fns, *args, **kwargs)
+
+        monkeypatch.setattr(stepfn, "joint_cell_values", counted)
+        monkeypatch.setattr(dec, "joint_cell_values", counted)
+        cfg = cfg92()
+        rng = random.Random(3)
+        for _ in range(4):
+            g = random_curve_supported(rng, 3, 2, 2, rng.randint(1, 9), 2)
+            live = sum(1 for gK in g.freq_components(cfg.fine_partition()).values() if not gK.is_zero)
+            calls.clear()
+            check(g, cfg, 8)
+            # main lemma: one plan per live piece, then one for ||g||_p
+            assert calls == [1] * (live + extra)
+
+    def test_norms_equal_lp_norm(self):
+        cfg, p = cfg92(), 8
+        rng = random.Random(4)
+        for _ in range(4):
+            g = random_curve_supported(rng, 3, 2, 2, rng.randint(1, 9), 2)
+            want = {
+                K: (gK.lp_norm(p), gK.lp_norm(float("inf")), gK.lp_norm(p - 4))
+                for K, gK in g.freq_components(cfg.fine_partition()).items()
+                if not gK.is_zero
+            }
+            got = dec._fine_piece_norms(g, cfg, p)
+            assert list(got.items()) == list(want.items())
 
 
 def _live_mid_intervals(g, nu_exp):

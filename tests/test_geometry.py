@@ -146,7 +146,7 @@ class TestThetaTau:
     def test_scaled_tangent_shift_inside_both(self):
         # gamma(1) + t gamma'(1) with |t| = 1/3 lands in both boxes
         K = unit_interval(3).partition(1)[1]
-        pt = gamma(q3(1), 2) + gamma_derivative(q3(1), 1, 2).scale(q3(3))
+        pt = gamma(q3(1), 2) + QVector([q3(3) * c for c in gamma_derivative(q3(1), 1, 2)])
         assert pt == QVector([q3(4), q3(7)])
         assert theta_of(K, 2).contains(pt)
         assert tau_of(K, 2).contains(pt)
@@ -174,7 +174,7 @@ class TestThetaTau:
 
     def test_membership_beyond_the_box_fails(self):
         K = unit_interval(3).partition(1)[1]
-        pt = gamma(q3(1), 2) + gamma_derivative(q3(1), 1, 2).scale(q3(1, -1))
+        pt = gamma(q3(1), 2) + QVector([q3(1, -1) * c for c in gamma_derivative(q3(1), 1, 2)])
         assert not theta_of(K, 2).contains(pt)
         assert not tau_of(K, 2).contains(pt)
 
