@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, perm, prod
+from math import comb, factorial
 
 from .errors import BudgetExceededError, MomentLabError
 from .qadic import QRational, QVector
@@ -46,14 +46,18 @@ __all__ = [
 DEFAULT_CELL_BUDGET = 8_000_000
 
 
+def _is_canonical(x: QRational, scale_exp: int) -> bool:
+    """Whether x == x.rep_mod(scale_exp): zero, or all digits below scale_exp."""
+    return not x.unit or (x.valuation < scale_exp and 0 < x.unit < x.q ** (scale_exp - x.valuation))
+
+
 class Interval:
     """corner + q^scale_exp * Z_q, an interval of length q^(-scale_exp)."""
 
     __slots__ = ("q", "corner", "scale_exp")
 
     def __init__(self, corner: QRational, scale_exp: int):
-        canon = corner.rep_mod(scale_exp)
-        if canon != corner:
+        if not _is_canonical(corner, scale_exp):
             raise ValueError(f"corner {corner} not canonical at scale {scale_exp}")
         object.__setattr__(self, "q", corner.q)
         object.__setattr__(self, "corner", corner)
@@ -146,9 +150,9 @@ class Cube:
     __slots__ = ("q", "corner", "scale_exp")
 
     def __init__(self, corner: QVector, scale_exp: int):
-        canon = corner.rep_mod(scale_exp)
-        if canon != corner:
-            raise ValueError(f"corner {corner} not canonical at scale {scale_exp}")
+        for c in corner.coords:
+            if not _is_canonical(c, scale_exp):
+                raise ValueError(f"corner {corner} not canonical at scale {scale_exp}")
         object.__setattr__(self, "q", corner.q)
         object.__setattr__(self, "corner", corner)
         object.__setattr__(self, "scale_exp", scale_exp)
@@ -190,6 +194,11 @@ class Cube:
         """All subcubes of side q^-scale_exp, in lexicographic digit order."""
         if scale_exp < self.scale_exp:
             raise ValueError("cannot subdivide at a coarser scale")
+        n = self.q ** ((scale_exp - self.scale_exp) * self.k)
+        if n > DEFAULT_CELL_BUDGET:
+            raise BudgetExceededError(
+                f"subdivision into {n} cubes exceeds the budget", estimated=n, budget=DEFAULT_CELL_BUDGET
+            )
         axes = [[sub.corner for sub in self.axis_interval(i).partition(scale_exp)] for i in range(self.k)]
         return [Cube(QVector(corner), scale_exp) for corner in product(*axes)]
 
@@ -234,17 +243,6 @@ def gamma(a: QRational, k: int) -> QVector:
     if a.qnorm() > 1:
         raise ValueError(f"moment curve parameter must satisfy |a| <= 1, got |{a}| = {a.qnorm()}")
     return QVector([a**j for j in range(1, k + 1)])
-
-
-def gamma_derivative(a: QRational, j: int, k: int) -> QVector:
-    """j-th derivative of the moment curve at a (column j of the frame matrix)."""
-    coords = []
-    for i in range(1, k + 1):
-        if i >= j:
-            coords.append(QRational(a.q, perm(i, j)) * a ** (i - j))
-        else:
-            coords.append(QRational(a.q, 0))
-    return QVector(coords)
 
 
 def _scaled(values) -> tuple[list[int], int]:
@@ -323,9 +321,6 @@ class MaMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("MaMatrix is immutable")
-
-    def det(self) -> QRational:
-        return QRational(self.q, prod(self.entries[i][i] for i in range(self.k)))
 
 
 class ThetaBox:
@@ -422,8 +417,7 @@ class Tile:
         m = base_interval.scale_exp
         # canonical: zero, or digits only at positions below -m*(j+1)
         for j, w in enumerate(dual_corner):
-            top = -m * (j + 1) - w.valuation
-            if w.unit and not (top > 0 and 0 < w.unit < base_interval.q**top):
+            if not _is_canonical(w, -m * (j + 1)):
                 raise ValueError("dual corner not canonical for this base interval")
         if matrix is None:
             matrix = MaMatrix(base_interval.corner, k)

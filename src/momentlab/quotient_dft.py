@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError
-from .qadic import QRational, QVector
+from .qadic import QRational
 
 __all__ = [
     "grid_geometry",
@@ -30,7 +30,6 @@ __all__ = [
     "dft_grid",
     "convolve_grids",
     "grid_l2_norm",
-    "grid_point",
 ]
 
 DEFAULT_GRID_BUDGET = 40_000_000
@@ -142,7 +141,3 @@ def grid_l2_norm(grid: np.ndarray, q: int, r: int) -> float:
     np.square(mod_sq, out=mod_sq)
     return float(np.sqrt(mod_sq.sum() * cell))
 
-
-def grid_point(q: int, k: int, M: int, index: tuple[int, ...]) -> QVector:
-    """The q-adic point encoded by a spatial grid index."""
-    return QVector([QRational(q, int(u), -M) for u in index])

@@ -23,6 +23,9 @@ Canonical form: all cubes at one common scale, at most one term per
 (cube, modulation) pair with modulations reduced to canonical digit
 representatives (so a modulation that is constant on its cube is absorbed
 into the coefficient), and coefficients below a relative threshold pruned.
+Each distinct modulation is reduced once per construction, and a term whose
+modulation is already canonical takes no phase: its coefficient is
+multiplied by the constant 1 + 0j, as chi(0) would give it.
 """
 
 from __future__ import annotations
@@ -88,13 +91,18 @@ class ModulatedStep:
                 raise ValueError("term dimensions do not match the function")
         scale = max(cube.scale_exp for _, _, cube in terms)
         merged: dict[tuple, list] = {}
+        reduced: dict[QVector, tuple] = {}
         for c, b, cube in terms:
             pieces = [cube] if cube.scale_exp == scale else cube.subdivide(scale)
-            rep = b.rep_mod(-scale)
-            drift = b - rep
+            red = reduced.get(b)
+            if red is None:
+                rep = b.rep_mod(-scale)
+                drift = b - rep
+                red = reduced[b] = (rep, rep.key(), None if all(d.is_zero for d in drift) else drift)
+            rep, rep_key, drift = red
             for piece in pieces:
-                coeff = c * _phase(drift, piece.corner)
-                key = (piece.key(), rep.key())
+                coeff = c * (1 + 0j if drift is None else _phase(drift, piece.corner))
+                key = (piece.key(), rep_key)
                 slot = merged.get(key)
                 if slot is None:
                     merged[key] = [coeff, rep, piece]

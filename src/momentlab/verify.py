@@ -9,7 +9,6 @@ given (q, k).  The acceptance tests and the command-line ``verify-all`` run thes
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -61,7 +60,6 @@ INT64_LIMIT = 2**63
 def _suite(name):
     def wrap(fn):
         def run(*args, **kwargs):
-            t0 = time.perf_counter()
             report = {"name": name, "passed": True, "failures": []}
             try:
                 fn(report, *args, **kwargs)
@@ -71,7 +69,6 @@ def _suite(name):
             except (MomentLabError, AssertionError) as exc:
                 report["failures"].append(str(exc))
             report["passed"] = not report["failures"] and "budget_exceeded" not in report
-            report["runtime_s"] = round(time.perf_counter() - t0, 3)
             return report
 
         run.__name__ = fn.__name__
@@ -489,29 +486,27 @@ def exponent_suite(report):
     report["checked"] = True
 
 
-def run_all(q: int, k: int, seed: int = 0) -> list[dict]:
-    """Every suite that applies at (q, k), smallest first."""
+def run_all(q: int, k: int, seed: int = 0):
+    """Every suite that applies at (q, k), smallest first, each report
+    yielded as its suite finishes (so a caller can time the suites)."""
     if q <= k:
         raise ValueError(f"need a prime q > k, got q={q}, k={k}")
-    reports = [
-        fourier_identity(q),
-        interval_separation(q),
-        oracle_agreement(q, k, n_instances=30, seed=seed),
-        vinogradov_suite(),
-        linnik_suite(pairs=((2, 3), (2, 5))),
-        karatsuba_suite(),
-        exponent_suite(),
-    ]
+    yield fourier_identity(q)
+    yield interval_separation(q)
+    yield oracle_agreement(q, k, n_instances=30, seed=seed)
+    yield vinogradov_suite()
+    yield linnik_suite(pairs=((2, 3), (2, 5)))
+    yield karatsuba_suite()
+    yield exponent_suite()
     if k >= 2:
-        reports.append(tilings(q, k))
-        reports.append(wavepackets_suite(q, k, n_instances=20, seed=seed))
-        reports.append(pigeonhole_suite(q, k, n_instances=5, seed=seed))
+        yield tilings(q, k)
+        yield wavepackets_suite(q, k, n_instances=20, seed=seed)
+        yield pigeonhole_suite(q, k, n_instances=5, seed=seed)
         if k == 2:
-            reports.append(counting_lemma_suite(cases=((q, k, 2, 1),)))
-            reports.append(broad_narrow_suite(q, k, n_instances=20, seed=seed))
-            reports.append(main_lemma_suite(q, k, n_instances=8, seed=seed))
-            reports.append(reversed_holder_suite(q, k, n_instances=8, seed=seed))
-            reports.append(affine_rescaling_suite(q, k, n_instances=4, seed=seed))
-            reports.append(reverse_square_suite(q, k, n_instances=8, seed=seed))
-            reports.append(extremizer_suite(q, k))
-    return reports
+            yield counting_lemma_suite(cases=((q, k, 2, 1),))
+            yield broad_narrow_suite(q, k, n_instances=20, seed=seed)
+            yield main_lemma_suite(q, k, n_instances=8, seed=seed)
+            yield reversed_holder_suite(q, k, n_instances=8, seed=seed)
+            yield affine_rescaling_suite(q, k, n_instances=4, seed=seed)
+            yield reverse_square_suite(q, k, n_instances=8, seed=seed)
+            yield extremizer_suite(q, k)

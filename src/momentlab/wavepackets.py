@@ -88,9 +88,6 @@ class ScaleConfig:
     def fine_partition(self) -> list[Interval]:
         return unit_interval(self.q).partition(self.delta_exp)
 
-    def mid_partition(self) -> list[Interval]:
-        return unit_interval(self.q).partition(self.nu_exp)
-
     def coarse_partition(self) -> list[Interval]:
         return unit_interval(self.q).partition(self.kappa_exp)
 

@@ -274,6 +274,29 @@ class TestFailureModes:
         r = subprocess.run([sys.executable, "-m", "momentlab", *argv], capture_output=True, text=True, timeout=20)
         assert r.returncode == 3, r.stderr
 
+    def test_cube_subdivision_past_the_budget_exits_3(self):
+        # at (5,3) with delta 5^-2 the wavepacket split asks for 625^3 cubes;
+        # the address-space cap keeps a missing check from exhausting memory,
+        # and one BLAS thread keeps numpy's own reservation under the cap
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        argv = ["pigeonhole-report", "--q", "5", "--k", "3", "--delta-exp", "2"]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        r = subprocess.run([sys.executable, "-m", "momentlab", *argv], capture_output=True, text=True,
+                           timeout=30, preexec_fn=cap, env=env)
+        assert r.returncode == 3, r.stderr
+        assert "subdivision into 244140625 cubes" in r.stderr
+
+    def test_verify_all_stdout_is_byte_stable(self):
+        first, second = (run_cli("verify-all", "--q", "3", "--k", "2") for _ in range(2))
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout and "runtime_s" not in first.stdout
+        # the suite timings go to stderr only
+        assert len(first.stderr.splitlines()) == len(json.loads(first.stdout)["suites"])
+
     def test_cli_and_geometry_load_without_numpy(self):
         # the frame kernels take numpy columns from their callers but never import numpy
         code = "import sys, momentlab.cli, momentlab.geometry; assert 'numpy' not in sys.modules"
@@ -323,7 +346,7 @@ assert "momentlab.quotient_dft" not in sys.modules
         from momentlab import cli, verify
 
         def report(state):
-            r = {"name": state, "passed": state == "pass", "runtime_s": 0.0, "failures": []}
+            r = {"name": state, "passed": state == "pass", "failures": []}
             if state == "fail":
                 r["failures"].append("inequality failed")
             if state == "budget":

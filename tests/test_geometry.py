@@ -1,13 +1,16 @@
 import random
+import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentlab.errors import BudgetExceededError
 from momentlab.geometry import (
+    DEFAULT_CELL_BUDGET,
     Cube,
     Interval,
     MaMatrix,
@@ -21,7 +24,6 @@ from momentlab.geometry import (
     binomial_frame,
     frame_apply,
     gamma,
-    gamma_derivative,
     interval_distance,
     tau_of,
     theta_diff_decompose,
@@ -36,6 +38,17 @@ from momentlab.verify import _lattice
 
 def q3(n, v=0):
     return QRational(3, n, v)
+
+
+def gamma_derivative(a, j, k):
+    """j-th derivative of the moment curve at a: column j of the frame matrix."""
+    return QVector([QRational(a.q, perm(i, j)) * a ** (i - j) if i >= j else QRational(a.q, 0)
+                    for i in range(1, k + 1)])
+
+
+def _det(M):
+    """Determinant of the lower-triangular frame matrix: its diagonal product."""
+    return QRational(M.q, prod(M.entries[i][i] for i in range(M.k)))
 
 
 class TestIntervals:
@@ -93,6 +106,41 @@ class TestCubes:
         c = Cube(QVector([q3(2, -1), q3(1)]), 1)
         assert Cube.from_json(3, c.to_json()) == c
 
+    def test_subdivision_past_the_budget_raises_at_once(self):
+        # each axis splits into 625 intervals, within the budget; the product does not
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc:
+            ball(5, 3, 0).subdivide(4)
+        assert time.perf_counter() - t0 < 1.0
+        assert (exc.value.estimated, exc.value.budget) == (625**3, DEFAULT_CELL_BUDGET)
+
+
+scalars = st.builds(QRational, st.sampled_from([3, 5]), st.integers(-300, 300), st.integers(-4, 4))
+
+
+class TestCanonicalCorners:
+    """The constructors decide canonicity on (unit, valuation); ``rep_mod`` is the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(scalars, st.integers(-5, 5))
+    def test_interval_raises_exactly_off_canonical_corners(self, x, scale):
+        if x.rep_mod(scale) == x:
+            assert Interval(x, scale).corner == x
+        else:
+            with pytest.raises(ValueError):
+                Interval(x, scale)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([3, 5]), st.lists(st.tuples(st.integers(-300, 300), st.integers(-4, 4)),
+                                            min_size=1, max_size=3), st.integers(-5, 5))
+    def test_cube_raises_exactly_off_canonical_corners(self, q, coords, scale):
+        corner = QVector([QRational(q, u, v) for u, v in coords])
+        if corner.rep_mod(scale) == corner:
+            assert Cube(corner, scale).corner == corner
+        else:
+            with pytest.raises(ValueError):
+                Cube(corner, scale)
+
 
 class TestMomentCurve:
     def test_gamma_at_zero_and_one(self):
@@ -112,11 +160,11 @@ class TestMomentCurve:
         assert cols[0] == QVector.from_ints(7, [1, 0, 0])
         assert cols[1] == QVector.from_ints(7, [0, 2, 0])
         assert cols[2] == QVector.from_ints(7, [0, 0, 6])
-        assert M.det().qnorm() == 1
+        assert _det(M).qnorm() == 1
 
     def test_determinant_norm_is_one(self):
         for a in (q3(0), q3(1), q3(5, 1)):
-            assert MaMatrix(a, 2).det().qnorm() == 1
+            assert _det(MaMatrix(a, 2)).qnorm() == 1
 
     def test_anchor_change_is_unipotent_in_the_ring(self):
         # the frame at one anchor equals the frame at another times a
@@ -576,7 +624,7 @@ class TestTilingsLatticePass:
         from momentlab import verify
 
         def reports():
-            return [{**verify.tilings(q, k, delta_exps=(m,)), "runtime_s": 0} for q, k, m in RESIDUE_CELLS]
+            return [verify.tilings(q, k, delta_exps=(m,)) for q, k, m in RESIDUE_CELLS]
 
         fast = reports()
         monkeypatch.setattr(verify, "INT64_LIMIT", 0)

@@ -1,4 +1,5 @@
 import random
+import struct
 import tracemalloc
 from fractions import Fraction
 from math import inf, isqrt
@@ -177,6 +178,11 @@ def _subdivide_and_pair_convolve(f, g):
     return ModulatedStep(f.q, f.k, out)
 
 
+def _grid_point(q, k, M, index):
+    """The q-adic point encoded by a spatial grid index."""
+    return QVector([QRational(q, int(u), -M) for u in index])
+
+
 def _dense_evaluate_on_grid(f, M, r):
     """Reference quotient grid: a full-grid mask and phase per axis, one
     dense rank-1 grid per term."""
@@ -201,7 +207,82 @@ def _dense_evaluate_on_grid(f, M, r):
     return grid
 
 
+def _per_term_canonical(q, k, raw):
+    """(terms, scale) of the canonical form with every term's modulation
+    reduced and phased on its own, pieces merged by (cube, modulation) key;
+    pruning and sibling compaction as in ``ModulatedStep``."""
+    terms = [(complex(c), b, cube) for c, b, cube in raw if c != 0]
+    if not terms:
+        return [], 0
+    scale = max(cube.scale_exp for _, _, cube in terms)
+    merged = {}
+    for c, b, cube in terms:
+        rep = b.rep_mod(-scale)
+        drift = b - rep
+        for piece in [cube] if cube.scale_exp == scale else cube.subdivide(scale):
+            coeff = c * char_value(drift.dot(piece.corner))
+            key = (piece.key(), rep.key())
+            if key in merged:
+                merged[key][0] += coeff
+            else:
+                merged[key] = [coeff, rep, piece]
+    tol = max(abs(c) for c, _, _ in merged.values()) * 1e-12
+    out = [(c, b, cube) for c, b, cube in merged.values() if abs(c) > tol]
+    if not out:
+        return [], 0
+    out, scale = ModulatedStep._compact(q, k, out, scale)
+    out.sort(key=lambda t: (t[2].key(), t[1].key()))
+    return out, scale
+
+
+def _bits(c):
+    return struct.pack("<dd", c.real, c.imag)
+
+
+# signed zeros in either part, next to ordinary values
+COEFFS = st.one_of(
+    st.sampled_from([complex(-0.0, -1.0), complex(-0.0, 1.0), complex(1.0, -0.0), complex(-1.5, -0.0),
+                     complex(-0.0, 0.0), complex(2.0, 0.0)]),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+
+
+@st.composite
+def raw_terms(draw):
+    """(q, k, terms): cubes at up to two scales (negative ones included),
+    modulations drawn from a small pool so that they repeat, some already
+    canonical at the finest scale and some not."""
+    q, k = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)]))
+    top = draw(st.integers(-1, 2))
+    low = top - draw(st.integers(0, 1 if q**k <= 125 else 0))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        b = QVector([QRational(q, draw(st.integers(-q**3, q**3)), draw(st.integers(-4, 1))) for _ in range(k)])
+        pool.append(b.rep_mod(-top) if draw(st.booleans()) else b)
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        scale = draw(st.integers(low, top))
+        corner = QVector([QRational(q, draw(st.integers(0, q**4)), -3).rep_mod(scale) for _ in range(k)])
+        terms.append((draw(COEFFS), draw(st.sampled_from(pool)), Cube(corner, scale)))
+    return q, k, terms
+
+
 class TestCanonicalize:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_terms())
+    def test_matches_the_per_term_reduction_bitwise(self, case):
+        q, k, raw = case
+        f = ModulatedStep(q, k, raw)
+        want, scale = _per_term_canonical(q, k, raw)
+        assert f.scale_exp == scale and len(f.terms) == len(want)
+        for (c1, b1, Q1), (c2, b2, Q2) in zip(f.terms, want):
+            assert (_bits(c1), b1, Q1) == (_bits(c2), b2, Q2)
+
+    def test_a_canonical_modulation_keeps_the_unit_phase_product(self):
+        # c * (1 + 0j) turns the real part -0.0 of (-0.0 - 1j) into +0.0
+        f = ModulatedStep.indicator(ball(3, 1, 0), complex(-0.0, -1.0))
+        assert _bits(f.terms[0][0]) == _bits(complex(-0.0, -1.0) * (1 + 0j)) == _bits(complex(0.0, -1.0))
+
     def test_duplicate_indicators_merge(self):
         one = ModulatedStep.indicator(ball(3, 1, 0))
         two = one + one
@@ -632,7 +713,7 @@ class TestOracleAgreement:
         n = 3 ** (M + r)
         for _ in range(20):
             idx = (rng.randrange(n), rng.randrange(n))
-            x = qd.grid_point(3, 2, M, idx)
+            x = _grid_point(3, 2, M, idx)
             assert abs(grid[idx] - f.evaluate(x)) < 1e-12
 
 
@@ -652,7 +733,7 @@ class TestSlicedGrid:
         for h, MM, rr in ((f, M, r), (f.fourier(), r, M)):
             grid = qd.evaluate_on_grid(h, MM, rr)
             for idx in np.ndindex(grid.shape):
-                x = qd.grid_point(f.q, f.k, MM, idx)
+                x = _grid_point(f.q, f.k, MM, idx)
                 assert abs(grid[idx] - h.evaluate(x)) < 1e-12
 
     def test_budget_raised_before_any_array(self):

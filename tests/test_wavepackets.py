@@ -153,7 +153,7 @@ class TestPigeonhole:
         cfg = ScaleConfig.from_epsilon(3, 2, 2, Fraction(1, 2))
         f = random_curve_supported(rng, 3, 2, 2, 9, 2)
         n_mid = sum(
-            1 for gJ in f.freq_components(cfg.mid_partition()).values() if not gJ.is_zero
+            1 for gJ in f.freq_components(unit_interval(3).partition(cfg.nu_exp)).values() if not gJ.is_zero
         )
         assert n_mid <= 3  # at most 1/nu intervals
 
