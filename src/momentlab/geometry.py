@@ -51,6 +51,20 @@ def _is_canonical(x: QRational, scale_exp: int) -> bool:
     return not x.unit or (x.valuation < scale_exp and 0 < x.unit < x.q ** (scale_exp - x.valuation))
 
 
+def _budgeted(n: int, what: str, cells: str) -> int:
+    """n, once n cells are known to fit the default cell budget."""
+    if n > DEFAULT_CELL_BUDGET:
+        raise BudgetExceededError(f"{what} into {n} {cells} exceeds the budget", n, DEFAULT_CELL_BUDGET)
+    return n
+
+
+def _axis_corners(corner: QRational, scale_exp: int, n: int) -> list[QRational]:
+    """corner + t * q^scale_exp for t in range(n), on ints at the lower valuation."""
+    q, low = corner.q, min(corner.valuation, scale_exp)
+    base, step = corner.unit * q ** (corner.valuation - low), q ** (scale_exp - low)
+    return [QRational(q, base + t * step, low) for t in range(n)]
+
+
 class Interval:
     """corner + q^scale_exp * Z_q, an interval of length q^(-scale_exp)."""
 
@@ -84,23 +98,13 @@ class Interval:
         return other.scale_exp >= self.scale_exp and self.contains(other.corner)
 
     def partition(self, scale_exp: int) -> list["Interval"]:
-        """Split into intervals of length q^-scale_exp, in digit order."""
+        """Split into intervals of length q^-scale_exp: corners c + t q^m for t = 0, 1, ..., on ints."""
         if scale_exp < self.scale_exp:
             raise ValueError(
                 f"cannot partition length {self.length} interval at coarser scale {scale_exp}"
             )
-        q = self.q
-        n = q ** (scale_exp - self.scale_exp)
-        if n > DEFAULT_CELL_BUDGET:
-            raise BudgetExceededError(
-                f"partition into {n} intervals exceeds the budget", estimated=n, budget=DEFAULT_CELL_BUDGET
-            )
-        step = QRational(q, 1, self.scale_exp)
-        out = []
-        for t in range(n):
-            corner = self.corner + step * QRational(q, t)
-            out.append(Interval(corner.rep_mod(scale_exp), scale_exp))
-        return out
+        n = _budgeted(self.q ** (scale_exp - self.scale_exp), "partition", "intervals")
+        return [Interval(c, scale_exp) for c in _axis_corners(self.corner, self.scale_exp, n)]
 
     def parent(self, scale_exp: int) -> "Interval":
         if scale_exp > self.scale_exp:
@@ -177,9 +181,6 @@ class Cube:
     def volume(self) -> Fraction:
         return self.side**self.k
 
-    def axis_interval(self, i: int) -> Interval:
-        return Interval(self.corner[i], self.scale_exp)
-
     def contains(self, x: QVector) -> bool:
         for xi, ci in zip(x, self.corner, strict=True):
             d = xi - ci
@@ -191,15 +192,13 @@ class Cube:
         return other.scale_exp >= self.scale_exp and self.contains(other.corner)
 
     def subdivide(self, scale_exp: int) -> list["Cube"]:
-        """All subcubes of side q^-scale_exp, in lexicographic digit order."""
+        """All subcubes of side q^-scale_exp, in lexicographic digit order;
+        each axis runs over the corners of ``Interval.partition``, on ints."""
         if scale_exp < self.scale_exp:
             raise ValueError("cannot subdivide at a coarser scale")
-        n = self.q ** ((scale_exp - self.scale_exp) * self.k)
-        if n > DEFAULT_CELL_BUDGET:
-            raise BudgetExceededError(
-                f"subdivision into {n} cubes exceeds the budget", estimated=n, budget=DEFAULT_CELL_BUDGET
-            )
-        axes = [[sub.corner for sub in self.axis_interval(i).partition(scale_exp)] for i in range(self.k)]
+        per_axis = self.q ** (scale_exp - self.scale_exp)
+        _budgeted(per_axis**self.k, "subdivision", "cubes")
+        axes = [_axis_corners(c, self.scale_exp, per_axis) for c in self.corner]
         return [Cube(QVector(corner), scale_exp) for corner in product(*axes)]
 
     def translate(self, v: QVector) -> "Cube":
@@ -545,10 +544,7 @@ def tile_partition(Q: Cube, K: Interval) -> list[Tile]:
     n, L = _scaled((*Q.corner, QRational(q, 1, -m * k)))
     step = q ** (-m * k - L)
     axis_reps = [
-        sorted(
-            (QRational(q, y % step + u * step, L) for u in range(q ** (m * (k - j)))),
-            key=QRational.key,
-        )
+        sorted(_axis_corners(QRational(q, y % step, L), -m * k, q ** (m * (k - j))), key=QRational.key)
         for j, y in enumerate(_matvec(matrix.entries, n[:k], transpose=True), 1)
     ]
     return [Tile(K, QVector(w), matrix) for w in product(*axis_reps)]

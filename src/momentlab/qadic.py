@@ -328,10 +328,19 @@ class QVector:
         return QVector([-a for a in self.coords])
 
     def dot(self, other: "QVector") -> QRational:
-        total = QRational(self.q, 0)
+        """One ``QRational``: the nonzero products u u' q^(v + v'), summed on ints at their least valuation."""
+        q = self.q
+        if other.q != q:
+            raise ValueError(f"mixed base primes {q} and {other.q}")
+        num = low = 0
         for a, b in zip(self.coords, other.coords, strict=True):
-            total = total + a * b
-        return total
+            if a.unit and b.unit:
+                u, v = a.unit * b.unit, a.valuation + b.valuation
+                if num and v >= low:
+                    num += u * q ** (v - low)
+                else:
+                    num, low = (num * q ** (low - v) if num else 0) + u, v
+        return QRational(q, num, low)
 
     def vnorm(self) -> Fraction:
         """max of the coordinate norms."""
@@ -355,7 +364,16 @@ class QVector:
         return "(" + ", ".join(c.to_text() for c in self.coords) + ")"
 
 
-_CHAR_CACHE: dict[Fraction, complex] = {}
+_CHAR_CACHE: dict[tuple[int, int], complex] = {}
+
+
+def _char_of(num: int, den: int) -> complex:
+    """exp(2*pi*i*num/den), 0 <= num < den, from the one character cache; exact -1 at 1/2."""
+    cached = _CHAR_CACHE.get((num, den))
+    if cached is None:
+        cached = -1 + 0j if 2 * num == den else cmath.exp(2j * cmath.pi * (num / den))
+        _CHAR_CACHE[num, den] = cached
+    return cached
 
 
 class UnitComplex:
@@ -381,17 +399,8 @@ class UnitComplex:
         return UnitComplex(-self.angle)
 
     def value(self) -> complex:
-        """Floating-complex value; exact for angle 0, 1/2, 1/4, 3/4."""
-        cached = _CHAR_CACHE.get(self.angle)
-        if cached is None:
-            if self.angle == 0:
-                cached = 1 + 0j
-            elif self.angle == Fraction(1, 2):
-                cached = -1 + 0j
-            else:
-                cached = cmath.exp(2j * cmath.pi * float(self.angle))
-            _CHAR_CACHE[self.angle] = cached
-        return cached
+        """Floating-complex value from ``char_value``'s cache, at (numerator, denominator)."""
+        return _char_of(self.angle.numerator, self.angle.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnitComplex):
@@ -414,13 +423,9 @@ def char_chi(x: QRational) -> UnitComplex:
 
 
 def char_value(x: QRational) -> complex:
-    """chi(x) as a floating complex number (allocation-light hot path)."""
+    """chi(x) as a floating complex number: the cached value at the reduced
+    pair (unit mod q^n, q^n), n = -valuation, with no ``Fraction`` built."""
     if x.unit == 0 or x.valuation >= 0:
         return 1 + 0j
     den = x.q ** (-x.valuation)
-    angle = Fraction(x.unit % den, den)
-    cached = _CHAR_CACHE.get(angle)
-    if cached is None:
-        cached = -1 + 0j if angle == Fraction(1, 2) else cmath.exp(2j * cmath.pi * float(angle))
-        _CHAR_CACHE[angle] = cached
-    return cached
+    return _char_of(x.unit % den, den)

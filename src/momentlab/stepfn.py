@@ -25,13 +25,16 @@ representatives (so a modulation that is constant on its cube is absorbed
 into the coefficient), and coefficients below a relative threshold pruned.
 Each distinct modulation is reduced once per construction, and a term whose
 modulation is already canonical takes no phase: its coefficient is
-multiplied by the constant 1 + 0j, as chi(0) would give it.
+multiplied by the constant 1 + 0j, as chi(0) would give it.  The merge key
+(cube.key(), modulation.key()) is the one sort key; sibling compaction groups
+on the integer parent digits read off it and builds only merged parents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import fsum, inf, isfinite
+from operator import itemgetter
 
 from .errors import BudgetExceededError, MomentLabError
 from .geometry import DEFAULT_CELL_BUDGET, Cube, Interval
@@ -108,44 +111,43 @@ class ModulatedStep:
                     merged[key] = [coeff, rep, piece]
                 else:
                     slot[0] += coeff
-        out = [(c, b, cube) for c, b, cube in merged.values()]
-        max_abs = max((abs(c) for c, _, _ in out), default=0.0)
-        tol = max_abs * PRUNE_REL_TOL
-        out = [(c, b, cube) for c, b, cube in out if abs(c) > tol]
+        tol = max(abs(slot[0]) for slot in merged.values()) * PRUNE_REL_TOL
+        out = [(key, *slot) for key, slot in merged.items() if abs(slot[0]) > tol]
         if not out:
             return [], 0
         out, scale = ModulatedStep._compact(q, k, out, scale)
-        out.sort(key=lambda t: (t[2].key(), t[1].key()))
-        return out, scale
+        out.sort(key=itemgetter(0))
+        return [(c, b, cube) for _, c, b, cube in out], scale
 
     @staticmethod
     def _compact(q, k, terms, scale):
         """Merge complete sibling families with equal coefficients upward.
 
-        Applied only when every term participates, so the common-scale
-        invariant survives.
+        Terms are (key, coeff, modulation, cube), key the sort key
+        (cube.key(), modulation.key()).  Families group on ints read off it:
+        the corner digits below the parent scale, which are the parent's key.
+        A parent ``Cube`` is built only when every family merges, so the
+        common-scale invariant survives.
         """
         family = q**k
         while len(terms) % family == 0 and terms:
+            up = scale - 1
             groups: dict[tuple, list] = {}
-            for c, b, cube in terms:
-                parent = Cube(cube.corner.rep_mod(scale - 1), scale - 1)
-                groups.setdefault((parent.key(), b.key()), []).append((c, b, cube, parent))
-            mergeable = []
-            ok = True
+            for term in terms:
+                (_, corner), b_key = term[0]
+                digits = tuple((v, u % q ** (up - v)) if u and v < up else (0, 0) for v, u in corner)
+                groups.setdefault((digits, b_key), []).append(term)
             for members in groups.values():
-                if len(members) != family:
-                    ok = False
-                    break
-                c0 = members[0][0]
-                if any(abs(c - c0) > PRUNE_REL_TOL * max(1.0, abs(c0)) for c, _, _, _ in members):
-                    ok = False
-                    break
-                mergeable.append((c0, members[0][1], members[0][3]))
-            if not ok:
-                break
-            terms = mergeable
-            scale -= 1
+                c0 = members[0][1]
+                tol = PRUNE_REL_TOL * max(1.0, abs(c0))
+                if len(members) != family or any(abs(t[1] - c0) > tol for t in members):
+                    return terms, scale
+            terms = [
+                (((up, digits), b_key), members[0][1], members[0][2],
+                 Cube(QVector([QRational(q, u, v) for v, u in digits]), up))
+                for (digits, b_key), members in groups.items()
+            ]
+            scale = up
         return terms, scale
 
     # -- bookkeeping ----------------------------------------------------------

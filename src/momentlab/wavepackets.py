@@ -187,19 +187,14 @@ def wavepacket_decompose(g: ModulatedStep, K: Interval) -> WavepacketSet:
     verify_theta_support(g, K)
     if g.is_zero:
         return WavepacketSet(K, [])
-    k = g.k
-    m = K.scale_exp
-    matrix = MaMatrix(K.corner, k)
+    matrix = MaMatrix(K.corner, g.k)
+    scale = max(g.scale_exp, -K.scale_exp)
     by_tile: dict[Tile, list] = {}
-    for coeff, b, cube in g._terms_at_scale(max(g.scale_exp, -m)):
-        tile = tile_of_point(cube.corner, K, matrix)
-        by_tile.setdefault(tile, []).append((coeff, b, cube))
-    packets = [
-        (tile, ModulatedStep(g.q, g.k, terms))
-        for tile, terms in sorted(by_tile.items(), key=lambda kv: kv[0].key())
-    ]
-    packets = [(t, p) for t, p in packets if not p.is_zero]
-    return WavepacketSet(K, packets)
+    for cube, parts in g._by_cube.items():
+        for piece in [cube] if cube.scale_exp == scale else cube.subdivide(scale):
+            by_tile.setdefault(tile_of_point(piece.corner, K, matrix), []).extend((c, b, piece) for c, b in parts)
+    packets = [(t, ModulatedStep(g.q, g.k, by_tile[t])) for t in sorted(by_tile, key=Tile.key)]
+    return WavepacketSet(K, [(t, p) for t, p in packets if not p.is_zero])
 
 
 @dataclass

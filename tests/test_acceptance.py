@@ -67,7 +67,7 @@ def test_criterion_03_tilings():
         3,
         "both tiling counts d^(-k(k-1)/2) with exact disjoint unions (q>k cells)",
         ok,
-        10.0,
+        5.0,
         time.perf_counter() - t0,
     )
 
@@ -79,7 +79,7 @@ def test_criterion_04_wavepackets():
         4,
         "wavepacket reconstruction/constant modulus/box support, 50 seeded instances",
         r["passed"],
-        5.0,
+        3.0,
         time.perf_counter() - t0,
     )
 

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import factorial, perm, prod
 
 import numpy as np
@@ -89,7 +90,52 @@ class TestIntervals:
         assert I.contains_interval(Interval(q3(4), 2))
 
 
+def _rational_axis(corner, scale_exp, fine):
+    """Corners of ``Interval(corner, scale_exp).partition(fine)`` by QRational
+    arithmetic: corner + t * q^scale_exp, reduced at the fine scale."""
+    q = corner.q
+    step = QRational(q, 1, scale_exp)
+    return [(corner + step * QRational(q, t)).rep_mod(fine) for t in range(q ** (fine - scale_exp))]
+
+
+@st.composite
+def subdivision_cases(draw):
+    """A cube at scale s (negative scales, zero corners and corners of negative
+    valuation included) and a finer scale with few subcubes."""
+    q, k = draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]))
+    s = draw(st.integers(-3, 2))
+    depth = draw(st.integers(0, 2 if q**k <= 9 else 1))
+    coord = st.one_of(st.just(QRational(q, 0)),
+                      st.builds(QRational, st.just(q), st.integers(1, q**6), st.integers(-4, 1)))
+    corner = QVector([c.rep_mod(s) for c in draw(st.lists(coord, min_size=k, max_size=k))])
+    return Cube(corner, s), s + depth
+
+
 class TestCubes:
+    @settings(max_examples=200, deadline=None)
+    @given(subdivision_cases())
+    def test_integer_corners_match_rational_reference(self, case):
+        cube, fine = case
+        s = cube.scale_exp
+        want = [Cube(QVector(c), fine) for c in product(*[_rational_axis(ci, s, fine) for ci in cube.corner])]
+        assert cube.subdivide(fine) == want
+        for ci in cube.corner:
+            assert [I.corner for I in Interval(ci, s).partition(fine)] == _rational_axis(ci, s, fine)
+
+    def test_ball_subdivides_in_digit_order(self):
+        for q, k, r in ((3, 2, 2), (5, 1, 1), (2, 3, 1)):
+            b = ball(q, k, r)
+            want = [Cube(QVector(c), 0) for c in product(*[_rational_axis(ci, -r, 0) for ci in b.corner])]
+            assert b.subdivide(0) == want
+
+    def test_subdivide_builds_no_interval(self, monkeypatch):
+        built = []
+        init = Interval.__init__
+        monkeypatch.setattr(Interval, "__init__", lambda self, *a: (built.append(a), init(self, *a))[1])
+        assert len(Cube(QVector([q3(1, -1), q3(0)]), 0).subdivide(2)) == 81
+        assert built == []
+        assert len(unit_interval(3).partition(1)) == 3 and len(built) == 4  # the counter does count
+
     def test_subdivide_covers_and_counts(self):
         c = ball(3, 2, 0)
         parts = c.subdivide(1)
@@ -374,8 +420,6 @@ def _legacy_frame_rows(anchor, k, transpose=False):
 
 
 def _legacy_affine_rescale(g_I, I):
-    from itertools import product
-
     from momentlab.stepfn import ModulatedStep
 
     q, k, r, c = g_I.q, g_I.k, I.scale_exp, I.corner
@@ -502,7 +546,7 @@ class TestBinomialFrame:
                     assert [t.dual_corner for t in new] == [t.dual_corner for t in old]
         c = Cube(QVector([QRational(q, 1, -2)] * k), -1)
         expected = [
-            Cube(QVector([c.axis_interval(i).partition(0)[t].corner for i, t in enumerate(idx)]), 0)
+            Cube(QVector([Interval(ci, c.scale_exp).partition(0)[t].corner for ci, t in zip(c.corner, idx)]), 0)
             for idx in _flat_index([q] * k)
         ]
         assert c.subdivide(0) == expected

@@ -1,11 +1,14 @@
+import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentlab import qadic
 from momentlab.qadic import (
     QRational,
     QVector,
@@ -187,3 +190,72 @@ def test_unit_complex_algebra():
     assert (a * b).angle == 0
     assert a.conj().angle == Fraction(2, 3)
     assert abs(a.value() - complex(-0.5, 3**0.5 / 2)) < 1e-15
+
+
+def _bits(c):
+    return struct.pack("<dd", c.real, c.imag)
+
+
+def _fold_dot(x, y):
+    """The dot product as a left fold of ``QRational`` + and *."""
+    total = QRational(x.q, 0)
+    for a, b in zip(x.coords, y.coords, strict=True):
+        total = total + a * b
+    return total
+
+
+@st.composite
+def dot_pairs(draw):
+    """Two vectors over one q with zero coordinates and negative valuations."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, 4))
+    coord = st.builds(QRational, st.just(q), st.one_of(st.just(0), st.integers(-q**4, q**4)), st.integers(-5, 3))
+    return tuple(QVector(draw(st.lists(coord, min_size=k, max_size=k))) for _ in range(2))
+
+
+def _chi(angle: Fraction) -> complex:
+    return -1 + 0j if angle == Fraction(1, 2) else cmath.exp(2j * cmath.pi * float(angle))
+
+
+class TestIntegerPaths:
+    @settings(max_examples=300, deadline=None)
+    @given(dot_pairs())
+    def test_dot_equals_the_rational_fold(self, pair):
+        x, y = pair
+        got, want = x.dot(y), _fold_dot(x, y)
+        assert (got.q, got.unit, got.valuation) == (want.q, want.unit, want.valuation)
+
+    def test_dot_cancels_to_zero(self):
+        x, y = QVector([q3(1, -2), q3(1, -2)]), QVector([q3(1, 1), q3(-1, 1)])
+        assert x.dot(y) == _fold_dot(x, y) == q3(0)
+        assert x.dot(y).valuation == 0
+
+    def test_dot_rejects_mixed_primes_and_lengths(self):
+        with pytest.raises(ValueError):
+            QVector.from_ints(3, [1, 2]).dot(QVector.from_ints(5, [1, 2]))
+        with pytest.raises(ValueError):
+            QVector([QRational(3, 0)]).dot(QVector([QRational(5, 0)]))
+        with pytest.raises(ValueError):
+            QVector.from_ints(3, [1, 2]).dot(QVector.from_ints(3, [1, 2, 0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 5), unit=st.integers(-10**6, 10**6),
+           char_first=st.booleans())
+    def test_char_value_and_unit_complex_share_one_cache_bitwise(self, q, n, unit, char_first):
+        if unit % q == 0:
+            unit += 1
+        x = QRational(q, unit, -n)
+        angle = Fraction(unit % q**n, q**n)
+        qadic._CHAR_CACHE.clear()
+        if char_first:
+            first, second = char_value(x), UnitComplex(angle).value()
+        else:
+            second, first = UnitComplex(angle).value(), char_value(x)
+        assert _bits(first) == _bits(second) == _bits(_chi(angle))
+        assert list(qadic._CHAR_CACHE) == [(angle.numerator, angle.denominator)]
+
+    def test_trivial_and_half_angles_are_exact(self):
+        qadic._CHAR_CACHE.clear()
+        assert _bits(UnitComplex(Fraction(0)).value()) == _bits(1 + 0j)
+        assert _bits(char_value(QRational(2, 1, -1))) == _bits(UnitComplex(Fraction(1, 2)).value()) == _bits(-1 + 0j)
+        assert _bits(char_value(QRational(5, 3, 0))) == _bits(1 + 0j)

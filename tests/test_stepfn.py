@@ -230,9 +230,29 @@ def _per_term_canonical(q, k, raw):
     out = [(c, b, cube) for c, b, cube in merged.values() if abs(c) > tol]
     if not out:
         return [], 0
-    out, scale = ModulatedStep._compact(q, k, out, scale)
+    out, scale = _parent_cube_compact(q, k, out, scale)
     out.sort(key=lambda t: (t[2].key(), t[1].key()))
     return out, scale
+
+
+def _parent_cube_compact(q, k, terms, scale):
+    """Sibling compaction that builds every term's parent ``Cube`` and keys
+    the families by (parent.key(), b.key()), first member's coefficient kept."""
+    family = q**k
+    while len(terms) % family == 0 and terms:
+        groups = {}
+        for c, b, cube in terms:
+            parent = Cube(cube.corner.rep_mod(scale - 1), scale - 1)
+            groups.setdefault((parent.key(), b.key()), []).append((c, b, cube, parent))
+        mergeable = []
+        for members in groups.values():
+            c0 = members[0][0]
+            if len(members) != family or any(abs(c - c0) > 1e-12 * max(1.0, abs(c0)) for c, _, _, _ in members):
+                return terms, scale
+            mergeable.append((c0, members[0][1], members[0][3]))
+        terms = mergeable
+        scale -= 1
+    return terms, scale
 
 
 def _bits(c):
@@ -322,6 +342,65 @@ class TestCanonicalize:
         Q = ball(3, 1, 0)
         f = ModulatedStep(3, 1, [(1.0, QVector.zero(3, 1), Q), (-1.0, QVector.zero(3, 1), Q)])
         assert f.is_zero
+
+
+@st.composite
+def sibling_families(draw):
+    """(q, k, terms, scale): every piece at ``scale`` of a few root cubes with
+    one coefficient per (root, modulation), in drawn order, sometimes spoiled
+    by one far coefficient or nudged by one within the merge tolerance."""
+    q, k = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]))
+    top, depth = draw(st.integers(-2, 1)), draw(st.integers(1, 2))
+    coord = st.builds(QRational, st.just(q), st.integers(0, q**4), st.integers(-3, 0)).map(lambda c: c.rep_mod(top))
+    roots = draw(st.lists(st.lists(coord, min_size=k, max_size=k).map(lambda cs: Cube(QVector(cs), top)),
+                          min_size=1, max_size=2, unique=True))
+    mods = list(dict.fromkeys(
+        QVector([QRational(q, draw(st.integers(-q**3, q**3)), draw(st.integers(-3, 1))) for _ in range(k)])
+        for _ in range(draw(st.integers(1, 2)))))
+    terms = [(c, b, piece) for root in roots for b in mods for c in [draw(COEFFS)]
+             for piece in root.subdivide(top + depth)]
+    terms = draw(st.permutations(terms))
+    i, spoil = draw(st.integers(0, len(terms) - 1)), draw(st.sampled_from([None, 1.0, 1e-14]))
+    if spoil is not None:
+        c, b, cube = terms[i]
+        terms[i] = (c + spoil * max(1.0, abs(c)), b, cube)
+    return q, k, terms, top + depth
+
+
+def _keyed(terms):
+    return [((cube.key(), b.key()), c, b, cube) for c, b, cube in terms]
+
+
+class TestCompact:
+    @settings(max_examples=150, deadline=None)
+    @given(sibling_families())
+    def test_matches_the_parent_cube_version(self, case):
+        q, k, terms, scale = case
+        got, got_scale = ModulatedStep._compact(q, k, _keyed(terms), scale)
+        want, want_scale = _parent_cube_compact(q, k, terms, scale)
+        assert got_scale == want_scale
+        assert [(key, _bits(c), b, cube) for key, c, b, cube in got] == \
+            [(key, _bits(c), b, cube) for key, c, b, cube in _keyed(want)]
+
+    def test_a_family_merges_twice(self):
+        terms = [(1.5 + 0.5j, QVector.zero(3, 2), piece) for piece in ball(3, 2, 0).subdivide(2)]
+        got, scale = ModulatedStep._compact(3, 2, _keyed(terms), 2)
+        assert (scale, got) == (0, _keyed([(1.5 + 0.5j, QVector.zero(3, 2), ball(3, 2, 0))]))
+        assert _parent_cube_compact(3, 2, terms, 2) == ([(1.5 + 0.5j, QVector.zero(3, 2), ball(3, 2, 0))], 0)
+
+    def test_no_cube_built_when_a_family_does_not_merge(self, monkeypatch):
+        built = []
+        init = Cube.__init__
+        monkeypatch.setattr(Cube, "__init__", lambda self, *a: (built.append(a), init(self, *a))[1])
+        zero = QVector.zero(3, 2)
+        children = ball(3, 2, 0).subdivide(1)
+        spoiled = _keyed([(1.0 + (i == 4), zero, c) for i, c in enumerate(children)])
+        built.clear()
+        assert ModulatedStep._compact(3, 2, spoiled, 1) == (spoiled, 1)
+        assert built == []
+        merging = _keyed([(1.0, zero, c) for c in children])
+        assert ModulatedStep._compact(3, 2, merging, 1)[1] == 0
+        assert len(built) == 1  # one parent for the one family that merged
 
 
 class TestIntegration:

@@ -67,6 +67,21 @@ class TestDecomposition:
             wavepacket_decompose(bad, K)
         assert err.value.offending_cube is not None
 
+    def test_one_tile_lookup_per_distinct_cube(self, monkeypatch):
+        calls = []
+        real = wp.tile_of_point
+        monkeypatch.setattr(wp, "tile_of_point", lambda x, K, matrix=None: (calls.append(x), real(x, K, matrix))[1])
+        rng = random.Random(7)
+        for m, i in ((1, 1), (2, 5)):
+            K = unit_interval(3).partition(m)[i]
+            g = random_box_function(rng, 3, 2, K, 4)
+            scale = max(g.scale_exp, -m)
+            cubes = [p for c in g.support_cubes() for p in ([c] if c.scale_exp == scale else c.subdivide(scale))]
+            assert len(g._terms_at_scale(scale)) > len(cubes)  # several terms share a cube
+            calls.clear()
+            wavepacket_decompose(g, K)
+            assert sorted(calls, key=QVector.key) == sorted((c.corner for c in cubes), key=QVector.key)
+
     def test_subsums_stay_supported(self):
         rng = random.Random(2)
         K = unit_interval(3).partition(2)[5]
