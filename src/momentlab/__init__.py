@@ -10,7 +10,7 @@ oracles at desk scale; see the verify module and the test suite.
 __version__ = "0.1.0"
 
 from .errors import BudgetExceededError, MomentLabError, SupportError, VerificationError
-from .geometry import Cube, Interval, MaMatrix, ThetaBox, Tile, ball, gamma, unit_interval
+from .geometry import Cube, Interval, ThetaBox, Tile, ball, gamma, unit_interval
 from .qadic import QRational, QVector, UnitComplex, char_chi, char_value
 from .stepfn import ModulatedStep
 from .wavepackets import PigeonholeBucket, ScaleConfig, WavepacketSet
@@ -28,7 +28,6 @@ __all__ = [
     "char_value",
     "Interval",
     "Cube",
-    "MaMatrix",
     "ThetaBox",
     "Tile",
     "ball",

@@ -57,7 +57,10 @@ def _prime_check(value: str) -> int:
 
 
 def _fraction(value: str) -> Fraction:
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{value!r} has a zero denominator") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -277,6 +277,8 @@ def counting_lemma_exhaustive(q: int, k: int, delta_exp: int, kappa_exp: int):
     boxes away from the unit ball give empty sets).  Returns a report with
     the worst count and the query space size.
     """
+    if q <= k:
+        raise ValueError(f"need a prime q > k, got q={q}, k={k}")
     cfg = ScaleConfig(q, k, delta_exp, -(-delta_exp // k), kappa_exp)
     m, r = delta_exp, kappa_exp
     coarse = cfg.coarse_partition()

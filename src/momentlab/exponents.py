@@ -206,7 +206,7 @@ def iteration_count(epsilon: Fraction) -> int:
     return max(1, ceil(log(1.0 / eps) / log(1.0 / (1.0 - eps))))
 
 
-def iterate_D_bound(params: ExponentParams, p: int, base_bounds=None) -> BoundTrajectory:
+def iterate_D_bound(params: ExponentParams, p: int) -> BoundTrajectory:
     """Numerically unroll the induction from p0 up to p.
 
     Each rung inherits the previous rung's delta-exponent T(p') for the
@@ -219,8 +219,6 @@ def iterate_D_bound(params: ExponentParams, p: int, base_bounds=None) -> BoundTr
     M = iteration_count(eps)
     epsf = float(eps)
     base_T = supercritical_slack(k, c0, p0)
-    if base_bounds is not None:
-        base_T = float(base_bounds.get(p0, base_T))
     if base_T < -FLOAT_TOL:
         raise MomentLabError("base bound has negative exponent; hypothesis violated")
     traj = BoundTrajectory(params=params, p=p)

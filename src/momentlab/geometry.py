@@ -18,6 +18,7 @@ B(a), B(-a) rescale a piece over an interval back to the unit interval.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb, factorial
 
@@ -27,11 +28,11 @@ from .qadic import QRational, QVector
 __all__ = [
     "Interval",
     "Cube",
-    "MaMatrix",
     "ThetaBox",
     "Tile",
     "gamma",
     "binomial_frame",
+    "tangent_frame",
     "frame_apply",
     "unit_interval",
     "ball",
@@ -297,29 +298,19 @@ def _frame_anchor(a: QRational, k: int) -> int:
     return int(a.to_fraction())
 
 
-class MaMatrix:
-    """The lower-triangular frame matrix with columns the curve derivatives.
+@cache
+def tangent_frame(a: QRational, k: int) -> tuple[tuple[int, ...], ...]:
+    """The integer rows of M_a = B(a) diag(1!, ..., k!), whose columns are the curve derivatives.
 
-    M_a = B(a) diag(1!, ..., k!): with |a| <= 1 the anchor is an integer,
-    and so is every entry perm(i, j) * a^(i-j).  With q > k the
-    determinant has norm 1, so the matrix maps cubes of any side
-    bijectively onto cubes of the same side.
+    With |a| <= 1 the anchor is an integer, and so is every entry
+    perm(i, j) * a^(i-j).  With q > k the determinant has norm 1, so the
+    matrix maps cubes of any side bijectively onto cubes of the same side.
+    Memoized per (a, k): every tile over one base interval shares its frame.
     """
-
-    __slots__ = ("q", "k", "a", "entries")
-
-    def __init__(self, a: QRational, k: int):
-        entries = tuple(
-            tuple(b * factorial(j) for j, b in enumerate(row, 1))
-            for row in binomial_frame(_frame_anchor(a, k), k)
-        )
-        object.__setattr__(self, "q", a.q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MaMatrix is immutable")
+    return tuple(
+        tuple(b * factorial(j) for j, b in enumerate(row, 1))
+        for row in binomial_frame(_frame_anchor(a, k), k)
+    )
 
 
 class ThetaBox:
@@ -389,7 +380,7 @@ def theta_diff_decompose(K: Interval, k: int) -> list[Cube]:
     cube of the same side at M t mod q^(mk).
     """
     q, m = K.q, K.scale_exp
-    entries = MaMatrix(K.corner, k).entries
+    entries = tangent_frame(K.corner, k)
     modulus = q ** (m * k)
     axes = [range(0, modulus, q ** (m * j)) for j in range(1, k + 1)]
     return [Cube(QVector.from_ints(q, _diff_corners(entries, t, modulus)), m * k) for t in product(*axes)]
@@ -409,22 +400,19 @@ class Tile:
     coordinate j) identifies the coset, so tiles compare by (K, w).
     """
 
-    __slots__ = ("q", "k", "base_interval", "dual_corner", "_matrix")
+    __slots__ = ("q", "k", "base_interval", "dual_corner")
 
-    def __init__(self, base_interval: Interval, dual_corner: QVector, matrix: MaMatrix | None = None):
+    def __init__(self, base_interval: Interval, dual_corner: QVector):
         k = dual_corner.k
         m = base_interval.scale_exp
         # canonical: zero, or digits only at positions below -m*(j+1)
         for j, w in enumerate(dual_corner):
             if not _is_canonical(w, -m * (j + 1)):
                 raise ValueError("dual corner not canonical for this base interval")
-        if matrix is None:
-            matrix = MaMatrix(base_interval.corner, k)
         object.__setattr__(self, "q", base_interval.q)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "base_interval", base_interval)
         object.__setattr__(self, "dual_corner", dual_corner)
-        object.__setattr__(self, "_matrix", matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tile is immutable")
@@ -435,19 +423,13 @@ class Tile:
         return Fraction(self.q) ** (m * self.k * (self.k + 1) // 2)
 
     def contains(self, x: QVector) -> bool:
-        q, k, m = self.q, self.k, self.base_interval.scale_exp
-        n, L = _scaled((*x, *self.dual_corner))
-        y = _matvec(self._matrix.entries, n[:k], transpose=True)
-        for j in range(k):
-            e = -m * (j + 1) - L
-            if e > 0 and (y[j] - n[k + j]) % q**e:
-                return False
-        return True
+        return tile_of_point(x, self.base_interval) == self
 
     def offset_point(self) -> QVector:
         """A point of the tile with coordinates in Z[1/q]: M^T x = w modulo the dual group."""
         n, L = _scaled(self.dual_corner)
-        x = _offset_digits(self._matrix.entries, n, L, self.base_interval.scale_exp, self.q)
+        rows = tangent_frame(self.base_interval.corner, self.k)
+        x = _offset_digits(rows, n, L, self.base_interval.scale_exp, self.q)
         return QVector([QRational(self.q, xj, L) for xj in x])
 
     def sample_points(self, count: int = 8) -> list[QVector]:
@@ -519,13 +501,11 @@ def _owner_digits(rows, n, L: int, m: int, q: int) -> list:
     return digits
 
 
-def tile_of_point(x: QVector, K: Interval, matrix: MaMatrix | None = None) -> Tile:
+def tile_of_point(x: QVector, K: Interval) -> Tile:
     """The unique tile over K containing x."""
-    if matrix is None:
-        matrix = MaMatrix(K.corner, x.k)
     n, L = _scaled(x)
-    w = _owner_digits(matrix.entries, n, L, K.scale_exp, x.q)
-    return Tile(K, QVector([QRational(x.q, d, L) for d in w]), matrix)
+    w = _owner_digits(tangent_frame(K.corner, x.k), n, L, K.scale_exp, x.q)
+    return Tile(K, QVector([QRational(x.q, d, L) for d in w]))
 
 
 def tile_partition(Q: Cube, K: Interval) -> list[Tile]:
@@ -539,12 +519,11 @@ def tile_partition(Q: Cube, K: Interval) -> list[Tile]:
         raise MomentLabError(
             f"tile partition needs a cube of side q^{m * k}, got side exponent {-Q.scale_exp}"
         )
-    matrix = MaMatrix(K.corner, k)
     # scale jointly with the side q^(mk), so that shifts by it are integers
     n, L = _scaled((*Q.corner, QRational(q, 1, -m * k)))
     step = q ** (-m * k - L)
     axis_reps = [
         sorted(_axis_corners(QRational(q, y % step, L), -m * k, q ** (m * (k - j))), key=QRational.key)
-        for j, y in enumerate(_matvec(matrix.entries, n[:k], transpose=True), 1)
+        for j, y in enumerate(_matvec(tangent_frame(K.corner, k), n[:k], transpose=True), 1)
     ]
-    return [Tile(K, QVector(w), matrix) for w in product(*axis_reps)]
+    return [Tile(K, QVector(w)) for w in product(*axis_reps)]

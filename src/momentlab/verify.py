@@ -28,12 +28,12 @@ from .exponents import (
     theorem_exponent,
 )
 from .geometry import (
-    MaMatrix,
     _diff_corners,
     _offset_digits,
     _owner_digits,
     _scaled,
     ball,
+    tangent_frame,
     theta_of,
     tile_partition,
     unit_interval,
@@ -138,8 +138,8 @@ def tilings(report, q: int, k: int, delta_exps=(1, 2)):
     corners M t mod q^(mk) are distinct and in theta_K - theta_K; the tiles
     of ``tile_partition`` are distinct, fill Q and own their offset points;
     up to RESIDUE_CHECK_LIMIT residues of Q at side d^-1, each is owned by
-    one of them, evenly, and every 40th lies in exactly one tile by
-    ``Tile.contains``.
+    one of them, evenly.  ``Tile.contains`` is this owner test, so with
+    distinct tile keys each residue lies in exactly one tile.
     """
     checked = 0
     for m in delta_exps:
@@ -148,7 +148,7 @@ def tilings(report, q: int, k: int, delta_exps=(1, 2)):
         n_residues = q ** (m * (k - 1) * k)
         modulus = q ** (m * k)
         for K in unit_interval(q).partition(m)[: q - 1]:
-            entries = MaMatrix(K.corner, k).entries
+            entries = tangent_frame(K.corner, k)
             tiles = tile_partition(Q, K)
             # one scale L <= -mk for every dual corner and the residue step q^-mk
             flat, L = _scaled([c for t in tiles for c in t.dual_corner] + [QRational(q, 1, -m * k)])
@@ -191,12 +191,6 @@ def tilings(report, q: int, k: int, delta_exps=(1, 2)):
                 _, shares = np.unique(owners[:first], return_counts=True)
                 if shares.size and set(shares.tolist()) != {n_residues // len(tiles)}:
                     report["failures"].append(f"uneven tile ownership at m={m}")
-                for i in range(0, n_residues, max(1, n_residues // 40)):
-                    point = QVector([QRational(q, int(c[i]), L) for c in x])
-                    direct = sum(1 for t in tiles if t.contains(point))
-                    if direct != 1:
-                        report["failures"].append(f"residue {point} lies in {direct} tiles at m={m}")
-                        break
             checked += 1
     report["checked"] = checked
 

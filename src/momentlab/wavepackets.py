@@ -19,7 +19,6 @@ from .geometry import (
     DEFAULT_CELL_BUDGET,
     Cube,
     Interval,
-    MaMatrix,
     ThetaBox,
     Tile,
     theta_of,
@@ -187,12 +186,11 @@ def wavepacket_decompose(g: ModulatedStep, K: Interval) -> WavepacketSet:
     verify_theta_support(g, K)
     if g.is_zero:
         return WavepacketSet(K, [])
-    matrix = MaMatrix(K.corner, g.k)
     scale = max(g.scale_exp, -K.scale_exp)
     by_tile: dict[Tile, list] = {}
     for cube, parts in g._by_cube.items():
         for piece in [cube] if cube.scale_exp == scale else cube.subdivide(scale):
-            by_tile.setdefault(tile_of_point(piece.corner, K, matrix), []).extend((c, b, piece) for c, b in parts)
+            by_tile.setdefault(tile_of_point(piece.corner, K), []).extend((c, b, piece) for c, b in parts)
     packets = [(t, ModulatedStep(g.q, g.k, by_tile[t])) for t in sorted(by_tile, key=Tile.key)]
     return WavepacketSet(K, [(t, p) for t, p in packets if not p.is_zero])
 

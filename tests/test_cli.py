@@ -244,6 +244,23 @@ class TestFailureModes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["exponents", "--k", "2", "--p0", "4", "--c0", "2", "--eps", "1/0", "--p-max", "12"],
+            ["exponents", "--k", "2", "--p0", "4", "--c0", "1/0", "--eps", "1/10", "--p-max", "12"],
+            ["main-lemma", "--input", "g.json", "--p", "8", "--delta-exp", "2", "--eps", "1/0"],
+        ],
+        ids=["exponents-eps", "exponents-c0", "main-lemma-eps"],
+    )
+    def test_zero_denominator_is_a_usage_error(self, capsys, argv):
+        from momentlab import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "'1/0' has a zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["linnik", "--k", "2", "--p", "3", "--residues", "1"],
             ["pigeonhole-report", "--delta-exp", "2"],
             ["karatsuba", "--s", "3", "--k", "2", "--X", "10"],
@@ -252,9 +269,12 @@ class TestFailureModes:
             ["counting-lemma", "--q", "3", "--k", "2", "--delta-exp", "2", "--kappa-exp", "1", "--format", "csv"],
             ["exponents", "--k", "2", "--p0", "4", "--c0", "0", "--eps", "1/10", "--p-max", "12"],
             ["verify-all", "--q", "3", "--k", "3"],
+            ["counting-lemma", "--q", "2", "--k", "2", "--delta-exp", "2", "--kappa-exp", "1"],
+            ["counting-lemma", "--q", "5", "--k", "5", "--delta-exp", "1", "--kappa-exp", "1"],
         ],
         ids=["residue-count", "no-q-or-k", "s-not-multiple-of-k", "zero-ratio", "zero-reverse-square",
-             "csv-without-table", "positivity-violated", "verify-all-q-not-above-k"],
+             "csv-without-table", "positivity-violated", "verify-all-q-not-above-k",
+             "counting-lemma-q2-k2", "counting-lemma-q5-k5"],
     )
     def test_usage_error_exits_2(self, tmp_path, capsys, argv):
         from momentlab import cli

@@ -14,7 +14,6 @@ from momentlab.geometry import (
     DEFAULT_CELL_BUDGET,
     Cube,
     Interval,
-    MaMatrix,
     ThetaBox,
     Tile,
     _diff_corners,
@@ -26,6 +25,7 @@ from momentlab.geometry import (
     frame_apply,
     gamma,
     interval_distance,
+    tangent_frame,
     tau_of,
     theta_diff_decompose,
     theta_of,
@@ -47,9 +47,10 @@ def gamma_derivative(a, j, k):
                     for i in range(1, k + 1)])
 
 
-def _det(M):
-    """Determinant of the lower-triangular frame matrix: its diagonal product."""
-    return QRational(M.q, prod(M.entries[i][i] for i in range(M.k)))
+def _det(a, k):
+    """Determinant of the lower-triangular frame matrix at a: its diagonal product."""
+    rows = tangent_frame(a, k)
+    return QRational(a.q, prod(rows[i][i] for i in range(k)))
 
 
 class TestIntervals:
@@ -201,16 +202,15 @@ class TestMomentCurve:
             gamma(q3(1, -1), 2)
 
     def test_frame_matrix_at_zero(self):
-        M = MaMatrix(QRational(7, 0), 3)
         cols = [gamma_derivative(QRational(7, 0), j, 3) for j in (1, 2, 3)]
         assert cols[0] == QVector.from_ints(7, [1, 0, 0])
         assert cols[1] == QVector.from_ints(7, [0, 2, 0])
         assert cols[2] == QVector.from_ints(7, [0, 0, 6])
-        assert _det(M).qnorm() == 1
+        assert _det(QRational(7, 0), 3).qnorm() == 1
 
     def test_determinant_norm_is_one(self):
         for a in (q3(0), q3(1), q3(5, 1)):
-            assert _det(MaMatrix(a, 2)).qnorm() == 1
+            assert _det(a, 2).qnorm() == 1
 
     def test_anchor_change_is_unipotent_in_the_ring(self):
         # the frame at one anchor equals the frame at another times a
@@ -220,14 +220,14 @@ class TestMomentCurve:
         K = unit_interval(5).partition(1)[1]
         a = K.corner
         b = a + QRational(5, 1, 1)  # another point of K
-        Ma, box_b = MaMatrix(a, 3), ThetaBox(b, 1, 3)
+        Ma, box_b = tangent_frame(a, 3), ThetaBox(b, 1, 3)
         for _ in range(25):
             t = QVector([QRational(5, rng.randrange(125), j) for j in (1, 2, 3)])
-            assert box_b._group_member(*_scaled(frame_apply(Ma.entries, t)))
+            assert box_b._group_member(*_scaled(frame_apply(Ma, t)))
 
     def test_frame_requires_large_prime(self):
         with pytest.raises(ValueError):
-            MaMatrix(QRational(3, 0), 3)
+            tangent_frame(QRational(3, 0), 3)
 
 
 class TestThetaTau:
@@ -301,9 +301,9 @@ class TestDecompositions:
         tiles = tile_partition(Q, K)
         assert len(tiles) == 3
         assert sum((t.volume for t in tiles), Fraction(0)) == Q.volume
-        # exhaustive residue membership
+        # exhaustive residue membership, by the definition rather than the owner digits
         for sub in Q.subdivide(-1):
-            assert sum(1 for t in tiles if t.contains(sub.corner)) == 1
+            assert sum(1 for t in tiles if _in_tile(t, sub.corner)) == 1
 
     def test_tile_partition_wrong_side_rejected(self):
         K = unit_interval(3).partition(1)[0]
@@ -340,6 +340,13 @@ def _transpose_qr(a, k, x):
     return QVector([col.dot(x) for col in _frame_columns(a, k)])
 
 
+def _in_tile(tile, y):
+    """Tile membership by its definition: M_a^T y - w lies in the dual group."""
+    m, k = tile.base_interval.scale_exp, tile.k
+    d = _transpose_qr(tile.base_interval.corner, k, y) - tile.dual_corner
+    return all(d[j].is_zero or d[j].valuation >= -m * (j + 1) for j in range(k))
+
+
 def _solve_fractions(a, k, v):
     """M_a t = v by forward substitution over the rationals."""
     cols = _frame_columns(a, k)
@@ -369,7 +376,7 @@ class TestIntegerFrameMaps:
     def test_transpose_apply_and_tile_of_point(self, case):
         q, k, K, x, y = case
         a, m = K.corner, K.scale_exp
-        E = MaMatrix(a, k).entries
+        E = tangent_frame(a, k)
         image = _transpose_qr(a, k, x)
         assert frame_apply(E, x, transpose=True) == image
         assert all(type(c.unit) is int for c in (*frame_apply(E, x, transpose=True), *frame_apply(E, x)))
@@ -379,9 +386,7 @@ class TestIntegerFrameMaps:
         t = tile_of_point(x, K)
         assert t.dual_corner == QVector([image[j].rep_mod(-m * (j + 1)) for j in range(k)])
         assert t.contains(x)
-        # membership of another point: M^T y - w inside the dual group
-        d = _transpose_qr(a, k, y) - t.dual_corner
-        expected = all(d[j].is_zero or d[j].valuation >= -m * (j + 1) for j in range(k))
+        expected = _in_tile(t, y)
         assert t.contains(y) == expected
         assert (tile_of_point(y, K) == t) == expected
 
@@ -415,7 +420,7 @@ def _legacy_mat_apply(rows, v):
 
 def _legacy_frame_rows(anchor, k, transpose=False):
     """The frame matrix M_a as QRational rows (or its transpose)."""
-    rows = [[QRational(anchor.q, e) for e in row] for row in MaMatrix(anchor, k).entries]
+    rows = [[QRational(anchor.q, e) for e in row] for row in tangent_frame(anchor, k)]
     return [list(col) for col in zip(*rows)] if transpose else rows
 
 
@@ -443,7 +448,7 @@ def _legacy_affine_rescale(g_I, I):
 def _legacy_offset_point(tile):
     """Back substitution for M^T x = w in QRational arithmetic."""
     q, k, m = tile.q, tile.k, tile.base_interval.scale_exp
-    E = MaMatrix(tile.base_interval.corner, k).entries
+    E = tangent_frame(tile.base_interval.corner, k)
     x = [QRational(q, 0)] * k
     for j in range(k - 1, -1, -1):
         r = tile.dual_corner[j]
@@ -516,7 +521,7 @@ class TestBinomialFrame:
         assert gamma_int(a + t) == gamma_int(a) + frame_apply(B, gamma_int(t))
         anchor = QRational(q, a)
         columns = [gamma_derivative(anchor, j, k) for j in range(1, k + 1)]
-        entries = MaMatrix(anchor, k).entries
+        entries = tangent_frame(anchor, k)
         assert entries == tuple(tuple(B[i][j] * factorial(j + 1) for j in range(k)) for i in range(k))
         assert all(QRational(q, entries[i][j]) == columns[j][i] for i in range(k) for j in range(k))
 
@@ -582,18 +587,17 @@ class TestLatticeKernels:
         L = -m * k
         x = _lattice([q ** (m * (k - 1))] * k, object)
         for K in unit_interval(q).partition(m)[: q - 1]:
-            matrix = MaMatrix(K.corner, k)
-            digits = _owner_digits(matrix.entries, x, L, m, q)
+            digits = _owner_digits(tangent_frame(K.corner, k), x, L, m, q)
             for i in range(len(x[0])):
                 point = QVector([QRational(q, c[i], L) for c in x])
-                want = tile_of_point(point, K, matrix).dual_corner
+                want = tile_of_point(point, K).dual_corner
                 assert QVector([QRational(q, int(d[i]), L) for d in digits]) == want
 
     @pytest.mark.parametrize("dtype", ["int64", object])
     def test_column_offsets_and_corners_match_the_objects(self, dtype):
         # Python-int columns are slow, so they skip the 15,625-tile cell
         for q, k, m, K in [c for c in CRITERION_3_GRID if dtype == "int64" or c[:3] != (5, 3, 2)]:
-            entries = MaMatrix(K.corner, k).entries
+            entries = tangent_frame(K.corner, k)
             tiles = tile_partition(ball(q, k, m * k), K)
             L = -m * k
             duals = [[c.unit * q ** (c.valuation - L) if c.unit else 0 for c in t.dual_corner] for t in tiles]
@@ -628,6 +632,18 @@ class TestTilingsLatticePass:
         monkeypatch.setattr(verify, "tile_partition", lambda Q, K: tile_partition(Q, K)[1:])
         failures = self._failures()
         assert "tile count at m=1: 4" in failures
+        assert any("owned by a foreign tile" in f for f in failures)
+
+    def test_duplicated_tile(self, monkeypatch):
+        from momentlab import verify
+
+        def duplicated(Q, K):
+            tiles = tile_partition(Q, K)
+            return tiles[:-1] + tiles[:1]
+
+        monkeypatch.setattr(verify, "tile_partition", duplicated)
+        failures = self._failures()
+        assert "tile coset reps collide at m=1" in failures
         assert any("owned by a foreign tile" in f for f in failures)
 
     def test_shifted_owner_digit(self, monkeypatch):

@@ -70,7 +70,7 @@ class TestDecomposition:
     def test_one_tile_lookup_per_distinct_cube(self, monkeypatch):
         calls = []
         real = wp.tile_of_point
-        monkeypatch.setattr(wp, "tile_of_point", lambda x, K, matrix=None: (calls.append(x), real(x, K, matrix))[1])
+        monkeypatch.setattr(wp, "tile_of_point", lambda x, K: (calls.append(x), real(x, K))[1])
         rng = random.Random(7)
         for m, i in ((1, 1), (2, 5)):
             K = unit_interval(3).partition(m)[i]
