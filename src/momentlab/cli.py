@@ -56,6 +56,13 @@ def _prime_check(value: str) -> int:
     return n
 
 
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
+    return n
+
+
 def _fraction(value: str) -> Fraction:
     try:
         return Fraction(value)
@@ -88,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--X", type=int, required=True)
     p.add_argument("--mod-p", type=_prime_check, default=None)
     p.add_argument("--residue", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     common(p, seed=False)
 
     p = sub.add_parser("linnik", help="residue counts with prescribed power sums")
@@ -220,7 +227,7 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_count_vinogradov(args) -> int:
-    kwargs = {"budget": args.budget} if args.budget else {}
+    kwargs = {} if args.budget is None else {"budget": args.budget}
     payload = {"count": count_J(args.s, args.k, args.X, **kwargs)}
     if args.mod_p is not None:
         payload["count_distinct_mod_p"] = count_J_congruence(
@@ -246,7 +253,7 @@ def _cmd_linnik(args) -> int:
         if len(args.residues) != args.k:
             raise ValueError(f"need exactly {args.k} residues")
         payload["count"] = linnik_count(args.k, args.p, args.residues)
-        payload["holds"] = payload["count"] <= bound
+        payload["holds"] = payload.get("holds", True) and payload["count"] <= bound
     _emit(args, payload)
     return EXIT_OK if payload.get("holds", True) else EXIT_VERIFICATION
 
@@ -274,12 +281,9 @@ def _cmd_counting_lemma(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    from .decoupling import DecouplingInstance, decoupling_ratio
+    from .decoupling import decoupling_ratio
 
-    f = _load_fixture(args.input)
-    inst = DecouplingInstance(f, args.delta_exp, args.p)
-    ratio, rep = decoupling_ratio(inst)
-    rep["certificate_intervals"] = [K.to_json() for K in sorted(inst.certificate, key=lambda i: i.key())]
+    _, rep = decoupling_ratio(_load_fixture(args.input), args.delta_exp, args.p)
     _emit(args, rep)
     return EXIT_OK
 

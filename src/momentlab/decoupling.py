@@ -29,7 +29,6 @@ from .vinogradov import count_power_sum_congruences
 from .wavepackets import ScaleConfig, freq_certificate
 
 __all__ = [
-    "DecouplingInstance",
     "CountingQuery",
     "freq_certificate",
     "trivial_decoupling_bound",
@@ -50,49 +49,39 @@ __all__ = [
 REL_TOL = 1e-9
 
 
-@dataclass
-class DecouplingInstance:
-    """A function with verified curve-box Fourier support, a scale, and p."""
-
-    f: ModulatedStep
-    delta_exp: int
-    p: int
-    certificate: dict[Interval, list[Cube]] | None = None
-
-    def __post_init__(self):
-        if self.p < 2 or self.p % 2 != 0:
-            raise ValueError("p must be an even integer >= 2")
-        if self.certificate is None:
-            self.certificate = freq_certificate(self.f, self.delta_exp)
-
-
 def trivial_decoupling_bound(q: int, scale_exp: int) -> float:
     """Cauchy-Schwarz ceiling: the constant at scale q^-m is at most q^(m/2)."""
     return float(q) ** (scale_exp / 2.0)
 
 
-def decoupling_ratio(inst: DecouplingInstance):
+def decoupling_ratio(f: ModulatedStep, delta_exp: int, p: int):
     """||f||_p divided by the square-function ell^2 aggregate of the pieces.
 
-    Every instance certifies a lower bound for the decoupling constant at
-    its scale; the trivial ceiling is asserted on the way out.
+    f must be Fourier supported in the curve boxes at scale q^-delta_exp,
+    which freq_certificate checks.  Every instance certifies a lower bound
+    for the decoupling constant at its scale; the trivial ceiling is
+    asserted on the way out.
     """
-    f, m, p = inst.f, inst.delta_exp, inst.p
+    if p < 2 or p % 2 != 0:
+        raise ValueError("p must be an even integer >= 2")
     if f.is_zero:
         raise ValueError("the zero function has no decoupling ratio")
-    pieces = f.freq_components(unit_interval(f.q).partition(m))
-    sq = fsum(fK.lp_norm(p) ** 2 for fK in pieces.values() if not fK.is_zero)
+    certificate = freq_certificate(f, delta_exp)
+    pieces = f.freq_components(unit_interval(f.q).partition(delta_exp)).values()
+    live = [fK for fK in pieces if not fK.is_zero]
+    sq = fsum(fK.lp_norm(p) ** 2 for fK in live)
     numerator = f.lp_norm(p)
     ratio = numerator / sq**0.5
-    ceiling = trivial_decoupling_bound(f.q, m)
+    ceiling = trivial_decoupling_bound(f.q, delta_exp)
     if ratio > ceiling * (1 + REL_TOL):
         raise VerificationError(f"ratio {ratio} exceeds the trivial ceiling {ceiling}")
     report = {
         "ratio": ratio,
         "numerator": numerator,
-        "pieces": sum(1 for fK in pieces.values() if not fK.is_zero),
+        "pieces": len(live),
         "square_sum": sq,
         "trivial_ceiling": ceiling,
+        "certificate_intervals": [K.to_json() for K in certificate],
     }
     return ratio, report
 
@@ -112,12 +101,8 @@ def exp_sum_extremizer(q: int, k: int, delta_exp: int) -> ModulatedStep:
 def exp_sum_lower_bound(q: int, k: int, delta_exp: int, p: int):
     """Decoupling ratio of the canonical wave superposition, cross-checked
     against the exact congruence count of anchor power sums."""
-    if p % 2 != 0 or p < 2:
-        raise ValueError("p must be an even integer >= 2")
     m = delta_exp
-    f = exp_sum_extremizer(q, k, delta_exp)
-    inst = DecouplingInstance(f, delta_exp=m, p=p)
-    ratio, report = decoupling_ratio(inst)
+    ratio, report = decoupling_ratio(exp_sum_extremizer(q, k, m), m, p)
     s = p // 2
     n_cong = count_power_sum_congruences(s, k, q**m, [q ** (m * k)] * k)
     # ||f||_p^p = vol(ball) * N and each ||f_K||_p = vol^(1/p), so the ratio

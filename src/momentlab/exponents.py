@@ -253,13 +253,12 @@ def iterate_D_bound(params: ExponentParams, p: int) -> BoundTrajectory:
         q_exp_cur = q_exp_prev + Fraction(cur, 2) + Fraction(k * k + 7 * k - 4, 2)
         if q_exp_cur != a_coeff(cur, p0, k):
             raise MomentLabError("q-exponent recurrence drifted from the closed form")
-        target = supercritical_slack(k, c0, cur)
         traj.steps.append(
             {
                 "p": cur,
                 "T": T_cur,
                 "per_Lp_delta_exponent": T_cur / cur,
-                "target_no_eps": target / cur,
+                "target_no_eps": slack / cur,
                 "counted_branch": counted,
                 "trivial_branch": trivial_cap,
                 "branch": "counted" if counted >= trivial_cap else "trivial-cap",
@@ -269,7 +268,7 @@ def iterate_D_bound(params: ExponentParams, p: int) -> BoundTrajectory:
         )
         T_prev = T_cur
         q_exp_prev = q_exp_cur
-        cur_slack = T_cur - target
+        cur_slack = T_cur - slack
         if cur_slack < -FLOAT_TOL:
             raise MomentLabError(
                 f"unrolled exponent beats the claimed bound at p = {cur}; bookkeeping error"

@@ -194,7 +194,10 @@ class Cube:
 
     def subdivide(self, scale_exp: int) -> list["Cube"]:
         """All subcubes of side q^-scale_exp, in lexicographic digit order;
-        each axis runs over the corners of ``Interval.partition``, on ints."""
+        each axis runs over the corners of ``Interval.partition``, on ints.
+        At the cube's own scale that is [self]."""
+        if scale_exp == self.scale_exp:
+            return [self]
         if scale_exp < self.scale_exp:
             raise ValueError("cannot subdivide at a coarser scale")
         per_axis = self.q ** (scale_exp - self.scale_exp)

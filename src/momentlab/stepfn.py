@@ -96,7 +96,7 @@ class ModulatedStep:
         merged: dict[tuple, list] = {}
         reduced: dict[QVector, tuple] = {}
         for c, b, cube in terms:
-            pieces = [cube] if cube.scale_exp == scale else cube.subdivide(scale)
+            pieces = cube.subdivide(scale)
             red = reduced.get(b)
             if red is None:
                 rep = b.rep_mod(-scale)
@@ -164,20 +164,6 @@ class ModulatedStep:
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c, _, _ in self.terms), default=0.0)
-
-    def _terms_at_scale(self, scale_exp: int):
-        """Raw term list with every cube subdivided to the given finer scale.
-
-        Modulations are left untouched, so they are canonical only for the
-        original scale; consumers must not assume otherwise.
-        """
-        out = []
-        for c, b, cube in self.terms:
-            if cube.scale_exp == scale_exp:
-                out.append((c, b, cube))
-            else:
-                out.extend((c, b, piece) for piece in cube.subdivide(scale_exp))
-        return out
 
     # -- linear structure -----------------------------------------------------
 
@@ -285,11 +271,12 @@ class ModulatedStep:
             if any(i.scale_exp != scale for i in partition):
                 raise MomentLabError("freq_components needs a uniform-scale partition")
             lookup = {i.corner: i for i in partition}
-            for c, b, cube in hat._terms_at_scale(max(hat.scale_exp, scale)):
-                key = cube.corner[0].rep_mod(scale)
-                interval = lookup.get(key)
-                if interval is not None:
-                    buckets[interval].append((c, b, cube))
+            fine = max(hat.scale_exp, scale)
+            for c, b, cube in hat.terms:
+                for piece in cube.subdivide(fine):
+                    interval = lookup.get(piece.corner[0].rep_mod(scale))
+                    if interval is not None:
+                        buckets[interval].append((c, b, piece))
         return {
             i: ModulatedStep(self.q, self.k, terms).inverse_fourier()
             for i, terms in buckets.items()
@@ -446,8 +433,7 @@ def joint_cell_values(fns, budget: int = DEFAULT_CELL_BUDGET):
         return np.zeros(0), np.zeros((len(fns), 0))
     q, k = live[0].q, live[0].k
     s = max(f.scale_exp for f in live)
-    cubes = dict.fromkeys(piece for f in live for cube in f._by_cube
-                          for piece in (cube.subdivide(s) if cube.scale_exp < s else [cube]))
+    cubes = dict.fromkeys(piece for f in live for cube in f._by_cube for piece in cube.subdivide(s))
     plan = []
     for cube in cubes:
         rows, r = [], s

@@ -91,17 +91,19 @@ class ScaleConfig:
         return unit_interval(self.q).partition(self.kappa_exp)
 
 
-def freq_certificate(f: ModulatedStep, delta_exp: int) -> dict[Interval, list[Cube]]:
-    """Which fine intervals carry Fourier support, with the witness cubes.
+def freq_certificate(f: ModulatedStep, delta_exp: int) -> dict[Interval, Cube]:
+    """Which fine intervals carry Fourier support, each with a witness cell.
 
-    The transform is taken to the curve-box cube scale: on each transform
-    cube, the terms whose modulations agree below that scale merge into one
-    coefficient per cell, the one canonicalization would give.  Cells above
-    the prune threshold are tested in canonical order against the box over
-    their interval, once per modulation; a cell outside raises with the
-    offender attached.  A canonical cell outside its box is a genuine
-    violation because distinct canonical modulations on one cube are
-    linearly independent characters.
+    This is the one check of the hypothesis supp(FT f) inside the union of
+    curve boxes.  The transform is taken to the curve-box cube scale: on
+    each transform cube, the terms whose modulations agree below that scale
+    merge into one coefficient per cell, the one canonicalization would
+    give.  Cells above the prune threshold are tested against the box over
+    their interval; a cell outside raises with the offender attached.  A
+    canonical cell outside its box is a genuine violation because distinct
+    canonical modulations on one cube are linearly independent characters.
+    Returns the first cell found over each interval, keyed in Interval.key
+    order.
     """
     q, k, m = f.q, f.k, delta_exp
     if f.is_zero:
@@ -129,9 +131,8 @@ def freq_certificate(f: ModulatedStep, delta_exp: int) -> dict[Interval, list[Cu
             if cube not in pieces:
                 pieces[cube] = cube.subdivide(fine)
             cells.extend(pieces[cube][j] for j in (a > tol).nonzero()[0].tolist())
-        cells.sort(key=Cube.key)  # a cell repeats once per modulation left on it
     boxes: dict[Interval, ThetaBox] = {}
-    out: dict[Interval, list[Cube]] = {}
+    witness: dict[Interval, Cube] = {}
     for cube in cells:
         first = cube.corner[0]
         if not first.is_zero and first.valuation < 0:
@@ -140,17 +141,17 @@ def freq_certificate(f: ModulatedStep, delta_exp: int) -> dict[Interval, list[Cu
         box = boxes.get(K)
         if box is None:
             box = boxes[K] = theta_of(K, k)
+            witness[K] = cube
         if not box.contains_cube(cube):
             raise SupportError(f"Fourier support leaves the curve box over {K}", offending_cube=cube)
-        out.setdefault(K, []).append(cube)
-    return out
+    return {K: witness[K] for K in sorted(witness, key=Interval.key)}
 
 
 def verify_theta_support(g: ModulatedStep, K: Interval) -> None:
     """Check supp(FT g) inside the curve box over K; raise otherwise."""
-    for J, cubes in freq_certificate(g, K.scale_exp).items():
+    for J, cell in freq_certificate(g, K.scale_exp).items():
         if J != K:
-            raise SupportError(f"Fourier support leaves the curve box over {K}", offending_cube=cubes[0])
+            raise SupportError(f"Fourier support leaves the curve box over {K}", offending_cube=cell)
 
 
 class WavepacketSet:
@@ -189,7 +190,7 @@ def wavepacket_decompose(g: ModulatedStep, K: Interval) -> WavepacketSet:
     scale = max(g.scale_exp, -K.scale_exp)
     by_tile: dict[Tile, list] = {}
     for cube, parts in g._by_cube.items():
-        for piece in [cube] if cube.scale_exp == scale else cube.subdivide(scale):
+        for piece in cube.subdivide(scale):
             by_tile.setdefault(tile_of_point(piece.corner, K), []).extend((c, b, piece) for c, b in parts)
     packets = [(t, ModulatedStep(g.q, g.k, by_tile[t])) for t in sorted(by_tile, key=Tile.key)]
     return WavepacketSet(K, [(t, p) for t, p in packets if not p.is_zero])
@@ -244,7 +245,8 @@ def pigeonhole(
     """Three-stage dyadic pigeonholing of a frequency-decomposed function.
 
     Requires f spatially supported on one translate of the ball of radius
-    delta^-k and Fourier supported in the union of curve boxes.  Returns
+    delta^-k and Fourier supported in the union of curve boxes, which
+    freq_certificate checks before any splitting.  Returns
     (buckets, remainder, report); the remainder obeys
     ||remainder||_p <= (sum_K ||f_K||_p^2)^(1/2), asserted at runtime.
     """
@@ -259,12 +261,9 @@ def pigeonhole(
                 "function is not supported on a single translate of the big ball"
             )
 
-    fine = cfg.fine_partition()
-    components = f.freq_components(fine)
+    freq_certificate(f, m)
+    components = f.freq_components(cfg.fine_partition())
     live = {K: fK for K, fK in components.items() if not fK.is_zero}
-    reconstructed = ModulatedStep(q, k, [t for fK in live.values() for t in fK.terms])
-    if not reconstructed.close_to(f, 1e-9):
-        raise SupportError("Fourier support leaves the union of curve boxes")
 
     packets: dict[Interval, WavepacketSet] = {
         K: wavepacket_decompose(fK, K) for K, fK in live.items()

@@ -73,6 +73,18 @@ class TestSubcommands:
         data = json.loads(capsys.readouterr().out)
         assert data["bound"] == 0 and not data["holds"]
 
+    def test_linnik_with_both_flags_holds_only_if_both_verdicts_do(self, monkeypatch, capsys):
+        from momentlab import cli
+
+        argv = ["linnik", "--k", "2", "--p", "5", "--exhaustive", "--residues", "1", "2"]
+        assert cli.main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["max_count"] <= data["bound"] and data["count"] <= data["bound"] and data["holds"]
+        monkeypatch.setattr(cli, "linnik_max", lambda k, p: (99, [0, 0]))
+        assert cli.main(argv) == 4
+        data = json.loads(capsys.readouterr().out)
+        assert data["count"] <= data["bound"] < data["max_count"] and not data["holds"]
+
     def test_threads_is_a_constant_of_the_report(self, monkeypatch, capsys):
         from momentlab import cli
 
@@ -155,6 +167,15 @@ class TestFailureModes:
         )
         assert r.returncode == 3
         assert "budget" in r.stderr
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, budget):
+        from momentlab import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count-vinogradov", "--s", "2", "--k", "2", "--X", "5", "--budget", budget])
+        assert exc.value.code == 2
+        assert f"{budget} is not a positive integer" in capsys.readouterr().err
 
     def test_bad_fixture_support_is_verification_failure(self, tmp_path):
         from momentlab.geometry import ball

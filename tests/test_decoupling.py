@@ -88,20 +88,28 @@ class TestCertificates:
         with pytest.raises(SupportError):
             dec.freq_certificate(f, 2)
 
-    def test_instance_type_checks_parity(self):
-        rng = random.Random(1)
-        f = random_curve_supported(rng, 3, 2, 2, 2, 2)
-        with pytest.raises(ValueError):
-            dec.DecouplingInstance(f, 2, 5)
-
 
 class TestRatio:
     def test_single_interval_gives_one(self):
         rng = random.Random(2)
         K = unit_interval(3).partition(2)[4]
         f = random_box_function(rng, 3, 2, K, 3)
-        ratio, _ = dec.decoupling_ratio(dec.DecouplingInstance(f, 2, 6))
+        ratio, _ = dec.decoupling_ratio(f, 2, 6)
         assert abs(ratio - 1.0) < 1e-12
+
+    def test_odd_p_rejected(self):
+        rng = random.Random(1)
+        f = random_curve_supported(rng, 3, 2, 2, 2, 2)
+        with pytest.raises(ValueError):
+            dec.decoupling_ratio(f, 2, 5)
+
+    def test_report_lists_the_certificate_intervals(self):
+        rng = random.Random(4)
+        f = random_curve_supported(rng, 3, 2, 2, 4, 2)
+        cert = dec.freq_certificate(f, 2)
+        _, rep = dec.decoupling_ratio(f, 2, 8)
+        assert rep["certificate_intervals"] == [K.to_json() for K in sorted(cert, key=Interval.key)]
+        assert len(rep["certificate_intervals"]) == rep["pieces"] == 4
 
     def test_disjoint_supports_with_equal_norms(self):
         # pieces on disjoint spatial balls: the ratio is (#K)^(1/p - 1/2)
@@ -114,20 +122,20 @@ class TestRatio:
             cube = Cube(corner.rep_mod(-m * k), -m * k)
             terms.append((1.0 + 0j, gamma(K.corner, k), cube))
         f = ModulatedStep(q, k, terms)
-        ratio, rep = dec.decoupling_ratio(dec.DecouplingInstance(f, m, p))
+        ratio, rep = dec.decoupling_ratio(f, m, p)
         n = len(anchors)
         assert abs(ratio - n ** (1 / p - 1 / 2)) < 1e-12
         assert ratio <= n ** (1 / 2 - 1 / p) + 1e-12
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            dec.decoupling_ratio(dec.DecouplingInstance(ModulatedStep.zero(3, 2), 2, 4))
+            dec.decoupling_ratio(ModulatedStep.zero(3, 2), 2, 4)
 
     def test_trivial_ceiling_on_random_instances(self):
         rng = random.Random(3)
         for _ in range(10):
             f = random_curve_supported(rng, 3, 2, 2, rng.randint(1, 9), 2)
-            ratio, rep = dec.decoupling_ratio(dec.DecouplingInstance(f, 2, 8))
+            ratio, rep = dec.decoupling_ratio(f, 2, 8)
             assert ratio <= rep["trivial_ceiling"] * (1 + 1e-9)
 
 

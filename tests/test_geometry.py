@@ -144,6 +144,13 @@ class TestCubes:
         assert len({p.corner for p in parts}) == 9
         assert sum((p.volume for p in parts), Fraction(0)) == c.volume
 
+    def test_subdivide_at_own_scale_is_the_cube_itself(self):
+        c = Cube(QVector([q3(2, -1), q3(1)]), 1)
+        [same] = c.subdivide(1)
+        assert same is c
+        with pytest.raises(ValueError):
+            c.subdivide(0)
+
     def test_equal_scale_cubes_disjoint_or_identical(self):
         a = Cube(QVector([q3(1), q3(0)]), 1)
         b = Cube(QVector([q3(1), q3(1)]), 1)

@@ -20,6 +20,11 @@ from momentlab.wavepackets import (
 )
 
 
+def _terms_at_scale(h, scale_exp):
+    """h's raw terms with every cube subdivided to the given finer scale."""
+    return [(c, b, piece) for c, b, cube in h.terms for piece in cube.subdivide(scale_exp)]
+
+
 class TestScaleConfig:
     def test_from_epsilon_rounds_to_q_powers(self):
         cfg = ScaleConfig.from_epsilon(3, 2, 4, Fraction(1, 3))
@@ -76,8 +81,8 @@ class TestDecomposition:
             K = unit_interval(3).partition(m)[i]
             g = random_box_function(rng, 3, 2, K, 4)
             scale = max(g.scale_exp, -m)
-            cubes = [p for c in g.support_cubes() for p in ([c] if c.scale_exp == scale else c.subdivide(scale))]
-            assert len(g._terms_at_scale(scale)) > len(cubes)  # several terms share a cube
+            cubes = [p for c in g.support_cubes() for p in c.subdivide(scale)]
+            assert len(_terms_at_scale(g, scale)) > len(cubes)  # several terms share a cube
             calls.clear()
             wavepacket_decompose(g, K)
             assert sorted(calls, key=QVector.key) == sorted((c.corner for c in cubes), key=QVector.key)
@@ -135,6 +140,20 @@ class TestPigeonhole:
             assert report["remainder_lp"] <= report["remainder_bound"] * (1 + 1e-9)
             assert report["n_buckets"] <= report["class_bound"]
 
+    def test_off_box_wave_is_refused_before_any_split(self, monkeypatch):
+        # the wave's frequency (0, 1) lies in the unit interval, so the
+        # frequency split keeps it, but it lies in no curve box
+        rng = random.Random(12)
+        cfg = ScaleConfig.from_epsilon(3, 2, 2, Fraction(1, 2))
+        b = QVector([QRational(3, 0), QRational(3, 1)])
+        assert not any(theta_of(K, 2).contains(b) for K in cfg.fine_partition())
+        f = random_curve_supported(rng, 3, 2, 2, 3, 2) + ModulatedStep.indicator(ball(3, 2, 4), 0.5, b)
+        calls, real = [], wp.wavepacket_decompose
+        monkeypatch.setattr(wp, "wavepacket_decompose", lambda g, K: (calls.append(K), real(g, K))[1])
+        with pytest.raises(SupportError):
+            pigeonhole(f, cfg, p=8)
+        assert calls == []
+
     def test_zero_function_short_circuits(self):
         cfg = ScaleConfig.from_epsilon(3, 2, 2, Fraction(1, 2))
         buckets, remainder, report = pigeonhole(ModulatedStep.zero(3, 2), cfg, p=8)
@@ -176,7 +195,7 @@ class TestPigeonhole:
 def _refined_transform(f, scale_exp):
     """The transform refined to at least the given scale and canonicalized as a whole."""
     hat = f.fourier()
-    return ModulatedStep(f.q, f.k, hat._terms_at_scale(max(hat.scale_exp, scale_exp)))
+    return ModulatedStep(f.q, f.k, _terms_at_scale(hat, max(hat.scale_exp, scale_exp)))
 
 
 def _refined_certificate(f, m):
@@ -246,7 +265,8 @@ class TestCertificate:
         if expected is SupportError:
             assert got is SupportError
         else:
-            assert list(got.items()) == list(expected.items())
+            assert list(got) == sorted(expected, key=Interval.key)
+            assert all(cell in expected[K] for K, cell in got.items())
         K = rng.choice(unit_interval(q).partition(m_check))
         assert _outcome(verify_theta_support, f, K) is _outcome(_refined_theta_support, f, K)
 
@@ -260,7 +280,7 @@ class TestCertificate:
         assert _outcome(_refined_certificate, f, 2) is SupportError
         cert = freq_certificate(f, 2)
         assert list(cert) == sorted(I.partition(2), key=Interval.key)
-        assert all(cubes == [Cube(QVector([K.corner]), 2)] for K, cubes in cert.items())
+        assert all(cell == Cube(QVector([K.corner]), 2) for K, cell in cert.items())
 
     def test_packets_pass_and_foreign_intervals_fail(self):
         rng = random.Random(9)
