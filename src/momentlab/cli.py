@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -70,6 +71,7 @@ def _fraction(value: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{value!r} has a zero denominator") from None
 
 
+@functools.cache  # one parser per process: parse_args does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentlab",
@@ -227,6 +229,8 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_count_vinogradov(args) -> int:
+    if args.residue is not None and args.mod_p is None:
+        raise ValueError("--residue pins a residue mod p and needs --mod-p")
     kwargs = {} if args.budget is None else {"budget": args.budget}
     payload = {"count": count_J(args.s, args.k, args.X, **kwargs)}
     if args.mod_p is not None:
@@ -372,8 +376,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except BudgetExceededError as exc:

@@ -66,10 +66,8 @@ def decoupling_ratio(f: ModulatedStep, delta_exp: int, p: int):
         raise ValueError("p must be an even integer >= 2")
     if f.is_zero:
         raise ValueError("the zero function has no decoupling ratio")
-    certificate = freq_certificate(f, delta_exp)
-    pieces = f.freq_components(unit_interval(f.q).partition(delta_exp)).values()
-    live = [fK for fK in pieces if not fK.is_zero]
-    sq = fsum(fK.lp_norm(p) ** 2 for fK in live)
+    pieces = freq_certificate(f, delta_exp)
+    sq = fsum(fK.lp_norm(p) ** 2 for fK in pieces.values())
     numerator = f.lp_norm(p)
     ratio = numerator / sq**0.5
     ceiling = trivial_decoupling_bound(f.q, delta_exp)
@@ -78,10 +76,10 @@ def decoupling_ratio(f: ModulatedStep, delta_exp: int, p: int):
     report = {
         "ratio": ratio,
         "numerator": numerator,
-        "pieces": len(live),
+        "pieces": len(pieces),
         "square_sum": sq,
         "trivial_ceiling": ceiling,
-        "certificate_intervals": [K.to_json() for K in certificate],
+        "certificate_intervals": [K.to_json() for K in sorted(pieces, key=Interval.key)],
     }
     return ratio, report
 
@@ -151,10 +149,10 @@ def broad_narrow_check(g: ModulatedStep, cfg: ScaleConfig):
         }
     kappa = float(cfg.kappa)
     coarse = cfg.coarse_partition()
-    comps = g.freq_components(coarse)
-    fns = [g] + [comps[I] for I in coarse]
+    comps, zero = g.freq_components(coarse), ModulatedStep.zero(q, k)
+    fns = [g] + [comps.get(I, zero) for I in coarse]
     cubes = [cube for fn in fns for cube in fn.support_cubes()]
-    r = max([0] + [fn.cell_scale() for fn in fns if not fn.is_zero])
+    r = max([0] + [fn.cell_scale() for fn in fns])
     M = max([0] + [-cube.scale_exp for cube in cubes]
             + [-c.valuation for cube in cubes for c in cube.corner if not c.is_zero])
     n_points = q ** ((M + r) * k)
@@ -327,14 +325,13 @@ def main_inequality_constants(k: int, p: int) -> tuple[float, float]:
     return c_narrow, c_broad
 
 
-def _fine_piece_norms(g: ModulatedStep, cfg: ScaleConfig, p: int) -> dict[Interval, tuple[float, float, float]]:
-    """The L^p, L^inf and L^(p-2k) norms of each live fine piece of g, all
-    three read off one modulus-cell plan of the piece."""
+def _fine_piece_norms(pieces, p: int, k: int) -> dict[Interval, tuple[float, float, float]]:
+    """The L^p, L^inf and L^(p-2k) norms of each fine piece, all three read
+    off one modulus-cell plan of the piece."""
     norms = {}
-    for K, fK in g.freq_components(cfg.fine_partition()).items():
-        if not fK.is_zero:
-            volumes, moduli = joint_cell_values([fK])
-            norms[K] = tuple(_lp_from_cells(volumes, moduli[0], e) for e in (p, inf, p - 2 * cfg.k))
+    for K, fK in pieces.items():
+        volumes, moduli = joint_cell_values([fK])
+        norms[K] = tuple(_lp_from_cells(volumes, moduli[0], e) for e in (p, inf, p - 2 * k))
     return norms
 
 
@@ -377,9 +374,7 @@ def verify_main_lemma(g: ModulatedStep, cfg: ScaleConfig, p: int, dec_bound_supp
         dec_bound_supplier = lambda pp, scale_exp: trivial_decoupling_bound(q, scale_exp)
     if g.is_zero:
         return {"lhs": 0.0, "rhs": 0.0, "holds": True, "zero": True}
-    freq_certificate(g, cfg.delta_exp)
-
-    norms = _fine_piece_norms(g, cfg, p)
+    norms = _fine_piece_norms(freq_certificate(g, cfg.delta_exp), p, k)
     children = _live_children(norms, cfg.nu_exp)
     N = len(children)
 
@@ -443,7 +438,7 @@ def verify_reversed_holder(g: ModulatedStep, cfg: ScaleConfig, p: int):
         raise ValueError("p must be even and exceed 2k")
     if g.is_zero:
         return {"lhs": 0.0, "rhs": 0.0, "holds": True, "zero": True}
-    norms = _fine_piece_norms(g, cfg, p)
+    norms = _fine_piece_norms(g.freq_components(cfg.fine_partition()), p, k)
     children = _live_children(norms, cfg.nu_exp)
     N = len(children)
     sq_sum, max_parent, max_inf, sum_inf = _holder_factors(norms, children, p, k, 1.0)
@@ -508,8 +503,8 @@ def affine_rescale(g_I: ModulatedStep, I: Interval) -> tuple[ModulatedStep, Frac
 def affine_rescale_verify(g: ModulatedStep, I: Interval, cfg: ScaleConfig, p: int):
     """Norm equalities and support transport under the rescaling map."""
     q, k, m = cfg.q, cfg.k, cfg.delta_exp
-    g_I = g.freq_components([I])[I]
-    if g_I.is_zero:
+    g_I = g.freq_components([I]).get(I)
+    if g_I is None:
         raise MomentLabError("the piece over I vanishes; nothing to rescale")
     h, det_modulus = affine_rescale(g_I, I)
     factor = float(det_modulus) ** ((p - 1) / p)
@@ -525,19 +520,11 @@ def affine_rescale_verify(g: ModulatedStep, I: Interval, cfg: ScaleConfig, p: in
     }
     # the rescaled function decouples at the quotient scale over O
     new_exp = m - I.scale_exp
-    freq_certificate(h, new_exp)
-    rescaled = {
-        K: Interval(((K.corner - I.corner) / QRational(q, 1, I.scale_exp)).rep_mod(new_exp), new_exp)
-        for K in I.partition(m)
-    }
-    g_parts = g.freq_components(list(rescaled))
-    h_parts = h.freq_components(list(rescaled.values()))
-    for K, K_new in rescaled.items():
-        g_K, h_K = g_parts[K], h_parts[K_new]
-        if g_K.is_zero:
-            continue
+    h_parts, zero = freq_certificate(h, new_exp), ModulatedStep.zero(q, k)
+    for K, g_K in g.freq_components(I.partition(m)).items():
+        K_new = Interval(((K.corner - I.corner) / QRational(q, 1, I.scale_exp)).rep_mod(new_exp), new_exp)
         a = g_K.lp_norm(p)
-        bnorm = factor * h_K.lp_norm(p)
+        bnorm = factor * h_parts.get(K_new, zero).lp_norm(p)
         report["pieces"].append(
             {
                 "K": K.to_json(),
@@ -557,11 +544,10 @@ def affine_rescale_verify(g: ModulatedStep, I: Interval, cfg: ScaleConfig, p: in
 
 
 def _square_sum_moment(pieces: list[ModulatedStep], k_power: int) -> float:
-    """integral of (sum |g_K|^2)^k over the modulus cells."""
-    live = [f for f in pieces if not f.is_zero]
-    if not live:
+    """integral of (sum |g_K|^2)^k over the modulus cells of the nonzero pieces."""
+    if not pieces:
         return 0.0
-    volumes, moduli = joint_cell_values(live)
+    volumes, moduli = joint_cell_values(pieces)
     return fsum((volumes * (moduli**2).sum(axis=0) ** k_power).tolist())
 
 
@@ -577,37 +563,28 @@ def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
     if g.is_zero:
         raise ValueError("zero function has no reverse-square ratio")
     cfg = ScaleConfig(q, k, delta_exp, -(-delta_exp // k), kappa_exp)
-    freq_certificate(g, delta_exp)
-    fine = cfg.fine_partition()
-    comps = g.freq_components(fine)
-    fine_pieces = [comps[K] for K in fine]
-    denom = _square_sum_moment(fine_pieces, k)
+    pieces = freq_certificate(g, delta_exp)
+    denom = _square_sum_moment(list(pieces.values()), k)
     numer = g.lp_norm(2 * k) ** (2 * k)
     ratio = numer / denom
     ceiling = float(q) ** (delta_exp * k)  # delta^-k, the trivial ceiling
     if ratio > ceiling * (1 + REL_TOL):
         raise VerificationError(f"reverse-square ratio {ratio} above trivial ceiling {ceiling}")
 
-    coarse = cfg.coarse_partition()
-    coarse_comps = g.freq_components(coarse)
+    coarse = g.freq_components(cfg.coarse_partition())
     narrow_ratios = []
-    for I in coarse:
-        g_i = coarse_comps[I]
-        if g_i.is_zero:
-            continue
-        children = [comps[K] for K in fine if I.contains_interval(K)]
+    for I, g_i in coarse.items():
+        children = [fK for K, fK in pieces.items() if I.contains_interval(K)]
         d = _square_sum_moment(children, k)
         narrow_ratios.append(g_i.lp_norm(2 * k) ** (2 * k) / d)
     s_narrow = max(narrow_ratios, default=0.0)
 
     # direct transverse sum for the broad side of the dichotomy
-    live = [(I, coarse_comps[I]) for I in coarse if not coarse_comps[I].is_zero]
     broad_sum = 0.0
-    if len(live) >= k:
-        fns = [f for _, f in live]
-        volumes, moduli = joint_cell_values(fns)
+    if len(coarse) >= k:
+        volumes, moduli = joint_cell_values(list(coarse.values()))
         squares = moduli**2
-        for tup in permutations(range(len(live)), k):
+        for tup in permutations(range(len(coarse)), k):
             broad_sum += fsum((volumes * squares[list(tup)].prod(axis=0)).tolist())
     kappa = float(cfg.kappa)
     count_bound = float(q) ** ((kappa_exp - 1) * k * (k - 1))

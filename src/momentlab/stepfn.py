@@ -17,7 +17,8 @@ read |f| from the planner.  The oracles, sharing no code with either, are
 the symbolic ``evaluate`` and ``quotient_dft.evaluate_on_grid``.
 
 Frequency restriction also has one path: ``freq_components`` splits f over
-a partition of the first frequency coordinate with one transform.
+a partition of the first frequency coordinate with one transform, and
+returns only the nonzero pieces.
 
 Canonical form: all cubes at one common scale, at most one term per
 (cube, modulation) pair with modulations reduced to canonical digit
@@ -258,14 +259,15 @@ class ModulatedStep:
     # -- frequency restriction --------------------------------------------------
 
     def freq_components(self, partition) -> dict[Interval, "ModulatedStep"]:
-        """The pieces whose transforms live over each interval of a
-        uniform-scale partition of coordinate 1, from one shared transform.
+        """The nonzero pieces whose transforms live over the intervals of a
+        uniform-scale partition of coordinate 1, from one shared transform,
+        in partition order.  An interval whose piece vanishes has no entry.
 
         This is the only frequency restriction: one interval's piece is the
         entry for it in a partition that contains it.
         """
         hat = self.fourier()
-        buckets: dict[Interval, list] = {i: [] for i in partition}
+        buckets: dict[Interval, list] = {}
         if not hat.is_zero:
             scale = partition[0].scale_exp
             if any(i.scale_exp != scale for i in partition):
@@ -276,11 +278,14 @@ class ModulatedStep:
                 for piece in cube.subdivide(fine):
                     interval = lookup.get(piece.corner[0].rep_mod(scale))
                     if interval is not None:
-                        buckets[interval].append((c, b, piece))
-        return {
-            i: ModulatedStep(self.q, self.k, terms).inverse_fourier()
-            for i, terms in buckets.items()
-        }
+                        buckets.setdefault(interval, []).append((c, b, piece))
+        pieces = {}
+        for i in partition:
+            if i in buckets:
+                hat_i = ModulatedStep(self.q, self.k, buckets[i])
+                if not hat_i.is_zero:
+                    pieces[i] = hat_i.inverse_fourier()
+        return pieces
 
     # -- evaluation and norms ----------------------------------------------------
 

@@ -262,10 +262,8 @@ def pigeonhole_suite(report, q: int, k: int, delta_exp: int = 2, p: int = 8, n_i
         f = random_curve_supported(rng, q, k, delta_exp, rng.randint(1, len(fine)), 2)
         buckets, remainder, info = pigeonhole(f, cfg, p)
         for b in buckets:
-            comps = b.function.freq_components(fine)
-            live = {K: fK for K, fK in comps.items() if not fK.is_zero}
             parents: dict = {}
-            for K, fK in live.items():
+            for K, fK in b.function.freq_components(fine).items():
                 ws = wavepacket_decompose(fK, K)
                 hs = ws.heights()
                 if not all(b.height_H / 2 < h <= b.height_H * (1 + 1e-9) for h in hs):
@@ -399,10 +397,7 @@ def affine_rescaling_suite(report, q: int = 3, k: int = 2, p: int = 8, n_instanc
     cfg = ScaleConfig.from_epsilon(q, k, 2, Fraction(1, 2))
     done = 0
     for i, g in enumerate(_curve_instances(q, k, n_instances, seed, least_terms=2)):
-        comps = g.freq_components(unit_interval(q).partition(1))
-        for I, g_I in comps.items():
-            if g_I.is_zero:
-                continue
+        for I in g.freq_components(unit_interval(q).partition(1)):
             rep = dec.affine_rescale_verify(g, I, cfg, p)
             if not rep["holds"]:
                 report["failures"].append(f"rescaling fails at instance {i}")

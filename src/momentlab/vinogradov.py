@@ -240,14 +240,21 @@ def elementary_from_roots(roots):
 # -- Linnik's residue bound ----------------------------------------------------
 
 
+def _need_degree(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"Linnik counts need a degree k >= 1, got k={k}")
+
+
 def linnik_bound(k: int, p: int) -> int:
     """k! p^(k(k-1)/2), the residue-count ceiling."""
+    _need_degree(k)
     return factorial(k) * p ** (k * (k - 1) // 2)
 
 
 def linnik_count(k: int, p: int, residues, budget: int = DEFAULT_BUDGET) -> int:
     """Number of k-tuples of residues mod p^k, pairwise distinct mod p,
     whose degree-j power sums hit the target residues mod p^j."""
+    _need_degree(k)
     residues = list(residues)
     if len(residues) != k:
         raise ValueError("need one target residue per degree")
@@ -257,6 +264,7 @@ def linnik_count(k: int, p: int, residues, budget: int = DEFAULT_BUDGET) -> int:
 
 def linnik_max(k: int, p: int, budget: int = DEFAULT_BUDGET):
     """Exhaustive maximum of linnik_count over every target; with argmax."""
+    _need_degree(k)
     counts = _power_sum_distribution(k, [(range(p**k), k, p)], [p**j for j in range(1, k + 1)], budget)
     value = int(counts.max())
     if value == 0:

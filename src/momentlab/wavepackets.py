@@ -91,7 +91,7 @@ class ScaleConfig:
         return unit_interval(self.q).partition(self.kappa_exp)
 
 
-def freq_certificate(f: ModulatedStep, delta_exp: int) -> dict[Interval, Cube]:
+def _support_witnesses(f: ModulatedStep, delta_exp: int) -> dict[Interval, Cube]:
     """Which fine intervals carry Fourier support, each with a witness cell.
 
     This is the one check of the hypothesis supp(FT f) inside the union of
@@ -147,9 +147,16 @@ def freq_certificate(f: ModulatedStep, delta_exp: int) -> dict[Interval, Cube]:
     return {K: witness[K] for K in sorted(witness, key=Interval.key)}
 
 
+def freq_certificate(f: ModulatedStep, delta_exp: int) -> dict[Interval, ModulatedStep]:
+    """f's nonzero pieces over the fine intervals at scale q^-delta_exp, in
+    partition order, once supp(FT f) is checked to lie in their curve boxes."""
+    _support_witnesses(f, delta_exp)
+    return f.freq_components(unit_interval(f.q).partition(delta_exp))
+
+
 def verify_theta_support(g: ModulatedStep, K: Interval) -> None:
     """Check supp(FT g) inside the curve box over K; raise otherwise."""
-    for J, cell in freq_certificate(g, K.scale_exp).items():
+    for J, cell in _support_witnesses(g, K.scale_exp).items():
         if J != K:
             raise SupportError(f"Fourier support leaves the curve box over {K}", offending_cube=cell)
 
@@ -261,19 +268,14 @@ def pigeonhole(
                 "function is not supported on a single translate of the big ball"
             )
 
-    freq_certificate(f, m)
-    components = f.freq_components(cfg.fine_partition())
-    live = {K: fK for K, fK in components.items() if not fK.is_zero}
-
-    packets: dict[Interval, WavepacketSet] = {
-        K: wavepacket_decompose(fK, K) for K, fK in live.items()
-    }
+    pieces = freq_certificate(f, m)
+    packets: dict[Interval, WavepacketSet] = {K: wavepacket_decompose(fK, K) for K, fK in pieces.items()}
     heights: dict[Interval, list[float]] = {K: ws.heights() for K, ws in packets.items()}
     h_star = max((max(hs, default=0.0) for hs in heights.values()), default=0.0)
     report = {
         "H_star": h_star,
         "height_floor_exponent": height_floor_exponent,
-        "n_intervals": len(live),
+        "n_intervals": len(pieces),
     }
 
     floor = float(Fraction(q) ** (-m * height_floor_exponent)) * h_star
@@ -330,9 +332,7 @@ def pigeonhole(
     if not total.close_to(f, 1e-9):
         raise VerificationError("pigeonhole buckets plus remainder do not reconstruct f")
     if not remainder.is_zero:
-        rhs = (
-            sum(fK.lp_norm(p) ** 2 for fK in live.values()) ** 0.5
-        )
+        rhs = sum(fK.lp_norm(p) ** 2 for fK in pieces.values()) ** 0.5
         lhs = remainder.lp_norm(p)
         report["remainder_lp"] = lhs
         report["remainder_bound"] = rhs

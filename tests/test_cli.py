@@ -120,6 +120,31 @@ class TestSubcommands:
         )
         assert r.returncode == 0 and json.loads(r.stdout)["recursion_holds"]
 
+    def test_count_vinogradov_residue_needs_mod_p(self, capsys):
+        from momentlab import cli
+
+        assert cli.main(["count-vinogradov", "--s", "2", "--k", "2", "--X", "5", "--residue", "1"]) == 2
+        assert "needs --mod-p" in json.loads(capsys.readouterr().err)["reason"]
+
+    @pytest.mark.parametrize("argv", [["--k", "0", "--p", "3"], ["--k", "-1", "--p", "3"],
+                                      ["--k", "0", "--p", "3", "--residues"]],
+                             ids=["k0", "k-negative", "k0-residues"])
+    def test_linnik_degree_below_one_is_a_usage_error(self, capsys, argv):
+        from momentlab import cli
+
+        assert cli.main(["linnik", *argv]) == 2
+        assert f"k={argv[1]}" in json.loads(capsys.readouterr().err)["reason"]
+
+    def test_one_parser_serves_every_call(self, fixture_path, tmp_path):
+        from momentlab import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        ratio = ["ratio", "--input", fixture_path, "--p", "8", "--delta-exp", "2", "--output"]
+        assert cli.main([*ratio, str(tmp_path / "a.json")]) == 0
+        assert cli.main(["karatsuba", "--s", "4", "--k", "2", "--X", "100", "--output", str(tmp_path / "k.json")]) == 0
+        assert cli.main([*ratio, str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_pigeonhole_report_deterministic(self):
         args = (
             "pigeonhole-report", "--q", "3", "--k", "2", "--delta-exp", "2",

@@ -88,6 +88,21 @@ class TestCertificates:
         with pytest.raises(SupportError):
             dec.freq_certificate(f, 2)
 
+    @pytest.mark.parametrize("check", [lambda f: dec.decoupling_ratio(f, 2, 8),
+                                       lambda f: dec.verify_main_lemma(f, cfg92(), 8)],
+                             ids=["ratio", "main-lemma"])
+    def test_one_transform_per_step_and_one_inverse_per_live_piece(self, monkeypatch, check):
+        calls, real = [], ModulatedStep._transform
+        monkeypatch.setattr(ModulatedStep, "_transform", lambda g, inverse: (calls.append(inverse), real(g, inverse))[1])
+        rng = random.Random(5)
+        for n in (1, 2, 5):
+            f = random_curve_supported(rng, 3, 2, 2, n, 2)
+            live = sum(not fK.is_zero for fK in f.freq_components(cfg92().fine_partition()).values())
+            calls.clear()
+            check(f)
+            # the support check and the split transform f once each
+            assert calls == [False, False] + [True] * live
+
 
 class TestRatio:
     def test_single_interval_gives_one(self):
@@ -162,8 +177,8 @@ def dense_broad_narrow(g, cfg):
     """Reference: the dichotomy on every point of the dense quotient grid."""
     q, k = cfg.q, cfg.k
     coarse = cfg.coarse_partition()
-    comps = g.freq_components(coarse)
-    fns = [g] + [comps[I] for I in coarse]
+    comps, zero = g.freq_components(coarse), ModulatedStep.zero(q, k)
+    fns = [g] + [comps.get(I, zero) for I in coarse]
     geo = [qd.grid_geometry(fn) for fn in fns if not fn.is_zero]
     M, r = max(mm for mm, _ in geo), max(rr for _, rr in geo)
     flats = [
@@ -395,7 +410,7 @@ class TestFinePiecePass:
         rng = random.Random(3)
         for _ in range(4):
             g = random_curve_supported(rng, 3, 2, 2, rng.randint(1, 9), 2)
-            live = sum(1 for gK in g.freq_components(cfg.fine_partition()).values() if not gK.is_zero)
+            live = len(g.freq_components(cfg.fine_partition()))
             calls.clear()
             check(g, cfg, 8)
             # main lemma: one plan per live piece, then one for ||g||_p
@@ -406,12 +421,9 @@ class TestFinePiecePass:
         rng = random.Random(4)
         for _ in range(4):
             g = random_curve_supported(rng, 3, 2, 2, rng.randint(1, 9), 2)
-            want = {
-                K: (gK.lp_norm(p), gK.lp_norm(float("inf")), gK.lp_norm(p - 4))
-                for K, gK in g.freq_components(cfg.fine_partition()).items()
-                if not gK.is_zero
-            }
-            got = dec._fine_piece_norms(g, cfg, p)
+            pieces = g.freq_components(cfg.fine_partition())
+            want = {K: (gK.lp_norm(p), gK.lp_norm(float("inf")), gK.lp_norm(p - 4)) for K, gK in pieces.items()}
+            got = dec._fine_piece_norms(pieces, p, cfg.k)
             assert list(got.items()) == list(want.items())
 
 

@@ -597,8 +597,23 @@ class TestRestriction:
     def test_disjoint_interval_kills(self):
         hat = ModulatedStep.indicator(Cube(vec(1, 0), 1))
         f = hat.inverse_fourier()
-        comps = f.freq_components(unit_interval(3).partition(1))
-        assert [g.is_zero for g in comps.values()] == [True, False, True]
+        P = unit_interval(3).partition(1)
+        comps = f.freq_components(P)
+        assert list(comps) == [P[1]]
+
+    def test_dead_intervals_are_left_out(self, monkeypatch):
+        # hat - chi(xi_1 / 3) hat cancels where xi_1 = 0 mod 3: that bucket
+        # is not empty, but its piece canonicalizes to zero
+        O = ball(3, 2, 0)
+        wave = QVector([deep(1, -1), q3(0)])
+        f = (ModulatedStep.indicator(O) - ModulatedStep.indicator(O, 1.0, wave)).inverse_fourier()
+        P = unit_interval(3).partition(1)
+        calls, real = [], ModulatedStep._transform
+        monkeypatch.setattr(ModulatedStep, "_transform", lambda g, inverse: (calls.append(inverse), real(g, inverse))[1])
+        comps = f.freq_components(P)
+        assert list(comps) == [P[1], P[2]]
+        assert calls == [False, True, True]  # one transform, one inverse per live piece
+        assert (comps[P[1]] + comps[P[2]]).close_to(f, 1e-10)
 
     def test_partition_of_unity(self):
         from momentlab.random_instances import random_curve_supported
@@ -621,7 +636,7 @@ class TestRestriction:
         a = f.freq_components(P)[P[0]]
         again = a.freq_components(P)
         assert again[P[0]].close_to(a, 1e-10)
-        assert again[P[1]].is_zero
+        assert P[1] not in again
 
 
 class TestNorms:

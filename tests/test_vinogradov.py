@@ -277,6 +277,12 @@ class TestLinnik:
     def test_degree_one_is_unique(self):
         assert linnik_max(1, 5)[0] == 1 == linnik_bound(1, 5)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_degree_below_one_refused(self, k):
+        for call in (lambda: linnik_bound(k, 3), lambda: linnik_count(k, 3, []), lambda: linnik_max(k, 3)):
+            with pytest.raises(ValueError, match=f"k={k}"):
+                call()
+
     def test_exhaustive_maxima_under_the_bound(self):
         for k, p in ((2, 3), (2, 5)):
             value, argmax = linnik_max(k, p)

@@ -261,7 +261,7 @@ class TestCertificate:
         # the reference builds every refined piece as an object; keep it quick
         assume(len(hat.terms) * q ** (k * max(0, m_check * k - hat.scale_exp)) <= 3000)
         expected = _outcome(_refined_certificate, f, m_check)
-        got = _outcome(freq_certificate, f, m_check)
+        got = _outcome(wp._support_witnesses, f, m_check)
         if expected is SupportError:
             assert got is SupportError
         else:
@@ -278,9 +278,21 @@ class TestCertificate:
         I = unit_interval(3).partition(1)[2]
         f = ModulatedStep.indicator(Cube(QVector([I.corner]), 1)).inverse_fourier()
         assert _outcome(_refined_certificate, f, 2) is SupportError
-        cert = freq_certificate(f, 2)
+        cert = wp._support_witnesses(f, 2)
         assert list(cert) == sorted(I.partition(2), key=Interval.key)
         assert all(cell == Cube(QVector([K.corner]), 2) for K, cell in cert.items())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(3, 2), (5, 2)]), st.integers(1, 2), st.integers(1, 4), st.integers(0, 2**32))
+    def test_certified_pieces_are_the_split(self, qk, m, n, seed):
+        q, k = qk
+        rng = random.Random(seed)
+        f = random_curve_supported(rng, q, k, m, min(n, q**m), rng.randint(1, 2))
+        pieces = freq_certificate(f, m)
+        split = f.freq_components(unit_interval(q).partition(m))
+        assert list(pieces) == list(split)
+        assert all(pieces[K].is_identical(fK) for K, fK in split.items())
+        assert sorted(pieces, key=Interval.key) == list(wp._support_witnesses(f, m))
 
     def test_packets_pass_and_foreign_intervals_fail(self):
         rng = random.Random(9)
