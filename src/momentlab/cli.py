@@ -380,7 +380,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except BudgetExceededError as exc:
-        print(json.dumps({"error": "budget-exceeded", "reason": str(exc)}), file=sys.stderr)
+        error = {"error": "budget-exceeded", "reason": str(exc), "estimated": exc.estimated, "budget": exc.budget}
+        print(json.dumps(error), file=sys.stderr)
         return EXIT_BUDGET
     except (SupportError, MomentLabError) as exc:
         print(json.dumps({"error": "verification-failure", "reason": str(exc)}), file=sys.stderr)

@@ -8,7 +8,9 @@ transform on that group, up to the Haar cell volume q^(-rk).
 This module evaluates functions pointwise on the quotient grid and
 transforms with numpy's FFT, giving a correctness anchor that shares no
 code path with the symbolic term calculus in stepfn.  Each term is a rank-1
-product of axis vectors written into its strided support slice of the grid.
+product of axis vectors written into its strided support slice of the grid
+in cache-sized slabs of axis-0 rows; the FFTs run in place and consume their
+input grids, with results bitwise those of numpy's out-of-place calls.
 
 It is an oracle only: ``verify.oracle_agreement``, the tests and the
 Fourier demo use it, and no check or norm computes through it, so it stays
@@ -33,6 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID_BUDGET = 40_000_000
+SLAB_POINTS = 2**15  # per slab of a term (at least one axis-0 row): 512 KiB of complex128 stays in cache
 
 
 def grid_geometry(f) -> tuple[int, int]:
@@ -89,16 +92,18 @@ def evaluate_on_grid(f, M: int, r: int, budget: int = DEFAULT_GRID_BUDGET) -> np
     if not 1 <= step <= n:
         raise ValueError("cube side outside the grid's resolution and radius")
     grid = np.zeros((n,) * k, dtype=np.complex128)
-    scratch = np.empty((n // step,) * k, dtype=np.complex128)
+    m = n // step  # support points per axis
+    rows = min(m, SLAB_POINTS // m ** (k - 1) or 1)
+    scratch = np.empty((rows,) + (m,) * (k - 1), dtype=np.complex128)
+    ones = np.ones(m, dtype=np.complex128)  # read-only, shared by every unmodulated axis
     for coeff, b, cube in f.terms:
         support, axis_vectors = [], []
         for i in range(k):
             w = _axis_offsets(q, M, cube.corner[i]) % step
             support.append(slice(w, n, step))
-            u = np.arange(w, n, step, dtype=np.int64)
             bi = b[i]
             if bi.is_zero:
-                axis_vectors.append(np.ones(len(u), dtype=np.complex128))
+                axis_vectors.append(ones)
             else:
                 # b_i * x_i = unit * u * q^(val - M); over denominator n the
                 # numerator unit * u * q^(val + r) is integral because any
@@ -106,33 +111,35 @@ def evaluate_on_grid(f, M: int, r: int, budget: int = DEFAULT_GRID_BUDGET) -> np
                 if bi.valuation + r < 0:
                     raise ValueError(f"modulation {bi} finer than the grid dual q^{r}")
                 mult = bi.unit * q ** (bi.valuation + r) % n
-                phase = _phase_numerators(mult, u, n)
+                phase = _phase_numerators(mult, np.arange(w, n, step, dtype=np.int64), n)
                 axis_vectors.append(np.exp(2j * np.pi * phase / n))
-        # multiply axis 0, axis 1, ..., then coeff: the rounding of a dense
-        # outer-product sum, to which the tests pin every grid value bitwise
-        term = axis_vectors[0]
-        for i in range(1, k):
-            term = np.multiply.outer(term, axis_vectors[i], out=scratch if i == k - 1 else None)
-        np.multiply(coeff, term, out=scratch)
-        grid[tuple(support)] += scratch
+        # slab by slab, multiply axis 0, axis 1, ..., then coeff: the rounding of
+        # a dense outer-product sum, to which the tests pin every grid value bitwise
+        for lo in range(0, m, rows):
+            out = scratch[: m - lo]
+            term = axis_vectors[0][lo : lo + rows]
+            for i in range(1, k):
+                term = np.multiply.outer(term, axis_vectors[i], out=out if i == k - 1 else None)
+            np.multiply(coeff, term, out=out)
+            grid[tuple(support)][lo : lo + rows] += out
     return grid
 
 
 def dft_grid(grid: np.ndarray, q: int, r: int) -> np.ndarray:
     """Forward transform of spatial grid values (cell volume q^-r per axis).
 
-    Output indexes the frequency grid: index s encodes s * q^-r.
+    In place: returns ``grid``, whose index s now encodes frequency s * q^-r.
     """
-    out = np.fft.fftn(grid)
-    out *= float(Fraction(q) ** (-r * grid.ndim))
-    return out
+    np.fft.fftn(grid, out=grid)
+    grid *= float(Fraction(q) ** (-r * grid.ndim))
+    return grid
 
 
 def convolve_grids(a: np.ndarray, b: np.ndarray, q: int, r: int) -> np.ndarray:
-    """Circular (= exact group) convolution of two spatial grids."""
-    out = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
-    out *= float(Fraction(q) ** (-r * a.ndim))
-    return out
+    """Circular (= exact group) convolution of two spatial grids, in place: returns ``a``, consumes ``b``."""
+    np.fft.ifftn(np.multiply(np.fft.fftn(a, out=a), np.fft.fftn(b, out=b), out=a), out=a)
+    a *= float(Fraction(q) ** (-r * a.ndim))
+    return a
 
 
 def grid_l2_norm(grid: np.ndarray, q: int, r: int) -> float:

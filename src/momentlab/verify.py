@@ -1,9 +1,10 @@
 """Desk-scale verification suites.
 
 Each suite checks one family of exact statements at small parameters and
-returns a report dict with a ``passed`` flag, plus ``budget_exceeded`` if it
-ran out of budget; ``run_all`` strings the applicable suites together for a
-given (q, k).  The acceptance tests and the command-line ``verify-all`` run these.
+returns a report dict with a ``passed`` flag, plus ``budget_exceeded``,
+``estimated`` and ``budget`` if it ran out of budget; ``run_all`` strings the
+applicable suites together for a given (q, k).  The acceptance tests and the
+command-line ``verify-all`` run these.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def _suite(name):
             try:
                 fn(report, *args, **kwargs)
             except BudgetExceededError as exc:
-                # a third state, neither pass nor failure; only overruns carry the key
-                report["budget_exceeded"] = str(exc)
+                # a third state, neither pass nor failure; only overruns carry these keys
+                report.update(budget_exceeded=str(exc), estimated=exc.estimated, budget=exc.budget)
             except (MomentLabError, AssertionError) as exc:
                 report["failures"].append(str(exc))
             report["passed"] = not report["failures"] and "budget_exceeded" not in report
@@ -98,11 +99,12 @@ def oracle_agreement(report, q: int, k: int, n_instances: int = 100, seed: int =
         f = random_modstep(rng, q, k, rng.randint(1, 4), scale, mod_depth=scale)
         M, r = qd.grid_geometry(f)
         grid = qd.evaluate_on_grid(f, M, r)
+        grid_l2 = qd.grid_l2_norm(grid, q, r)  # before dft_grid transforms grid in place
         oracle_hat = qd.dft_grid(grid, q, r)
         fhat = f.fourier()
         sym_hat = qd.evaluate_on_grid(fhat, r, M)
         l2 = f.lp_norm(2)
-        grid_l2, hat_l2 = qd.grid_l2_norm(grid, q, r), qd.grid_l2_norm(sym_hat, q, M)
+        hat_l2 = qd.grid_l2_norm(sym_hat, q, M)
         scale_ref = max(1.0, float(np.abs(oracle_hat).max()))
         np.subtract(oracle_hat, sym_hat, out=sym_hat)
         worst = max(worst, float(np.abs(sym_hat).max()) / scale_ref)

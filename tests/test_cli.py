@@ -191,7 +191,9 @@ class TestFailureModes:
             "count-vinogradov", "--s", "8", "--k", "2", "--X", "50", "--budget", "100"
         )
         assert r.returncode == 3
-        assert "budget" in r.stderr
+        error = json.loads(r.stderr.splitlines()[-1])
+        assert error["error"] == "budget-exceeded"
+        assert type(error["estimated"]) is int and error["estimated"] > error["budget"] == 100
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_a_usage_error(self, capsys, budget):
@@ -339,6 +341,15 @@ class TestFailureModes:
     def test_huge_prime_q_hits_the_budget_quickly(self, argv):
         r = subprocess.run([sys.executable, "-m", "momentlab", *argv], capture_output=True, text=True, timeout=20)
         assert r.returncode == 3, r.stderr
+        # every overrun names its estimate against its budget
+        if argv[0] == "verify-all":
+            overruns = [s for s in json.loads(r.stdout)["suites"] if "budget_exceeded" in s]
+        else:
+            overruns = [json.loads(r.stderr.splitlines()[-1])]
+        assert overruns
+        for over in overruns:
+            assert type(over["estimated"]) is int and type(over["budget"]) is int
+            assert over["estimated"] > over["budget"]
 
     def test_cube_subdivision_past_the_budget_exits_3(self):
         # at (5,3) with delta 5^-2 the wavepacket split asks for 625^3 cubes;
@@ -402,6 +413,7 @@ assert "momentlab.quotient_dft" not in sys.modules
         over = overrun()
         assert not over["passed"] and over["failures"] == []
         assert over["budget_exceeded"] == "too many cells"
+        assert (over["estimated"], over["budget"]) == (11, 10)
         assert "budget_exceeded" not in fine()
 
     @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import momentlab.quotient_dft as qd
+from momentlab import verify
 from momentlab.errors import BudgetExceededError
 from momentlab.geometry import Cube, ball, unit_interval
 from momentlab.qadic import QRational, QVector, char_value
@@ -116,6 +117,22 @@ def grid_modsteps(draw):
     for scale in sorted({draw(st.integers(max(0, top - 1), top)) for _ in range(2)}):
         terms += _draw_terms(draw, q, k, scale, draw(st.integers(1, 2)), offset)
     return ModulatedStep(q, k, terms)
+
+
+@st.composite
+def fft_grids(draw):
+    """(q, r, a, b): two complex grids of one shape, (q^d,) * k with k = 1..3,
+    each dense or mostly zero (as a step function with small support leaves it)."""
+    q, k = draw(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]))
+    d = draw(st.integers(1, {1: 5, 2: 3, 3: 2}[k]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = []
+    for sparse in (draw(st.booleans()), draw(st.booleans())):
+        g = rng.standard_normal((q**d,) * k) + 1j * rng.standard_normal((q**d,) * k)
+        if sparse:
+            g[rng.random(g.shape) > 0.05] = 0
+        grids.append(g)
+    return q, draw(st.integers(0, d)), *grids
 
 
 @st.composite
@@ -814,6 +831,75 @@ class TestOracleAgreement:
             assert abs(grid[idx] - f.evaluate(x)) < 1e-12
 
 
+def _out_of_place_oracle_agreement(report, q, k, n_instances, seed, grid_points, tol=1e-9):
+    """``verify.oracle_agreement`` with out-of-place FFTs and the spatial L^2
+    norm taken after the transform; records each instance's grid size."""
+    rng = random.Random(seed)
+    worst = 0.0
+    heavy = q ** (3 * k) > verify.GRID_CHECK_LIMIT
+    for i in range(n_instances):
+        scale = rng.choice([1, 1, 2, 2, 3]) if not heavy else rng.choice([1, 1, 1, 2, 2, 2, 2, 3])
+        f = random_modstep(rng, q, k, rng.randint(1, 4), scale, mod_depth=scale)
+        M, r = qd.grid_geometry(f)
+        grid = qd.evaluate_on_grid(f, M, r)
+        grid_points.append(grid.size)
+        oracle_hat = np.fft.fftn(grid)
+        oracle_hat *= float(Fraction(q) ** (-r * k))
+        fhat = f.fourier()
+        sym_hat = qd.evaluate_on_grid(fhat, r, M)
+        l2 = f.lp_norm(2)
+        grid_l2, hat_l2 = qd.grid_l2_norm(grid, q, r), qd.grid_l2_norm(sym_hat, q, M)
+        scale_ref = max(1.0, float(np.abs(oracle_hat).max()))
+        np.subtract(oracle_hat, sym_hat, out=sym_hat)
+        worst = max(worst, float(np.abs(sym_hat).max()) / scale_ref)
+        worst = max(worst, abs(grid_l2 - l2), abs(l2 - hat_l2))
+        g = random_modstep(rng, q, k, rng.randint(1, 3), max(1, scale - 1), mod_depth=1)
+        if not (f * g).fourier().close_to(fhat.convolve(g.fourier()), tol):
+            report["failures"].append(f"product/convolution theorem failed at instance {i}")
+        n = q ** (M + r)
+        if n**k <= verify.GRID_CHECK_LIMIT:
+            Mg, rg = qd.grid_geometry(g)
+            MM, rr = max(M, Mg), max(r, rg)
+            a, b = qd.evaluate_on_grid(f, MM, rr), qd.evaluate_on_grid(g, MM, rr)
+            conv_oracle = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
+            conv_oracle *= float(Fraction(q) ** (-rr * k))
+            conv_sym = qd.evaluate_on_grid(f.convolve(g), MM, rr)
+            ref = max(1.0, float(np.abs(conv_oracle).max()))
+            np.subtract(conv_oracle, conv_sym, out=conv_sym)
+            worst = max(worst, float(np.abs(conv_sym).max()) / ref)
+    report["worst_rel_error"] = worst
+    report["instances"] = n_instances
+    if worst > tol:
+        report["failures"].append(f"relative error {worst} above {tol}")
+
+
+class TestInPlaceTransforms:
+    @settings(max_examples=40, deadline=None)
+    @given(fft_grids())
+    def test_bitwise_equal_to_out_of_place(self, grids):
+        q, r, a, b = grids
+        cell = float(Fraction(q) ** (-r * a.ndim))
+        want_hat = np.fft.fftn(a)
+        want_hat *= cell
+        want_conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
+        want_conv *= cell
+        spatial = a.copy()
+        got_hat = qd.dft_grid(spatial, q, r)
+        assert got_hat is spatial and got_hat.tobytes() == want_hat.tobytes()
+        got_conv = qd.convolve_grids(a, b, q, r)
+        assert got_conv is a and got_conv.tobytes() == want_conv.tobytes()
+
+    def test_oracle_report_on_the_largest_grid_equals_out_of_place_pipeline(self):
+        # seed 9 draws its (5,3) instance at scale 3, on the 125^3-point grid
+        grid_points = []
+        want = verify._suite("oracle-agreement")(_out_of_place_oracle_agreement)(
+            5, 3, n_instances=1, seed=9, grid_points=grid_points
+        )
+        assert grid_points == [125**3]
+        got = verify.oracle_agreement(5, 3, n_instances=1, seed=9)
+        assert repr(got) == repr(want)
+
+
 class TestSlicedGrid:
     @settings(max_examples=60, deadline=None)
     @given(grid_modsteps())
@@ -822,6 +908,18 @@ class TestSlicedGrid:
         for h, MM, rr in ((f, M, r), (f, M + 1, r), (f.fourier(), r, M)):
             got, want = qd.evaluate_on_grid(h, MM, rr), _dense_evaluate_on_grid(h, MM, rr)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("slab_points", [1, 7, 50])
+    @settings(max_examples=30, deadline=None)
+    @given(f=grid_modsteps())
+    def test_several_slabs_bitwise_equal_to_dense_grid(self, slab_points, f):
+        # slabs of one row, of a row or several, and of several rows with a short last one
+        M, r = qd.grid_geometry(f)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qd, "SLAB_POINTS", slab_points)
+            for h, MM, rr in ((f, M, r), (f, M + 1, r), (f.fourier(), r, M)):
+                got, want = qd.evaluate_on_grid(h, MM, rr), _dense_evaluate_on_grid(h, MM, rr)
+                assert np.array_equal(got, want)
 
     @settings(max_examples=25, deadline=None)
     @given(grid_modsteps())
