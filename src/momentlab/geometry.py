@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_CELL_BUDGET = 8_000_000
+INT64_LIMIT = 2**63  # integer columns whose values stay below this can be int64
 
 
 def _is_canonical(x: QRational, scale_exp: int) -> bool:
@@ -326,16 +327,15 @@ class ThetaBox:
     group coordinates of w have the norms of B(-a) w.
     """
 
-    __slots__ = ("q", "k", "anchor", "scale_exp", "_gamma", "_inverse")
+    __slots__ = ("q", "k", "scale_exp", "_gamma", "_inverse")
 
     def __init__(self, anchor: QRational, scale_exp: int, k: int):
-        inverse = binomial_frame(-_frame_anchor(anchor, k), k)
+        a = _frame_anchor(anchor, k)
         object.__setattr__(self, "q", anchor.q)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "scale_exp", scale_exp)
-        object.__setattr__(self, "_gamma", gamma(anchor, k))
-        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "_gamma", tuple(a**j for j in range(1, k + 1)))
+        object.__setattr__(self, "_inverse", binomial_frame(-a, k))
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaBox is immutable")
@@ -351,18 +351,18 @@ class ThetaBox:
                 inside = inside & (y % q**e == 0)
         return inside
 
-    def contains(self, xi: QVector) -> bool:
-        k = self.k
-        n, L = _scaled((*xi, *self._gamma))
-        return self._group_member([n[i] - n[k + i] for i in range(k)], L)
+    def contains(self, xi, L: int | None = None):
+        """Whether xi lies in the box: a QVector, or integer columns of points
+        xi * q^L with L <= 0, for a mask (True where the box tests no digit)."""
+        if L is None:  # the appended 1 keeps L <= 0; zip drops its column
+            xi, L = _scaled((*xi, QRational(self.q, 1)))
+        shift = self.q**-L
+        return self._group_member([x - g * shift for x, g in zip(xi, self._gamma)], L)
 
-    def contains_cube(self, cube: Cube) -> bool:
-        """Exact: a cube lies inside iff its corner does and its side is <= d^k."""
-        return cube.scale_exp >= self.scale_exp * self.k and self.contains(cube.corner)
 
-
+@cache
 def theta_of(K: Interval, k: int) -> ThetaBox:
-    """The curve box over a base interval inside the unit interval."""
+    """The curve box over a base interval inside the unit interval, memoized like its frame."""
     if K.scale_exp < 0:
         raise ValueError("base interval must lie inside the unit interval")
     return ThetaBox(K.corner, K.scale_exp, k)

@@ -17,8 +17,8 @@ read |f| from the planner.  The oracles, sharing no code with either, are
 the symbolic ``evaluate`` and ``quotient_dft.evaluate_on_grid``.
 
 Frequency restriction also has one path: ``freq_components`` splits f over
-a partition of the first frequency coordinate with one transform, and
-returns only the nonzero pieces.
+a partition of the first frequency coordinate with f's one transform, which
+``fourier`` keeps, and returns only the nonzero pieces, each with its own.
 
 Canonical form: all cubes at one common scale, at most one term per
 (cube, modulation) pair with modulations reduced to canonical digit
@@ -57,7 +57,7 @@ class ModulatedStep:
     sorted deterministically; ``scale_exp`` is the common cube scale.
     """
 
-    __slots__ = ("q", "k", "scale_exp", "terms", "_by_cube")
+    __slots__ = ("q", "k", "scale_exp", "terms", "_by_cube", "_hat")
 
     def __init__(self, q: int, k: int, terms=()):
         object.__setattr__(self, "q", q)
@@ -69,6 +69,7 @@ class ModulatedStep:
         for c, b, cube in canon:
             by_cube.setdefault(cube, []).append((c, b))
         object.__setattr__(self, "_by_cube", by_cube)
+        object.__setattr__(self, "_hat", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModulatedStep is immutable")
@@ -210,8 +211,10 @@ class ModulatedStep:
     # -- integral calculus ----------------------------------------------------
 
     def fourier(self) -> "ModulatedStep":
-        """Exact transform: a modulated cube maps to a modulated dual cube."""
-        return self._transform(inverse=False)
+        """Exact transform, kept on the instance: a modulated cube maps to a modulated dual cube."""
+        if self._hat is None:
+            object.__setattr__(self, "_hat", self._transform(inverse=False))
+        return self._hat
 
     def inverse_fourier(self) -> "ModulatedStep":
         return self._transform(inverse=True)
@@ -260,8 +263,8 @@ class ModulatedStep:
 
     def freq_components(self, partition) -> dict[Interval, "ModulatedStep"]:
         """The nonzero pieces whose transforms live over the intervals of a
-        uniform-scale partition of coordinate 1, from one shared transform,
-        in partition order.  An interval whose piece vanishes has no entry.
+        uniform-scale partition of coordinate 1, from the kept transform, in
+        partition order, each keeping its own.  A vanishing piece has no entry.
 
         This is the only frequency restriction: one interval's piece is the
         entry for it in a partition that contains it.
@@ -285,6 +288,7 @@ class ModulatedStep:
                 hat_i = ModulatedStep(self.q, self.k, buckets[i])
                 if not hat_i.is_zero:
                     pieces[i] = hat_i.inverse_fourier()
+                    object.__setattr__(pieces[i], "_hat", hat_i)
         return pieces
 
     # -- evaluation and norms ----------------------------------------------------

@@ -29,6 +29,7 @@ from .exponents import (
     theorem_exponent,
 )
 from .geometry import (
+    INT64_LIMIT,
     _diff_corners,
     _offset_digits,
     _owner_digits,
@@ -55,7 +56,6 @@ from .wavepackets import ScaleConfig, pigeonhole, verify_theta_support, wavepack
 
 GRID_CHECK_LIMIT = 600_000
 RESIDUE_CHECK_LIMIT = 200_000
-INT64_LIMIT = 2**63
 
 
 def _suite(name):

@@ -17,15 +17,16 @@ from math import ceil
 from .errors import BudgetExceededError, MomentLabError, SupportError, VerificationError
 from .geometry import (
     DEFAULT_CELL_BUDGET,
+    INT64_LIMIT,
     Cube,
     Interval,
-    ThetaBox,
     Tile,
+    _scaled,
     theta_of,
     tile_of_point,
     unit_interval,
 )
-from .qadic import QVector
+from .qadic import QRational, QVector
 from .stepfn import PRUNE_REL_TOL, ModulatedStep, _cell_values
 
 __all__ = [
@@ -95,56 +96,62 @@ def _support_witnesses(f: ModulatedStep, delta_exp: int) -> dict[Interval, Cube]
     """Which fine intervals carry Fourier support, each with a witness cell.
 
     This is the one check of the hypothesis supp(FT f) inside the union of
-    curve boxes.  The transform is taken to the curve-box cube scale: on
+    curve boxes, on f's one transform taken to the curve-box cube scale: on
     each transform cube, the terms whose modulations agree below that scale
     merge into one coefficient per cell, the one canonicalization would
-    give.  Cells above the prune threshold are tested against the box over
-    their interval; a cell outside raises with the offender attached.  A
-    canonical cell outside its box is a genuine violation because distinct
+    give.  Cells above the prune threshold, read as integer digit columns,
+    are tested against the box over their interval; the first cell outside
+    raises with the offender attached, a genuine violation because distinct
     canonical modulations on one cube are linearly independent characters.
-    Returns the first cell found over each interval, keyed in Interval.key
-    order.
+    Returns the first cell over each interval, keyed in Interval.key order.
     """
+    import numpy as np  # imported here so that importing momentlab does not load numpy
+
     q, k, m = f.q, f.k, delta_exp
     if f.is_zero:
         return {}
     hat = f.fourier()
-    fine = max(hat.scale_exp, m * k)
+    s = hat.scale_exp
+    fine = max(s, m * k)
     groups: dict[tuple[Cube, QVector], list] = {}
     for c, b, cube in hat.terms:
         rep = b.rep_mod(-fine)
         groups.setdefault((cube, rep), []).append((c, b - rep))
-    per_cube = q ** ((fine - hat.scale_exp) * k)
-    n_cells = len(groups) * per_cube
+    side = q ** (fine - s)
+    n_cells = len(groups) * side**k
     if n_cells > DEFAULT_CELL_BUDGET:
         raise BudgetExceededError(
             "certificate cells exceed the budget", estimated=n_cells, budget=DEFAULT_CELL_BUDGET
         )
-    if per_cube == 1:  # already at the box scale, where hat is canonical
-        cells = [cube for _, _, cube in hat.terms]
-    else:
-        values = {key: abs(_cell_values(key[0], parts, fine)) for key, parts in groups.items()}
-        tol = max(float(a.max()) for a in values.values()) * PRUNE_REL_TOL
-        pieces: dict[Cube, list[Cube]] = {}
-        cells = []
-        for (cube, _), a in values.items():
-            if cube not in pieces:
-                pieces[cube] = cube.subdivide(fine)
-            cells.extend(pieces[cube][j] for j in (a > tol).nonzero()[0].tolist())
-    boxes: dict[Interval, ThetaBox] = {}
-    witness: dict[Interval, Cube] = {}
-    for cube in cells:
-        first = cube.corner[0]
-        if not first.is_zero and first.valuation < 0:
-            raise SupportError("Fourier support leaves the unit interval", offending_cube=cube)
-        K = Interval(first.rep_mod(m), m)
-        box = boxes.get(K)
-        if box is None:
-            box = boxes[K] = theta_of(K, k)
-            witness[K] = cube
-        if not box.contains_cube(cube):
-            raise SupportError(f"Fourier support leaves the curve box over {K}", offending_cube=cube)
-    return {K: witness[K] for K in sorted(witness, key=Interval.key)}
+    values = np.concatenate([  # a lone character has modulus |c| on every cell
+        np.abs(_cell_values(cube, parts, fine)) if len(parts) > 1 else np.full(side**k, abs(parts[0][0]))
+        for (cube, _), parts in groups.items()
+    ])
+    counted = np.flatnonzero(values > values.max() * PRUNE_REL_TOL)
+    # counted cell n is digit n % side^k, in subdivide order, of cube n // side^k; its corner
+    # is cols[:, n] * q^L, and B(-a) cols stays below q^(mk + fine - L)
+    ints, L = _scaled([x for cube, _ in groups for x in cube.corner] + [QRational(q, 1, min(s, 0))])
+    dtype = np.int64 if q ** (m * k + fine - L) < INT64_LIMIT else object
+    cols = list(np.array(ints[:-1], dtype=dtype).reshape(-1, k)[counted // side**k].T)
+    for i in range(k if side > 1 else 0):  # a cell's digits within its cube step by q^(s - L)
+        cols[i] = cols[i] + (counted // side ** (k - 1 - i) % side).astype(dtype) * q ** (s - L)
+
+    def cell(n):  # only a witness or an offender becomes a Cube
+        return Cube(QVector([QRational(q, int(x[n]), L) for x in cols]), fine)
+
+    key = np.where(cols[0] % q**-L == 0, cols[0] // q**-L % q**m, -1)  # interval corner digits, -1 off Z_q
+    inside = key >= 0
+    witness = {}
+    for a in sorted(set(key[inside].tolist())):
+        run = np.flatnonzero(key == a)
+        K = Interval(QRational(q, a), m)
+        witness[K] = run[0]
+        inside[run] = theta_of(K, k).contains([x[run] for x in cols], L)
+    if not inside.all():
+        n = int(inside.argmin())
+        where = f"the curve box over {Interval(QRational(q, int(key[n])), m)}" if key[n] >= 0 else "the unit interval"
+        raise SupportError(f"Fourier support leaves {where}", offending_cube=cell(n))
+    return {K: cell(witness[K]) for K in sorted(witness, key=Interval.key)}
 
 
 def freq_certificate(f: ModulatedStep, delta_exp: int) -> dict[Interval, ModulatedStep]:
@@ -253,9 +260,9 @@ def pigeonhole(
 
     Requires f spatially supported on one translate of the ball of radius
     delta^-k and Fourier supported in the union of curve boxes, which
-    freq_certificate checks before any splitting.  Returns
-    (buckets, remainder, report); the remainder obeys
-    ||remainder||_p <= (sum_K ||f_K||_p^2)^(1/2), asserted at runtime.
+    freq_certificate checks, then wavepacket_decompose per piece on the
+    transform the piece was made from.  Returns (buckets, remainder,
+    report); ||remainder||_p <= (sum_K ||f_K||_p^2)^(1/2) is asserted.
     """
     q, k, m = cfg.q, cfg.k, cfg.delta_exp
     if height_floor_exponent is None:

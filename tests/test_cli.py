@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import timedelta
 
 import pytest
@@ -455,7 +456,7 @@ def fixture_documents(draw):
     rat = st.builds(lambda u, v: f"{u}*3^{v}", st.integers(-8, 8), st.integers(-2, 0))
     terms = []
     for _ in range(draw(st.integers(0, 2))):
-        s = draw(st.integers(0, 1))  # mixing cube scales 0 and 2 already costs 3^12 certificate cells
+        s = draw(st.integers(0, 2))
         corner = [f"{draw(st.integers(0, 3 ** s - 1))}" for _ in range(k)]
         terms.append({"re": draw(st.floats(-2, 2)), "im": draw(st.floats(-2, 2)),
                       "modulation": [draw(rat) for _ in range(k)], "cube": {"corner": corner, "scale_exp": s}})
@@ -476,6 +477,30 @@ def fixture_documents(draw):
 
 
 class TestFixtureFuzz:
+    def test_wide_transform_is_refused_quickly(self, tmp_path, monkeypatch):
+        # a term on a cube of side 3^-2 and one on the unit cube: the transform
+        # has side 9, so the certificate at delta = 3^-2 reads 3^12 cells, and
+        # builds a Cube only for the offender and the witnesses
+        from momentlab import cli, geometry
+
+        path = tmp_path / "f.json"
+        terms = [{"re": 1.0, "im": 0.0, "modulation": ["0", "0"], "cube": {"corner": ["0", "0"], "scale_exp": s}}
+                 for s in (2, 0)]
+        path.write_text(json.dumps({"q": 3, "k": 2, "terms": terms}))
+        argv = ["reverse-square", "--input", str(path), "--delta-exp", "2", "--kappa-exp", "1",
+                "--output", str(tmp_path / "r.json")]
+        elapsed = []
+        with contextlib.redirect_stderr(io.StringIO()):
+            for _ in range(3):
+                start = time.perf_counter()
+                assert cli.main(argv) == 4
+                elapsed.append(time.perf_counter() - start)
+            built, real = [], geometry.Cube.__init__
+            monkeypatch.setattr(geometry.Cube, "__init__", lambda cube, *a: (built.append(1), real(cube, *a))[1])
+            assert cli.main(argv) == 4
+        assert min(elapsed) < 0.5
+        assert len(built) < 1000
+
     @settings(max_examples=40, deadline=timedelta(seconds=30), suppress_health_check=[HealthCheck.too_slow])
     @given(fixture_documents(), st.sampled_from(FIXTURE_COMMANDS), st.sampled_from(["1", "2"]))
     def test_every_fixture_exits_within_the_contract(self, doc, argv, delta_exp):

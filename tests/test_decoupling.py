@@ -13,7 +13,7 @@ from momentlab.geometry import Cube, Interval, ball, gamma, tau_of, unit_interva
 from momentlab.qadic import QRational, QVector
 from momentlab.random_instances import random_box_function, random_curve_supported
 from momentlab.stepfn import ModulatedStep
-from momentlab.wavepackets import ScaleConfig
+from momentlab.wavepackets import ScaleConfig, pigeonhole
 
 
 def cfg92():
@@ -88,20 +88,25 @@ class TestCertificates:
         with pytest.raises(SupportError):
             dec.freq_certificate(f, 2)
 
-    @pytest.mark.parametrize("check", [lambda f: dec.decoupling_ratio(f, 2, 8),
-                                       lambda f: dec.verify_main_lemma(f, cfg92(), 8)],
-                             ids=["ratio", "main-lemma"])
-    def test_one_transform_per_step_and_one_inverse_per_live_piece(self, monkeypatch, check):
-        calls, real = [], ModulatedStep._transform
-        monkeypatch.setattr(ModulatedStep, "_transform", lambda g, inverse: (calls.append(inverse), real(g, inverse))[1])
+    @pytest.mark.parametrize(
+        "check, splits",
+        [(lambda f: dec.decoupling_ratio(f, 2, 8), lambda cfg: [cfg.fine_partition()]),
+         (lambda f: dec.verify_main_lemma(f, cfg92(), 8), lambda cfg: [cfg.fine_partition()]),
+         (lambda f: dec.reverse_square_check(f, 2, 1), lambda cfg: [cfg.fine_partition(), cfg.coarse_partition()]),
+         (lambda f: pigeonhole(f, cfg92(), 8), lambda cfg: [cfg.fine_partition()])],
+        ids=["ratio", "main-lemma", "reverse-square", "pigeonhole"],
+    )
+    def test_one_transform_per_step_and_one_inverse_per_live_piece(self, transforms, check, splits):
         rng = random.Random(5)
         for n in (1, 2, 5):
             f = random_curve_supported(rng, 3, 2, 2, n, 2)
-            live = sum(not fK.is_zero for fK in f.freq_components(cfg92().fine_partition()).values())
-            calls.clear()
+            transforms.clear()
             check(f)
-            # the support check and the split transform f once each
-            assert calls == [False, False] + [True] * live
+            calls = list(transforms)
+            live = sum(len(f.freq_components(P)) for P in splits(cfg92()))
+            # the certificate and every split share f's one transform; no
+            # certified piece is transformed again
+            assert calls == [False] + [True] * live
 
 
 class TestRatio:
@@ -110,6 +115,18 @@ class TestRatio:
         K = unit_interval(3).partition(2)[4]
         f = random_box_function(rng, 3, 2, K, 3)
         ratio, _ = dec.decoupling_ratio(f, 2, 6)
+        assert abs(ratio - 1.0) < 1e-12
+
+    def test_a_box_function_on_finer_cubes_gives_one(self):
+        # the same function with its cubes subdivided to side 3: the
+        # transform cubes then span several fine intervals, and over two of
+        # them its characters cancel to rounding noise, which a threshold
+        # taken per interval would count as support outside the boxes
+        q, k, m = 3, 2, 2
+        g = random_box_function(random.Random(5), q, k, unit_interval(q).partition(m)[5], 2)
+        f = ModulatedStep(q, k, [(c, b, piece) for c, b, cube in g.terms for piece in cube.subdivide(-1)])
+        assert f.close_to(g, 1e-12) and f.fourier().scale_exp < m
+        ratio, _ = dec.decoupling_ratio(f, m, 8)
         assert abs(ratio - 1.0) < 1e-12
 
     def test_odd_p_rejected(self):

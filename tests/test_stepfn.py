@@ -445,6 +445,11 @@ class TestFourier:
                 one = ModulatedStep.indicator(ball(q, k, 0))
                 assert one.fourier().is_identical(one)
 
+    def test_transform_is_kept(self, transforms):
+        f = random_modstep(random.Random(3), 3, 2, 4, 2)
+        assert f.fourier() is f.fourier()
+        assert transforms == [False]
+
     def test_small_ball_transform(self):
         # the indicator of 3 Z_3 maps to a third of the ball of radius 3
         f = ModulatedStep.indicator(Cube(QVector([q3(0)]), 1))
@@ -618,19 +623,31 @@ class TestRestriction:
         comps = f.freq_components(P)
         assert list(comps) == [P[1]]
 
-    def test_dead_intervals_are_left_out(self, monkeypatch):
+    def test_dead_intervals_are_left_out(self, transforms):
         # hat - chi(xi_1 / 3) hat cancels where xi_1 = 0 mod 3: that bucket
         # is not empty, but its piece canonicalizes to zero
         O = ball(3, 2, 0)
         wave = QVector([deep(1, -1), q3(0)])
         f = (ModulatedStep.indicator(O) - ModulatedStep.indicator(O, 1.0, wave)).inverse_fourier()
         P = unit_interval(3).partition(1)
-        calls, real = [], ModulatedStep._transform
-        monkeypatch.setattr(ModulatedStep, "_transform", lambda g, inverse: (calls.append(inverse), real(g, inverse))[1])
+        transforms.clear()
         comps = f.freq_components(P)
         assert list(comps) == [P[1], P[2]]
-        assert calls == [False, True, True]  # one transform, one inverse per live piece
+        assert transforms == [False, True, True]  # one transform, one inverse per live piece
         assert (comps[P[1]] + comps[P[2]]).close_to(f, 1e-10)
+
+    def test_pieces_keep_the_transform_they_were_made_from(self, transforms):
+        rng = random.Random(11)
+        f = random_modstep(rng, 3, 2, 3, 2)
+        P = unit_interval(3).partition(1)
+        comps = f.freq_components(P)
+        assert len(comps) == 3
+        transforms.clear()
+        for I, g in comps.items():
+            hat = g.fourier()
+            assert all(I.contains(cube.corner[0]) for cube in hat.support_cubes())
+            assert hat.close_to(ModulatedStep(3, 2, g.terms).fourier(), 1e-12)
+        assert transforms == [False] * len(comps)  # only the fresh copies
 
     def test_partition_of_unity(self):
         from momentlab.random_instances import random_curve_supported

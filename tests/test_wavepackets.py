@@ -198,6 +198,11 @@ def _refined_transform(f, scale_exp):
     return ModulatedStep(f.q, f.k, _terms_at_scale(hat, max(hat.scale_exp, scale_exp)))
 
 
+def _box_holds(K, cube):
+    """A cube lies in the box over K iff its corner does and its side is at most d^k."""
+    return cube.scale_exp >= K.scale_exp * cube.k and theta_of(K, cube.k).contains(cube.corner)
+
+
 def _refined_certificate(f, m):
     """Reference certificate: test each term of the canonical refined transform."""
     if f.is_zero:
@@ -208,7 +213,7 @@ def _refined_certificate(f, m):
         if not first.is_zero and first.valuation < 0:
             raise SupportError("leaves the unit interval", offending_cube=cube)
         K = Interval(first.rep_mod(m), m)
-        if not theta_of(K, f.k).contains_cube(cube):
+        if not _box_holds(K, cube):
             raise SupportError("leaves the box", offending_cube=cube)
         out.setdefault(K, []).append(cube)
     return out
@@ -217,10 +222,46 @@ def _refined_certificate(f, m):
 def _refined_theta_support(g, K):
     """Reference single-box check on the same refined transform."""
     if not g.is_zero:
-        box = theta_of(K, g.k)
         for _, _, cube in _refined_transform(g, K.scale_exp * g.k).terms:
-            if not box.contains_cube(cube):
+            if not _box_holds(K, cube):
                 raise SupportError("leaves the box", offending_cube=cube)
+
+
+def _certified_piece_by_piece(f, m):
+    """Reference for what pigeonhole certifies: the reference certificate,
+    then each piece of the split certified alone on a transform taken anew."""
+    _refined_certificate(f, m)
+    pieces = f.freq_components(unit_interval(f.q).partition(m))
+    for K, fK in pieces.items():
+        _refined_theta_support(ModulatedStep(f.q, f.k, fK.terms), K)
+    return pieces
+
+
+def _certified_for_pigeonhole(f, m):
+    """What pigeonhole certifies: the certificate, then each piece in its own box."""
+    pieces = freq_certificate(f, m)
+    for K, fK in pieces.items():
+        verify_theta_support(fK, K)
+    return pieces
+
+
+def _off_box_wave(q, k, m, seed, where, exponent):
+    """A curve-supported f plus one off-box transform cell, in the unit
+    interval or beyond it, sized 10^exponent times the largest coefficient
+    over its interval (over all of f beyond the unit interval or over an
+    empty interval); None when the cell happens to lie in its box."""
+    rng = random.Random(seed)
+    f = random_curve_supported(rng, q, k, m, rng.randint(1, 3), rng.randint(1, 2))
+    first = QRational(q, rng.randrange(q**m)) if where == "unit" else QRational(q, rng.randrange(1, q), -1)
+    rest = [QRational(q, rng.randrange(q ** (m * k))) for _ in range(k - 1)]
+    cell = Cube(QVector([first, *rest]).rep_mod(m * k), m * k)
+    K = Interval(first.rep_mod(m), m)
+    if where == "unit" and _box_holds(K, cell):
+        return None
+    hat = f.fourier()
+    over_K = [abs(c) for c, _, cube in hat.terms if where == "unit" and K.contains(cube.corner[0])]
+    size = 10.0**exponent * max(over_K or [abs(c) for c, _, _ in hat.terms])
+    return f + ModulatedStep.indicator(cell, size).inverse_fourier()
 
 
 def _outcome(fn, *args):
@@ -293,6 +334,80 @@ class TestCertificate:
         assert list(pieces) == list(split)
         assert all(pieces[K].is_identical(fK) for K, fK in split.items())
         assert sorted(pieces, key=Interval.key) == list(wp._support_witnesses(f, m))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([(3, 2), (5, 2)]),
+        st.integers(1, 2),
+        st.integers(0, 2**32),
+        st.sampled_from(["unit", "beyond"]),
+        st.sampled_from([-16, -14, -10, -6, 0]),
+    )
+    def test_pieces_certify_on_the_transform_they_were_made_from(self, qk, m, seed, where, exponent):
+        """pigeonhole certifies each piece on the transform the split made it
+        from; the oracle certifies a copy of the piece on a transform taken
+        anew.  The off-box cell is at least 100 times from the threshold
+        PRUNE_REL_TOL = 1e-12 of its interval (of all of f beyond the unit
+        interval): at the threshold itself, rounding decides, and the two
+        transforms of a piece differ by rounding."""
+        q, k = qk
+        g = _off_box_wave(q, k, m, seed, where, exponent)
+        assume(g is not None)
+        expected = _outcome(_certified_piece_by_piece, g, m)
+        got = _outcome(_certified_for_pigeonhole, g, m)
+        if expected is SupportError:
+            assert got is SupportError
+        else:
+            assert list(got) == list(expected)
+            assert all(got[J].is_identical(gJ) for J, gJ in expected.items())
+
+    @pytest.mark.parametrize("where, exponent", [("unit", -16), ("unit", 0), ("beyond", 0)])
+    def test_python_int_columns_agree_with_int64(self, monkeypatch, where, exponent):
+        # the witness pass reads cells as int64 columns when no overflow can
+        # occur, else as Python ints; force the second on the same inputs
+        def run(g, m):
+            try:
+                return wp._support_witnesses(g, m), list(freq_certificate(g, m))
+            except SupportError as err:
+                return str(err), err.offending_cube
+
+        refused = []
+        for seed in range(24):
+            q, k, m = (3 if seed < 12 else 5), 2, 1 + seed % 2
+            g = _off_box_wave(q, k, m, seed, where, exponent)
+            if g is None:
+                continue
+            fast = run(g, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(wp, "INT64_LIMIT", 0)
+                assert run(g, m) == fast
+            refused.append(isinstance(fast[0], str))
+        assert refused and refused == [exponent == 0] * len(refused)
+
+    def test_a_weak_interval_passes_the_certificate_but_not_its_piece_check(self):
+        # spread over the nine subcubes of side 3, each box cell of the
+        # transform becomes nine characters on a cube of side 1/3 that add up
+        # on it, so the largest cell is nine times the largest coefficient;
+        # an off-box wave over the weak interval, between the two, survives
+        # canonicalization but stays under a threshold taken from the whole
+        # transform, while its own piece's threshold catches it
+        q, k, m = 3, 2, 1
+        P = unit_interval(q).partition(m)
+        rng = random.Random(3)
+        strong = random_box_function(rng, q, k, P[0], 1)
+        weak = random_box_function(rng, q, k, P[1], 1).scaled(1e-6)
+        f = ModulatedStep(q, k, _terms_at_scale(strong, -1) + _terms_at_scale(weak, -1))
+        wave = (abs(strong.terms[0][0]) * 10**-11.5, QVector([QRational(q, 1), QRational(q, 2)]), ball(q, k, 1))
+        g = ModulatedStep(q, k, [*f.terms, wave])
+        assert not g.is_identical(f)
+        assert list(freq_certificate(f, m)) == P[:2]
+        assert list(freq_certificate(g, m)) == P[:2]
+        assert set(_refined_certificate(g, m)) == set(P[:2])
+        for check in (_certified_piece_by_piece, _certified_for_pigeonhole):
+            with pytest.raises(SupportError):
+                check(g, m)
+        with pytest.raises(SupportError):
+            pigeonhole(g, ScaleConfig.from_epsilon(q, k, m, Fraction(1, 2)), 8)
 
     def test_packets_pass_and_foreign_intervals_fail(self):
         rng = random.Random(9)
