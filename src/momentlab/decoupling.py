@@ -14,18 +14,17 @@ distinct same-length intervals are automatically q*kappa apart.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
-from math import frexp, fsum, inf, isfinite
+from itertools import combinations, permutations, product
+from math import comb, frexp, fsum, inf, isfinite, perm
 
 from .errors import MomentLabError, VerificationError
 from .geometry import Cube, Interval, ball, binomial_frame, frame_apply, gamma, tau_of, unit_interval
 from .qadic import QRational, QVector
 from .stepfn import ModulatedStep, _lp_from_cells, joint_cell_values
-from .vinogradov import count_power_sum_congruences
+from .vinogradov import DEFAULT_BUDGET, _check_budget, _power_sum_distribution, count_power_sum_congruences
 from .wavepackets import ScaleConfig, freq_certificate
 
 __all__ = [
@@ -255,36 +254,36 @@ def counting_set_pointwise_oracle(qry: CountingQuery, rng: random.Random | None 
 def counting_lemma_exhaustive(q: int, k: int, delta_exp: int, kappa_exp: int):
     """Check every admissible query at the given scales against the bound.
 
-    Boxes range over their residues modulo the delta lattice
-    (inequivalent residues exhaust the distinct membership questions, and
-    boxes away from the unit ball give empty sets).  Returns a report with
-    the worst count and the query space size.
+    A count is an entry of the distribution of the anchors' power sums mod
+    q^m (their tau corners), built by the counting side once per set of
+    coarse intervals, as power sums are symmetric.  Boxes range over their
+    residues modulo the delta lattice (inequivalent residues exhaust the
+    distinct membership questions, and boxes away from the unit ball give
+    empty sets).  The whole enumeration is budgeted first.  Returns a report
+    with the worst count and the query space size in ordered tuples.
     """
     if q <= k:
         raise ValueError(f"need a prime q > k, got q={q}, k={k}")
     cfg = ScaleConfig(q, k, delta_exp, -(-delta_exp // k), kappa_exp)
     m, r = delta_exp, kappa_exp
+    qm, per_coarse = q**m, q ** (m - r)
+    # per set, the i-th interval shifts at most per_coarse^(i-1) keys by per_coarse anchors
+    work = comb(q**r, k) * sum(per_coarse**i for i in range(1, k + 1))
+    _check_budget(work, DEFAULT_BUDGET, "counting-lemma enumeration")
     coarse = cfg.coarse_partition()
     bound = q ** ((r - 1) * k * (k - 1))  # (q kappa)^(-k(k-1)) with kappa = q^-r
-    qm = q**m
-    fine_by_coarse = {I: I.partition(m) for I in coarse}
-    tau_corner: dict[Interval, tuple[int, ...]] = {}
-    for I in coarse:
-        for K in fine_by_coarse[I]:
-            # anchors are canonical digit integers, so tau corners are integers
-            corner = tau_of(K, k).corner
-            tau_corner[K] = tuple(c.unit * q**c.valuation if not c.is_zero else 0 for c in corner)
-    worst, worst_query, n_queries = 0, None, 0
-    for combo_I in permutations(coarse, k):
-        anchors = list(product(*(fine_by_coarse[I] for I in combo_I)))
-        keys = [tuple(sum(tau_corner[K][i] for K in combo_K) % qm for i in range(k)) for combo_K in anchors]
-        table = Counter(keys)
-        # per anchor tuple, w -> (base - w) mod q^m meets each key once; the first max is at anchors[0]
-        n_queries += len(anchors) * qm**k
+    # anchors are canonical digit integers, so their power sums mod q^m are tau corners
+    anchors = {I: [int(K.corner.to_fraction()) for K in I.partition(m)] for I in coarse}
+    worst, worst_query = 0, None
+    for combo_I in combinations(coarse, k):
+        table = _power_sum_distribution(k, [(anchors[I], 1, None) for I in combo_I], [qm] * k)
         best = max(table.values())
         if best > worst:
-            w = min(tuple((b - c) % qm for b, c in zip(keys[0], key)) for key, n in table.items() if n == best)
-            worst, worst_query = best, (combo_I, anchors[0], w)
+            # the first max is at the sorted ordering's first anchors, where w meets key (base - w) mod q^m
+            base = [sum(pow(anchors[I][0], j, qm) for I in combo_I) % qm for j in range(1, k + 1)]
+            w = min(tuple((b - c) % qm for b, c in zip(base, key)) for key, n in table.items() if n == best)
+            worst, worst_query = best, (combo_I, w)
+    n_queries = perm(len(coarse), k) * per_coarse**k * qm**k
     report = {
         "worst_count": worst,
         "bound": bound,
@@ -293,10 +292,10 @@ def counting_lemma_exhaustive(q: int, k: int, delta_exp: int, kappa_exp: int):
         "worst_query": None,
     }
     if worst_query is not None:
-        combo_I, combo_Kbar, w = worst_query
+        combo_I, w = worst_query
         report["worst_query"] = {
             "intervals": [I.to_json() for I in combo_I],
-            "anchors": [K.to_json() for K in combo_Kbar],
+            "anchors": [Interval(I.corner, m).to_json() for I in combo_I],
             "box_residue": list(w),
         }
     if not report["holds"]:

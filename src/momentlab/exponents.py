@@ -30,6 +30,7 @@ __all__ = [
     "supercritical_slack",
     "theorem_exponent",
     "bdg_sharp_exponent",
+    "rung",
     "iterate_D_bound",
 ]
 
@@ -200,6 +201,12 @@ class BoundTrajectory:
         }
 
 
+def rung(k, p, T, loss):
+    """The counted branch T(p) fed by T = T(p - 2k), plus a loss; exact when
+    k and p are Fractions.  With no loss it is Karatsuba's step as well."""
+    return loss + (p / 2 + k * (k - 3) / 2) / k + (1 - 1 / k) * T
+
+
 def iteration_count(epsilon: Fraction) -> int:
     """Least M with (1-eps)^M <= eps."""
     eps = float(epsilon)
@@ -241,12 +248,7 @@ def iterate_D_bound(params: ExponentParams, p: int) -> BoundTrajectory:
         slack = supercritical_slack(k, c0, cur)
         if slack < -FLOAT_TOL:
             raise MomentLabError(f"positivity fails at p = {cur}; iteration inadmissible")
-        # counted branch: one scale recursion step feeding on the previous rung
-        counted = (
-            (k * k + 4 * k - 2) * epsf
-            + (cur / 2.0 + k * (k - 3) / 2.0) / k
-            + (1.0 - 1.0 / k) * T_prev
-        )
+        counted = rung(k, cur, T_prev, (k * k + 4 * k - 2) * epsf)
         # trivial cap after M rounds of replacing delta by delta^(1-eps)
         trivial_cap = (1.0 - epsf) ** M * cur / 2.0
         T_cur = max(trivial_cap, counted)

@@ -264,7 +264,8 @@ class ModulatedStep:
     def freq_components(self, partition) -> dict[Interval, "ModulatedStep"]:
         """The nonzero pieces whose transforms live over the intervals of a
         uniform-scale partition of coordinate 1, from the kept transform, in
-        partition order, each keeping its own.  A vanishing piece has no entry.
+        partition order, each keeping its own.  A vanishing piece, one within
+        PRUNE_REL_TOL of f's largest transform coefficient, has no entry.
 
         This is the only frequency restriction: one interval's piece is the
         entry for it in a partition that contains it.
@@ -283,10 +284,11 @@ class ModulatedStep:
                     if interval is not None:
                         buckets.setdefault(interval, []).append((c, b, piece))
         pieces = {}
+        tol = PRUNE_REL_TOL * max((abs(c) for c, _, _ in hat.terms), default=0.0)
         for i in partition:
             if i in buckets:
                 hat_i = ModulatedStep(self.q, self.k, buckets[i])
-                if not hat_i.is_zero:
+                if max((abs(c) for c, _, _ in hat_i.terms), default=0.0) > tol:
                     pieces[i] = hat_i.inverse_fourier()
                     object.__setattr__(pieces[i], "_hat", hat_i)
         return pieces

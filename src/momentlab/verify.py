@@ -18,6 +18,7 @@ from . import decoupling as dec
 from . import quotient_dft as qd
 from .errors import BudgetExceededError, MomentLabError, SupportError
 from .exponents import (
+    FLOAT_TOL,
     ExponentParams,
     a_coeff,
     a_coeff_recurrence,
@@ -323,12 +324,15 @@ def karatsuba_suite(report):
             exact = count_J(s, 2, X)
             if bound < exact:
                 report["failures"].append(f"bound {bound} below exact {exact} at (s={s}, X={X})")
-    for k in (2, 3, 4):
-        for l in (1, 2, 3, 4):
-            got, _ = karatsuba_exponent_trace(k * l, k)
-            want = classical_iteration_exponent(k * l, k)
+    for k in range(2, 7):
+        for s in range(k, 10 * k + 1, k):
+            got, _ = karatsuba_exponent_trace(s, k)
+            want = classical_iteration_exponent(s, k)
             if got != want:
                 report["failures"].append(f"exponent trace {got} != closed form {want}")
+            slack = supercritical_slack(k, Fraction(k * k, 2), 2 * s)
+            if abs(float(got - s) - slack) > FLOAT_TOL:
+                report["failures"].append(f"exponent trace {got} - {s} != T(2s) = {slack} at k={k}")
     report["checked"] = True
 
 
@@ -493,8 +497,8 @@ def run_all(q: int, k: int, seed: int = 0):
         yield tilings(q, k)
         yield wavepackets_suite(q, k, n_instances=20, seed=seed)
         yield pigeonhole_suite(q, k, n_instances=5, seed=seed)
+        yield counting_lemma_suite(cases=((q, k, 2, 1),))
         if k == 2:
-            yield counting_lemma_suite(cases=((q, k, 2, 1),))
             yield broad_narrow_suite(q, k, n_instances=20, seed=seed)
             yield main_lemma_suite(q, k, n_instances=8, seed=seed)
             yield reversed_holder_suite(q, k, n_instances=8, seed=seed)

@@ -16,10 +16,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import comb, factorial, prod
 
 from .errors import BudgetExceededError
+from .exponents import rung
 
 __all__ = [
     "count_J",
@@ -422,26 +423,16 @@ def _nth_root_ceil(x: Fraction, n: int) -> int:
 def karatsuba_exponent_trace(s: int, k: int):
     """Symbolic exponent of X after running the iteration with p = X^(1/k).
 
-    Returns (exponent, steps): each step contributes (2s'-2k)/k + k +
-    (k-1)/2 and rescales X by the power 1 - 1/k; the base contributes k.
-    All arithmetic is exact rational.
+    The exponent is s + T(2s) for the decoupling iteration's T: the base
+    case k! X^k gives T(2k) = 0 and each step is one ``exponents.rung`` with
+    no loss.  Returns (exponent, steps), the steps being T(2k), T(4k), ...,
+    T(2s), one per rung; all arithmetic is exact rational.
     """
     if s % k != 0 or s < k:
         raise ValueError(f"iteration needs s a positive multiple of k, got s={s}, k={k}")
-    steps = []
-    exponent = Fraction(0)
-    shrink = Fraction(1)  # current X is X_original^shrink
-    s_cur = s
-    while s_cur > k:
-        step_exp = (Fraction(2 * s_cur - 2 * k, k) + k + Fraction(k - 1, 2)) * shrink
-        steps.append({"s": s_cur, "scale_power": shrink, "exponent": step_exp})
-        exponent += step_exp
-        shrink *= Fraction(k - 1, k)
-        s_cur -= k
-    base_exp = Fraction(k) * shrink
-    steps.append({"s": s_cur, "scale_power": shrink, "exponent": base_exp})
-    exponent += base_exp
-    return exponent, steps
+    fk = Fraction(k)  # rung is exact on Fractions
+    steps = list(accumulate(range(2, s // k + 1), lambda T, j: rung(fk, 2 * j * fk, T, 0), initial=Fraction(0)))
+    return s + steps[-1], steps
 
 
 def classical_iteration_exponent(s: int, k: int) -> Fraction:

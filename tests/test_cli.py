@@ -196,6 +196,14 @@ class TestFailureModes:
         assert error["error"] == "budget-exceeded"
         assert type(error["estimated"]) is int and error["estimated"] > error["budget"] == 100
 
+    def test_counting_lemma_past_the_budget_exits_3_promptly(self):
+        start = time.perf_counter()
+        r = run_cli("counting-lemma", "--q", "31", "--k", "2", "--delta-exp", "3", "--kappa-exp", "1")
+        assert r.returncode == 3 and time.perf_counter() - start < 10
+        error = json.loads(r.stderr.splitlines()[-1])
+        # 465 pairs of coarse intervals, each shifting 961 anchors over at most 961 keys
+        assert error["error"] == "budget-exceeded" and error["estimated"] == 465 * (961 + 961**2) > error["budget"]
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_a_usage_error(self, capsys, budget):
         from momentlab import cli

@@ -58,6 +58,30 @@ def counting_lemma_box_loop(q, k, delta_exp, kappa_exp):
                 count = table.get(tuple((base[i] - w[i]) % qm for i in range(k)), 0)
                 if count > worst:
                     worst, worst_query = count, (combo_I, combo_Kbar, w)
+    return reference_report(q, k, kappa_exp, worst, worst_query, n_queries)
+
+
+def counting_lemma_by_tables(q, k, delta_exp, kappa_exp):
+    """Reference: counting_lemma_exhaustive's report from one box_loop_table
+    per ordered coarse tuple.  A box residue w meets the key (base - w) mod
+    q^m, so the first maximum sits at the first anchor tuple, at the least w
+    over the most frequent keys."""
+    qm = q**delta_exp
+    coarse, fine_by_coarse, tau_corner = tau_corners(q, k, delta_exp, kappa_exp)
+    worst, worst_query, n_queries = 0, None, 0
+    for combo_I in permutations(coarse, k):
+        table = box_loop_table(combo_I, fine_by_coarse, tau_corner, qm)
+        combo_Kbar = [fine_by_coarse[I][0] for I in combo_I]
+        n_queries += len(fine_by_coarse[combo_I[0]]) ** k * qm**k
+        best = max(table.values())
+        if best > worst:
+            base = [sum(tau_corner[K][i] for K in combo_Kbar) for i in range(k)]
+            w = min(tuple((b - c) % qm for b, c in zip(base, key)) for key, n in table.items() if n == best)
+            worst, worst_query = best, (combo_I, combo_Kbar, w)
+    return reference_report(q, k, kappa_exp, worst, worst_query, n_queries)
+
+
+def reference_report(q, k, kappa_exp, worst, worst_query, n_queries):
     bound = q ** ((kappa_exp - 1) * k * (k - 1))
     report = {
         "worst_count": worst,
@@ -128,6 +152,10 @@ class TestRatio:
         assert f.close_to(g, 1e-12) and f.fourier().scale_exp < m
         ratio, _ = dec.decoupling_ratio(f, m, 8)
         assert abs(ratio - 1.0) < 1e-12
+        # a bucket that cancels is no piece, so the per-piece checks of pigeonhole pass
+        assert list(f.freq_components(cfg92().fine_partition())) == [unit_interval(q).partition(m)[5]]
+        buckets, _, _ = pigeonhole(f, cfg92(), 8)
+        assert len(buckets) == 3
 
     def test_odd_p_rejected(self):
         rng = random.Random(1)
@@ -306,6 +334,12 @@ class TestCountingLemma:
     @pytest.mark.parametrize("q,k,delta_exp,kappa_exp", [(3, 2, 2, 1), (5, 2, 2, 1), (3, 2, 3, 1), (3, 2, 2, 2)])
     def test_exhaustive_report_matches_the_box_loop(self, q, k, delta_exp, kappa_exp):
         assert dec.counting_lemma_exhaustive(q, k, delta_exp, kappa_exp) == counting_lemma_box_loop(
+            q, k, delta_exp, kappa_exp
+        )
+
+    @pytest.mark.parametrize("q,k,delta_exp,kappa_exp", [(5, 3, 2, 1), (7, 3, 2, 1)])
+    def test_degree_three_report_matches_the_tables(self, q, k, delta_exp, kappa_exp):
+        assert dec.counting_lemma_exhaustive(q, k, delta_exp, kappa_exp) == counting_lemma_by_tables(
             q, k, delta_exp, kappa_exp
         )
 

@@ -15,6 +15,7 @@ from momentlab.exponents import (
     iterate_D_bound,
     iteration_count,
     positivity_hypothesis,
+    rung,
     supercritical_slack,
     theorem_exponent,
 )
@@ -169,6 +170,22 @@ class TestIteration:
         traj = iterate_D_bound(params, 8)
         blob = traj.to_json()
         assert blob["p"] == 8 and blob["steps"][0]["branch"] == "base"
+
+
+class TestRung:
+    def test_floats_match_the_counted_branch_bit_for_bit(self):
+        for k in (2, 3, 5):
+            params = ExponentParams(k=k, p0=2 * k, c0=Fraction(k * k), epsilon=Fraction(1, 30))
+            steps = iterate_D_bound(params, 12 * k).steps
+            epsf = float(params.epsilon)
+            for prev, step in zip(steps, steps[1:]):
+                cur, T = step["p"], prev["T"]
+                by_hand = (k * k + 4 * k - 2) * epsf + (cur / 2.0 + k * (k - 3) / 2.0) / k + (1.0 - 1.0 / k) * T
+                assert step["counted_branch"] == by_hand
+
+    def test_fractions_stay_exact(self):
+        value = rung(Fraction(4), Fraction(16), Fraction(1, 7), Fraction(1, 3))
+        assert value == Fraction(1, 3) + Fraction(8 + 2, 4) + Fraction(3, 4) * Fraction(1, 7)
 
 
 def test_sharp_exponent_reference():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from momentlab import vinogradov
 from momentlab.errors import BudgetExceededError
+from momentlab.exponents import FLOAT_TOL, supercritical_slack
 from momentlab.qadic import QRational
 from momentlab.vinogradov import (
     KaratsubaTrace,
@@ -345,10 +346,12 @@ class TestKaratsuba:
             karatsuba_bound(3, 2, 10)
 
     def test_symbolic_exponent_matches_closed_form(self):
-        for k in (2, 3, 4, 5):
-            for l in (1, 2, 3, 4, 5):
+        # and the dictionary: less s, it is the decoupling slack at p = 2s with c0 = k^2/2
+        for k in range(2, 7):
+            for l in range(1, 11):
                 got, steps = karatsuba_exponent_trace(k * l, k)
                 assert got == classical_iteration_exponent(k * l, k)
+                assert abs(float(got - k * l) - supercritical_slack(k, Fraction(k * k, 2), 2 * k * l)) <= FLOAT_TOL
                 assert len(steps) == l
 
     def test_hand_unrolled_degree_two_chain(self):
