@@ -106,9 +106,8 @@ def oracle_agreement(report, q: int, k: int, n_instances: int = 100, seed: int =
         sym_hat = qd.evaluate_on_grid(fhat, r, M)
         l2 = f.lp_norm(2)
         hat_l2 = qd.grid_l2_norm(sym_hat, q, M)
-        scale_ref = max(1.0, float(np.abs(oracle_hat).max()))
-        np.subtract(oracle_hat, sym_hat, out=sym_hat)
-        worst = max(worst, float(np.abs(sym_hat).max()) / scale_ref)
+        peak, err = qd.max_abs_and_error(oracle_hat, sym_hat)
+        worst = max(worst, err / max(1.0, peak))
         worst = max(worst, abs(grid_l2 - l2), abs(l2 - hat_l2))
         g = random_modstep(rng, q, k, rng.randint(1, 3), max(1, scale - 1), mod_depth=1)
         prod_hat = (f * g).fourier()
@@ -123,9 +122,8 @@ def oracle_agreement(report, q: int, k: int, n_instances: int = 100, seed: int =
                 qd.evaluate_on_grid(f, MM, rr), qd.evaluate_on_grid(g, MM, rr), q, rr
             )
             conv_sym = qd.evaluate_on_grid(f.convolve(g), MM, rr)
-            ref = max(1.0, float(np.abs(conv_oracle).max()))
-            np.subtract(conv_oracle, conv_sym, out=conv_sym)
-            worst = max(worst, float(np.abs(conv_sym).max()) / ref)
+            peak, err = qd.max_abs_and_error(conv_oracle, conv_sym)
+            worst = max(worst, err / max(1.0, peak))
     report["worst_rel_error"] = worst
     report["instances"] = n_instances
     if worst > tol:
@@ -338,7 +336,12 @@ def karatsuba_suite(report):
 
 @_suite("counting-lemma")
 def counting_lemma_suite(report, cases=((3, 2, 2, 1), (5, 2, 2, 1))):
-    """Exhaustive verification over every admissible query."""
+    """Exhaustive verification over every admissible query; results are keyed by q."""
+    by_q = {}
+    for case in cases:
+        if case[0] in by_q:
+            raise ValueError(f"counting-lemma cases {by_q[case[0]]} and {case} share q={case[0]}")
+        by_q[case[0]] = case
     results = {}
     for q, k, m, r in cases:
         rep = dec.counting_lemma_exhaustive(q, k, m, r)

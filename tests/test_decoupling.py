@@ -8,6 +8,7 @@ import pytest
 
 import momentlab.quotient_dft as qd
 from momentlab import decoupling as dec
+from momentlab import verify
 from momentlab.errors import MomentLabError, SupportError, VerificationError
 from momentlab.geometry import Cube, Interval, ball, gamma, tau_of, unit_interval
 from momentlab.qadic import QRational, QVector
@@ -342,6 +343,15 @@ class TestCountingLemma:
         assert dec.counting_lemma_exhaustive(q, k, delta_exp, kappa_exp) == counting_lemma_by_tables(
             q, k, delta_exp, kappa_exp
         )
+
+    def test_suite_rejects_cases_sharing_q_before_counting(self, monkeypatch):
+        # its results are keyed by q, so the second case would overwrite the first
+        def count(*case):
+            raise AssertionError(f"counted {case}")
+
+        monkeypatch.setattr(dec, "counting_lemma_exhaustive", count)
+        with pytest.raises(ValueError, match=r"\(5, 3, 2, 1\) and \(5, 3, 3, 1\) share q=5"):
+            verify.counting_lemma_suite(cases=((5, 3, 2, 1), (5, 3, 3, 1)))
 
     def test_invalid_queries_rejected(self):
         cfg = ScaleConfig(3, 2, 2, 1, 1)

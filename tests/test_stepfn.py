@@ -122,15 +122,25 @@ def grid_modsteps(draw):
 @st.composite
 def fft_grids(draw):
     """(q, r, a, b): two complex grids of one shape, (q^d,) * k with k = 1..3,
-    each dense or mostly zero (as a step function with small support leaves it)."""
+    each dense, mostly zero (as a step function with small support leaves it),
+    zero but for one point or a strided sublattice (its own step per axis), or zero."""
     q, k = draw(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]))
     d = draw(st.integers(1, {1: 5, 2: 3, 3: 2}[k]))
+    n = q**d
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grids = []
-    for sparse in (draw(st.booleans()), draw(st.booleans())):
-        g = rng.standard_normal((q**d,) * k) + 1j * rng.standard_normal((q**d,) * k)
-        if sparse:
+    for kind in (draw(st.sampled_from(["dense", "sparse", "point", "sublattice", "zero"])) for _ in range(2)):
+        g = rng.standard_normal((n,) * k) + 1j * rng.standard_normal((n,) * k)
+        if kind == "sparse":
             g[rng.random(g.shape) > 0.05] = 0
+        elif kind in ("point", "sublattice"):
+            steps = [n if kind == "point" else q ** draw(st.integers(0, d)) for _ in range(k)]
+            support = tuple(slice(draw(st.integers(0, s - 1)), n, s) for s in steps)
+            kept = g[support].copy()
+            g[...] = 0
+            g[support] = kept
+        elif kind == "zero":
+            g[...] = 0
         grids.append(g)
     return q, draw(st.integers(0, d)), *grids
 
@@ -890,21 +900,60 @@ def _out_of_place_oracle_agreement(report, q, k, n_instances, seed, grid_points,
         report["failures"].append(f"relative error {worst} above {tol}")
 
 
+def _check_in_place_transforms(q, r, a, b):
+    cell = float(Fraction(q) ** (-r * a.ndim))
+    want_hat = np.fft.fftn(a)
+    want_hat *= cell
+    want_conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
+    want_conv *= cell
+    spatial = a.copy()
+    got_hat = qd.dft_grid(spatial, q, r)
+    assert got_hat is spatial and got_hat.tobytes() == want_hat.tobytes()
+    got_conv = qd.convolve_grids(a, b, q, r)
+    assert got_conv is a and got_conv.tobytes() == want_conv.tobytes()
+
+
 class TestInPlaceTransforms:
     @settings(max_examples=40, deadline=None)
     @given(fft_grids())
     def test_bitwise_equal_to_out_of_place(self, grids):
-        q, r, a, b = grids
-        cell = float(Fraction(q) ** (-r * a.ndim))
-        want_hat = np.fft.fftn(a)
-        want_hat *= cell
-        want_conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
-        want_conv *= cell
-        spatial = a.copy()
-        got_hat = qd.dft_grid(spatial, q, r)
-        assert got_hat is spatial and got_hat.tobytes() == want_hat.tobytes()
-        got_conv = qd.convolve_grids(a, b, q, r)
-        assert got_conv is a and got_conv.tobytes() == want_conv.tobytes()
+        _check_in_place_transforms(*grids)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fft_grids())
+    def test_live_lines_bitwise_equal_to_out_of_place(self, grids):
+        # one-point slabs send every grid down the path that skips all-zero lines
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qd, "SLAB_POINTS", 1)
+            _check_in_place_transforms(*grids)
+
+    @pytest.mark.parametrize("kind", ["zero", "point"])
+    def test_bluestein_length_transforms_every_line(self, kind):
+        # numpy's FFT of a +0 line of length 101 has -0.0 entries, so no line may be left
+        a, b = np.zeros((2, 101, 101), dtype=np.complex128)
+        if kind == "point":
+            a[3, 7] = b[50, 2] = 1 - 2j
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qd, "SLAB_POINTS", 1)
+            _check_in_place_transforms(101, 1, a, b)
+
+    @pytest.mark.parametrize("slab_points", [1, 7, 50])
+    @settings(max_examples=30, deadline=None)
+    @given(grids=fft_grids(), noise=st.floats(0, 1e-3))
+    def test_max_abs_and_error_equals_whole_grid_maxima(self, slab_points, grids, noise):
+        _, _, ref, other = grids
+        approx = ref + noise * other
+        diff = ref - approx
+        want = (float(np.abs(ref).max()), float(np.abs(diff).max()))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qd, "SLAB_POINTS", slab_points)
+            assert qd.max_abs_and_error(ref, approx) == want
+        assert approx.tobytes() == diff.tobytes()
+
+    def test_max_abs_and_error_keeps_a_nan_of_an_early_slab(self, monkeypatch):
+        monkeypatch.setattr(qd, "SLAB_POINTS", 2)
+        ref = np.array([1, np.nan, 3, 0.5], dtype=np.complex128)
+        assert np.isnan(qd.max_abs_and_error(ref, np.zeros(4, dtype=np.complex128))).all()
 
     def test_oracle_report_on_the_largest_grid_equals_out_of_place_pipeline(self):
         # seed 9 draws its (5,3) instance at scale 3, on the 125^3-point grid
