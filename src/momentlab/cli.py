@@ -231,15 +231,12 @@ def _cmd_verify_all(args) -> int:
 def _cmd_count_vinogradov(args) -> int:
     if args.residue is not None and args.mod_p is None:
         raise ValueError("--residue pins a residue mod p and needs --mod-p")
-    kwargs = {} if args.budget is None else {"budget": args.budget}
-    payload = {"count": count_J(args.s, args.k, args.X, **kwargs)}
+    payload = {"count": count_J(args.s, args.k, args.X, args.budget)}
     if args.mod_p is not None:
-        payload["count_distinct_mod_p"] = count_J_congruence(
-            args.s, args.k, args.X, args.mod_p, None, **kwargs
-        )
+        payload["count_distinct_mod_p"] = count_J_congruence(args.s, args.k, args.X, args.mod_p, None, args.budget)
         if args.residue is not None:
             payload["count_pinned_residue"] = count_J_congruence(
-                args.s, args.k, args.X, args.mod_p, args.residue, **kwargs
+                args.s, args.k, args.X, args.mod_p, args.residue, args.budget
             )
     rows = [[args.s, args.k, args.X, payload["count"],
              payload.get("count_distinct_mod_p", ""), payload.get("count_pinned_residue", "")]]

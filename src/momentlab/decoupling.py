@@ -20,11 +20,12 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, frexp, fsum, inf, isfinite, perm
 
-from .errors import MomentLabError, VerificationError
+from . import errors
+from .errors import MomentLabError, VerificationError, check_budget
 from .geometry import Cube, Interval, ball, binomial_frame, frame_apply, gamma, tau_of, unit_interval
 from .qadic import QRational, QVector
 from .stepfn import ModulatedStep, _lp_from_cells, joint_cell_values
-from .vinogradov import DEFAULT_BUDGET, _check_budget, _power_sum_distribution, count_power_sum_congruences
+from .vinogradov import _power_sum_distribution, count_power_sum_congruences
 from .wavepackets import ScaleConfig, freq_certificate
 
 __all__ = [
@@ -216,8 +217,6 @@ class CountingQuery:
                 raise ValueError("anchors must be delta-intervals inside their coarse interval")
         if self.box.scale_exp != cfg.nu_exp * k:
             raise ValueError("box must have side nu^k")
-        if cfg.nu_exp * k < cfg.delta_exp:
-            raise ValueError("box side must be at most delta")
 
 
 def counting_set_pointwise_oracle(qry: CountingQuery, rng: random.Random | None = None):
@@ -264,12 +263,13 @@ def counting_lemma_exhaustive(q: int, k: int, delta_exp: int, kappa_exp: int):
     """
     if q <= k:
         raise ValueError(f"need a prime q > k, got q={q}, k={k}")
-    cfg = ScaleConfig(q, k, delta_exp, -(-delta_exp // k), kappa_exp)
+    cfg = ScaleConfig(q, k, delta_exp, kappa_exp)
     m, r = delta_exp, kappa_exp
     qm, per_coarse = q**m, q ** (m - r)
     # per set, the i-th interval shifts at most per_coarse^(i-1) keys by per_coarse anchors
     work = comb(q**r, k) * sum(per_coarse**i for i in range(1, k + 1))
-    _check_budget(work, DEFAULT_BUDGET, "counting-lemma enumeration")
+    check_budget(work, errors.OPERATION_BUDGET,
+                 "counting-lemma enumeration needs about {estimated} operations (budget {budget})")
     coarse = cfg.coarse_partition()
     bound = q ** ((r - 1) * k * (k - 1))  # (q kappa)^(-k(k-1)) with kappa = q^-r
     # anchors are canonical digit integers, so their power sums mod q^m are tau corners
@@ -561,7 +561,7 @@ def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
     q, k = g.q, g.k
     if g.is_zero:
         raise ValueError("zero function has no reverse-square ratio")
-    cfg = ScaleConfig(q, k, delta_exp, -(-delta_exp // k), kappa_exp)
+    cfg = ScaleConfig(q, k, delta_exp, kappa_exp)
     pieces = freq_certificate(g, delta_exp)
     denom = _square_sum_moment(list(pieces.values()), k)
     numer = g.lp_norm(2 * k) ** (2 * k)

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget policy.
+
+The three limits below are the only budgets.  Each site reads its limit
+from this module when it runs, so setting one attribute here changes it
+everywhere; ``count-vinogradov --budget`` is the one override.
+"""
+
+CELL_BUDGET = 8_000_000  # cubes, intervals, modulus cells and certificate cells
+OPERATION_BUDGET = 50_000_000  # steps of a counting enumeration
+GRID_BUDGET = 40_000_000  # points of a quotient-DFT grid
 
 
 class MomentLabError(Exception):
@@ -8,10 +17,20 @@ class MomentLabError(Exception):
 class BudgetExceededError(MomentLabError):
     """An enumeration would exceed its configured operation budget."""
 
-    def __init__(self, message, estimated=None, budget=None):
+    def __init__(self, message, estimated, budget):
         super().__init__(message)
         self.estimated = estimated
         self.budget = budget
+
+
+def check_budget(estimated: int, budget: int, message: str) -> None:
+    """Raise BudgetExceededError when estimated > budget.
+
+    ``message`` is a template; ``{estimated}`` and ``{budget}`` are filled
+    in only when the check raises, so a passing check builds no string.
+    """
+    if estimated > budget:
+        raise BudgetExceededError(message.format(estimated=estimated, budget=budget), estimated, budget)
 
 
 class SupportError(MomentLabError):

@@ -22,7 +22,8 @@ from functools import cache
 from itertools import product
 from math import comb, factorial
 
-from .errors import BudgetExceededError, MomentLabError
+from . import errors
+from .errors import MomentLabError, check_budget
 from .qadic import QRational, QVector
 
 __all__ = [
@@ -44,20 +45,12 @@ __all__ = [
     "interval_distance",
 ]
 
-DEFAULT_CELL_BUDGET = 8_000_000
 INT64_LIMIT = 2**63  # integer columns whose values stay below this can be int64
 
 
 def _is_canonical(x: QRational, scale_exp: int) -> bool:
     """Whether x == x.rep_mod(scale_exp): zero, or all digits below scale_exp."""
     return not x.unit or (x.valuation < scale_exp and 0 < x.unit < x.q ** (scale_exp - x.valuation))
-
-
-def _budgeted(n: int, what: str, cells: str) -> int:
-    """n, once n cells are known to fit the default cell budget."""
-    if n > DEFAULT_CELL_BUDGET:
-        raise BudgetExceededError(f"{what} into {n} {cells} exceeds the budget", n, DEFAULT_CELL_BUDGET)
-    return n
 
 
 def _axis_corners(corner: QRational, scale_exp: int, n: int) -> list[QRational]:
@@ -105,7 +98,8 @@ class Interval:
             raise ValueError(
                 f"cannot partition length {self.length} interval at coarser scale {scale_exp}"
             )
-        n = _budgeted(self.q ** (scale_exp - self.scale_exp), "partition", "intervals")
+        n = self.q ** (scale_exp - self.scale_exp)
+        check_budget(n, errors.CELL_BUDGET, "partition into {estimated} intervals exceeds the budget")
         return [Interval(c, scale_exp) for c in _axis_corners(self.corner, self.scale_exp, n)]
 
     def parent(self, scale_exp: int) -> "Interval":
@@ -202,7 +196,7 @@ class Cube:
         if scale_exp < self.scale_exp:
             raise ValueError("cannot subdivide at a coarser scale")
         per_axis = self.q ** (scale_exp - self.scale_exp)
-        _budgeted(per_axis**self.k, "subdivision", "cubes")
+        check_budget(per_axis**self.k, errors.CELL_BUDGET, "subdivision into {estimated} cubes exceeds the budget")
         axes = [_axis_corners(c, self.scale_exp, per_axis) for c in self.corner]
         return [Cube(QVector(corner), scale_exp) for corner in product(*axes)]
 
@@ -231,10 +225,7 @@ class Cube:
 
     @classmethod
     def from_json(cls, q: int, obj: dict) -> "Cube":
-        return cls(
-            QVector([QRational.from_text(q, t) for t in obj["corner"]]),
-            int(obj["scale_exp"]),
-        )
+        return cls(QVector.from_text(q, obj["corner"]), int(obj["scale_exp"]))
 
 
 def ball(q: int, k: int, radius_exp: int) -> Cube:

@@ -77,14 +77,6 @@ class QRational:
             )
         return cls(q, num, nv - dv)
 
-    @classmethod
-    def zero(cls, q: int) -> "QRational":
-        return cls(q, 0)
-
-    @classmethod
-    def one(cls, q: int) -> "QRational":
-        return cls(q, 1)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -304,6 +296,13 @@ class QVector:
     @classmethod
     def from_ints(cls, q: int, values) -> "QVector":
         return cls([QRational(q, int(v)) for v in values])
+
+    @classmethod
+    def from_text(cls, q: int, texts: list) -> "QVector":
+        """Parse a JSON list of ``QRational.to_text`` renderings (a string is refused, not read per character)."""
+        if not isinstance(texts, list):
+            raise ValueError(f"a vector is a list of renderings, got {texts!r}")
+        return cls([QRational.from_text(q, t) for t in texts])
 
     @property
     def k(self) -> int:

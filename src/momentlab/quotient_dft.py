@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from . import errors
+from .errors import check_budget
 from .qadic import QRational
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "max_abs_and_error",
 ]
 
-DEFAULT_GRID_BUDGET = 40_000_000
 SLAB_POINTS = 2**15  # per slab (at least one axis-0 row of a term, or one FFT line): 512 KiB of complex128 stays in cache
 
 
@@ -84,7 +84,7 @@ def _phase_numerators(mult: int, u: np.ndarray, n: int) -> np.ndarray:
     return (u.astype(object) * mult % n).astype(np.int64)
 
 
-def evaluate_on_grid(f, M: int, r: int, budget: int = DEFAULT_GRID_BUDGET) -> np.ndarray:
+def evaluate_on_grid(f, M: int, r: int) -> np.ndarray:
     """Pointwise values on the quotient grid, shape (q^(M+r),) * k.
 
     Index u along an axis encodes the point u * q^-M, which enumerates the
@@ -93,8 +93,7 @@ def evaluate_on_grid(f, M: int, r: int, budget: int = DEFAULT_GRID_BUDGET) -> np
     """
     q, k = f.q, f.k
     n = q ** (M + r)
-    if n**k > budget:
-        raise BudgetExceededError(f"grid of {n**k} points exceeds the budget", n**k, budget)
+    check_budget(n**k, errors.GRID_BUDGET, "grid of {estimated} points exceeds the budget")
     step = q ** (f.scale_exp + M)  # canonical cubes share one side; membership: u = w mod step
     if not 1 <= step <= n:
         raise ValueError("cube side outside the grid's resolution and radius")

@@ -37,8 +37,9 @@ from fractions import Fraction
 from math import fsum, inf, isfinite
 from operator import itemgetter
 
-from .errors import BudgetExceededError, MomentLabError
-from .geometry import DEFAULT_CELL_BUDGET, Cube, Interval
+from . import errors
+from .errors import MomentLabError, check_budget
+from .geometry import Cube, Interval
 from .qadic import QRational, QVector, char_value
 
 __all__ = ["ModulatedStep", "joint_cell_values"]
@@ -313,7 +314,7 @@ class ModulatedStep:
                     r = max(r, -bi.valuation)
         return r
 
-    def lp_norm(self, p, budget: int = DEFAULT_CELL_BUDGET) -> float:
+    def lp_norm(self, p) -> float:
         """L^p norm, p in [1, inf]: an exact sum over the modulus cells of
         ``joint_cell_values``.  Moduli are divided by the sup before the p-th
         power, so huge coefficients cannot overflow.
@@ -322,7 +323,7 @@ class ModulatedStep:
             return 0.0
         if p < 1:
             raise ValueError(f"p must be at least 1, got {p}")
-        volumes, moduli = joint_cell_values([self], budget)
+        volumes, moduli = joint_cell_values([self])
         return _lp_from_cells(volumes, moduli[0], p)
 
     # -- comparison ----------------------------------------------------------------
@@ -368,16 +369,18 @@ class ModulatedStep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModulatedStep":
-        q, k = int(obj["q"]), int(obj["k"])
-        terms = []
-        for t in obj["terms"]:
-            re, im = float(t["re"]), float(t.get("im", 0.0))
-            if not (isfinite(re) and isfinite(im)):
-                raise ValueError(f"coefficient {re} + {im}i is not finite")
-            coeff = complex(re, im)
-            modulation = QVector([QRational.from_text(q, s) for s in t["modulation"]])
-            cube = Cube.from_json(q, t["cube"])
-            terms.append((coeff, modulation, cube))
+        """Read ``to_json``'s shape; a document of any other shape raises ValueError."""
+        try:
+            q, k = int(obj["q"]), int(obj["k"])
+            terms = []
+            for t in obj["terms"]:
+                re, im = float(t["re"]), float(t.get("im", 0.0))
+                if not (isfinite(re) and isfinite(im)):
+                    raise ValueError(f"coefficient {re} + {im}i is not finite")
+                modulation, cube = QVector.from_text(q, t["modulation"]), Cube.from_json(q, t["cube"])
+                terms.append((complex(re, im), modulation, cube))
+        except (KeyError, TypeError, AttributeError) as exc:  # a missing field, or a value of the wrong type
+            raise ValueError(f"malformed function document: {type(exc).__name__}: {exc}") from None
         if not terms:
             return cls.zero(q, k)
         return cls(q, k, terms)
@@ -420,7 +423,7 @@ def _cell_values(cube: Cube, parts, r: int):
     return total.reshape(-1)
 
 
-def joint_cell_values(fns, budget: int = DEFAULT_CELL_BUDGET):
+def joint_cell_values(fns):
     """Moduli of several functions on cells where each modulus is constant.
 
     Returns (volumes, moduli): cell j has volume volumes[j], and
@@ -456,9 +459,7 @@ def joint_cell_values(fns, budget: int = DEFAULT_CELL_BUDGET):
             rows.append(parts)
         plan.append((cube, rows, r))
     sizes = [q ** ((r - s) * k) for _, _, r in plan]
-    estimated = sum(sizes) * len(fns)
-    if estimated > budget:
-        raise BudgetExceededError("modulus cells exceed the budget", estimated=estimated, budget=budget)
+    check_budget(sum(sizes) * len(fns), errors.CELL_BUDGET, "modulus cells exceed the budget")
     scales = [r for _, _, r in plan]
     cell_volume = {r: float(Fraction(q) ** (-r * k)) for r in set(scales)}
     volumes = np.repeat([cell_volume[r] for r in scales], sizes)

@@ -19,7 +19,8 @@ from fractions import Fraction
 from itertools import accumulate, product
 from math import comb, factorial, prod
 
-from .errors import BudgetExceededError
+from . import errors
+from .errors import check_budget
 from .exponents import rung
 
 __all__ = [
@@ -38,19 +39,8 @@ __all__ = [
     "KaratsubaTrace",
 ]
 
-DEFAULT_BUDGET = 50_000_000
 
-
-def _check_budget(estimated: int, budget: int, what: str) -> None:
-    if estimated > budget:
-        raise BudgetExceededError(
-            f"{what} needs about {estimated} operations (budget {budget})",
-            estimated=estimated,
-            budget=budget,
-        )
-
-
-def _power_sum_distribution(k: int, blocks, moduli=None, budget: int = DEFAULT_BUDGET):
+def _power_sum_distribution(k: int, blocks, moduli=None, budget: int | None = None):
     """Multiplicities of the power-sum vector (sum x^j, j = 1..k) over tuples.
 
     Each block (values, n, p) adds n variables from values, one at a time;
@@ -62,7 +52,8 @@ def _power_sum_distribution(k: int, blocks, moduli=None, budget: int = DEFAULT_B
     exceeds the multisets that can be drawn, the array would stay mostly
     empty: the Counter is used and its sums are folded mod the moduli into a
     Counter keyed by residue tuples.  The budget bounds the keys at each step
-    by the key space and by the multisets drawn.
+    by the key space and by the multisets drawn; it defaults to the
+    operation limit.
     """
     blocks = [(list(values), n, p) for values, n, p in blocks if n > 0]
     n_all, top = sum(n for _, n, _ in blocks), max((max(v, default=0) for v, _, _ in blocks), default=0)
@@ -76,7 +67,9 @@ def _power_sum_distribution(k: int, blocks, moduli=None, budget: int = DEFAULT_B
         # dense, also one scan of the array per step, and per class in a distinct block
         estimate += sum(bounds[:-1]) * len(values) + (cells * n * (p or 1) if dense else 0)
         keys = bounds[-1]
-    _check_budget(estimate, budget, "power-sum distribution")
+    if budget is None:
+        budget = errors.OPERATION_BUDGET
+    check_budget(estimate, budget, "power-sum distribution needs about {estimated} operations (budget {budget})")
 
     if not dense:
         def table(values):
@@ -137,7 +130,7 @@ def _multiset_bound(blocks) -> int:
     return prod(comb(len(values) + n - 1, n) for values, n, _ in blocks)
 
 
-def count_J(s: int, k: int, X: int, budget: int = DEFAULT_BUDGET) -> int:
+def count_J(s: int, k: int, X: int, budget: int | None = None) -> int:
     """Exact number of solutions of the degree-k system in 2s variables."""
     if s < 1 or k < 1 or X < 1:
         raise ValueError("need s, k, X >= 1")
@@ -145,9 +138,10 @@ def count_J(s: int, k: int, X: int, budget: int = DEFAULT_BUDGET) -> int:
     return sum(m * m for m in counts.values())
 
 
-def count_J_nested(s: int, k: int, X: int, budget: int = DEFAULT_BUDGET) -> int:
+def count_J_nested(s: int, k: int, X: int) -> int:
     """Independent oracle: plain nested loops over all 2s-tuples."""
-    _check_budget(X ** (2 * s), budget, "nested-loop enumeration")
+    check_budget(X ** (2 * s), errors.OPERATION_BUDGET,
+                 "nested-loop enumeration needs about {estimated} operations (budget {budget})")
     total = 0
     rng = range(1, X + 1)
     for xs in product(rng, repeat=s):
@@ -164,7 +158,7 @@ def count_J_congruence(
     X: int,
     p: int,
     a: int | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | None = None,
 ) -> int:
     """Restricted count: x_1..x_k (and y_1..y_k) pairwise distinct mod p;
     with a residue given, all later variables are pinned to it mod p.
@@ -179,9 +173,7 @@ def count_J_congruence(
     return sum(m * m for m in counts.values())
 
 
-def count_power_sum_congruences(
-    s: int, k: int, base: int, moduli, budget: int = DEFAULT_BUDGET
-) -> int:
+def count_power_sum_congruences(s: int, k: int, base: int, moduli) -> int:
     """Pairs of s-tuples from [0, base) with congruent power sums.
 
     moduli[j-1] is the modulus for the degree-j equation.  This is the
@@ -190,7 +182,7 @@ def count_power_sum_congruences(
     moduli = list(moduli)
     if len(moduli) != k:
         raise ValueError("need one modulus per degree")
-    counts = _power_sum_distribution(k, [(range(base), s, None)], moduli, budget)
+    counts = _power_sum_distribution(k, [(range(base), s, None)], moduli)
     values = counts.values() if isinstance(counts, Counter) else counts[counts != 0].tolist()
     return sum(m * m for m in values)
 
@@ -252,21 +244,21 @@ def linnik_bound(k: int, p: int) -> int:
     return factorial(k) * p ** (k * (k - 1) // 2)
 
 
-def linnik_count(k: int, p: int, residues, budget: int = DEFAULT_BUDGET) -> int:
+def linnik_count(k: int, p: int, residues) -> int:
     """Number of k-tuples of residues mod p^k, pairwise distinct mod p,
     whose degree-j power sums hit the target residues mod p^j."""
     _need_degree(k)
     residues = list(residues)
     if len(residues) != k:
         raise ValueError("need one target residue per degree")
-    counts = _power_sum_distribution(k, [(range(p**k), k, p)], [p**j for j in range(1, k + 1)], budget)
+    counts = _power_sum_distribution(k, [(range(p**k), k, p)], [p**j for j in range(1, k + 1)])
     return int(counts[tuple(residues[j] % p ** (j + 1) for j in range(k))])
 
 
-def linnik_max(k: int, p: int, budget: int = DEFAULT_BUDGET):
+def linnik_max(k: int, p: int):
     """Exhaustive maximum of linnik_count over every target; with argmax."""
     _need_degree(k)
-    counts = _power_sum_distribution(k, [(range(p**k), k, p)], [p**j for j in range(1, k + 1)], budget)
+    counts = _power_sum_distribution(k, [(range(p**k), k, p)], [p**j for j in range(1, k + 1)])
     value = int(counts.max())
     if value == 0:
         return 0, None

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from .errors import BudgetExceededError, MomentLabError, SupportError, VerificationError
+from . import errors
+from .errors import MomentLabError, SupportError, VerificationError, check_budget
 from .geometry import (
-    DEFAULT_CELL_BUDGET,
     INT64_LIMIT,
     Cube,
     Interval,
@@ -45,33 +45,31 @@ class ScaleConfig:
     """The (delta, nu, kappa) scale triple used by the main inequalities.
 
     delta = q^-delta_exp is the fine scale, nu the intermediate scale
-    (largest q-power at most delta^(1/k)), kappa the coarse scale (largest
-    q-power at most delta^epsilon).
+    (largest q-power at most delta^(1/k), derived from delta), kappa the
+    coarse scale (``from_epsilon``: largest q-power at most delta^epsilon).
     """
 
     q: int
     k: int
     delta_exp: int
-    nu_exp: int
     kappa_exp: int
-    epsilon: Fraction | None = None
 
     @classmethod
     def from_epsilon(cls, q: int, k: int, delta_exp: int, epsilon) -> "ScaleConfig":
         epsilon = Fraction(epsilon)
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
-        nu_exp = ceil(Fraction(delta_exp, k))
-        kappa_exp = ceil(delta_exp * epsilon)
-        return cls(q, k, delta_exp, nu_exp, kappa_exp, epsilon)
+        return cls(q, k, delta_exp, ceil(delta_exp * epsilon))
 
     def __post_init__(self):
         if self.delta_exp < 1:
             raise ValueError("need delta < 1")
-        if self.nu_exp * self.k < self.delta_exp:
-            raise ValueError("nu must be at most delta^(1/k)")
         if not 1 <= self.kappa_exp <= self.delta_exp:
             raise ValueError("kappa must lie in [delta, 1/q]")
+
+    @property
+    def nu_exp(self) -> int:
+        return -(-self.delta_exp // self.k)
 
     @property
     def delta(self) -> Fraction:
@@ -118,11 +116,7 @@ def _support_witnesses(f: ModulatedStep, delta_exp: int) -> dict[Interval, Cube]
         rep = b.rep_mod(-fine)
         groups.setdefault((cube, rep), []).append((c, b - rep))
     side = q ** (fine - s)
-    n_cells = len(groups) * side**k
-    if n_cells > DEFAULT_CELL_BUDGET:
-        raise BudgetExceededError(
-            "certificate cells exceed the budget", estimated=n_cells, budget=DEFAULT_CELL_BUDGET
-        )
+    check_budget(len(groups) * side**k, errors.CELL_BUDGET, "certificate cells exceed the budget")
     values = np.concatenate([  # a lone character has modulus |c| on every cell
         np.abs(_cell_values(cube, parts, fine)) if len(parts) > 1 else np.full(side**k, abs(parts[0][0]))
         for (cube, _), parts in groups.items()

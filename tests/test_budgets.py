@@ -1,0 +1,95 @@
+"""The budget policy: every BUDGET report, pinned, and one check that raises.
+
+Each case below is a desk-grid cell or a call that stops on a budget; its
+message, estimate and budget are part of the reports (``verify`` suites and
+``cli.main``'s ``budget-exceeded`` JSON), so they must not drift.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from momentlab import verify
+from momentlab.decoupling import counting_lemma_exhaustive
+from momentlab.errors import BudgetExceededError
+from momentlab.geometry import Cube, unit_interval
+from momentlab.qadic import QVector
+from momentlab.stepfn import ModulatedStep
+from momentlab.vinogradov import count_J_nested, count_power_sum_congruences
+from momentlab.wavepackets import freq_certificate
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "momentlab"
+
+CELLS, OPERATIONS, GRID = 8_000_000, 50_000_000, 40_000_000
+
+PINNED = [
+    pytest.param(
+        lambda: verify.broad_narrow_suite(7, 2, n_instances=1),
+        ("modulus cells exceed the budget", 46118408, CELLS),
+        id="broad-narrow-7-2",
+    ),
+    pytest.param(
+        lambda: verify.wavepackets_suite(5, 3, delta_exps=(2,), n_instances=1),
+        ("subdivision into 244140625 cubes exceeds the budget", 244140625, CELLS),
+        id="wavepackets-5-3",
+    ),
+    pytest.param(
+        lambda: unit_interval(3).partition(20),
+        ("partition into 3486784401 intervals exceeds the budget", 3486784401, CELLS),
+        id="partition",
+    ),
+    pytest.param(
+        lambda: freq_certificate(ModulatedStep.indicator(Cube(QVector.zero(3, 2), 6)), 2),
+        ("certificate cells exceed the budget", 3486784401, CELLS),
+        id="certificate",
+    ),
+    pytest.param(
+        lambda: verify.oracle_agreement(101, 3, n_instances=1),
+        ("grid of 1061520150601 points exceeds the budget", 1061520150601, GRID),
+        id="oracle-grid",
+    ),
+    pytest.param(
+        lambda: count_power_sum_congruences(6, 2, 49, [7**4, 7**4]),
+        ("power-sum distribution needs about 189551796 operations (budget 50000000)", 189551796, OPERATIONS),
+        id="extremizer-7-2",
+    ),
+    pytest.param(
+        lambda: counting_lemma_exhaustive(31, 2, 3, 1),
+        ("counting-lemma enumeration needs about 429884130 operations (budget 50000000)", 429884130, OPERATIONS),
+        id="counting-lemma",
+    ),
+    pytest.param(
+        lambda: count_J_nested(3, 2, 100),
+        ("nested-loop enumeration needs about 1000000000000 operations (budget 50000000)", 10**12, OPERATIONS),
+        id="nested-loops",
+    ),
+]
+
+
+@pytest.mark.parametrize("run, expected", PINNED)
+def test_budget_report_is_pinned(run, expected):
+    try:
+        report = run()
+    except BudgetExceededError as exc:
+        got = (str(exc), exc.estimated, exc.budget)
+    else:  # a verify suite turns the overrun into its BUDGET report
+        got = (report["budget_exceeded"], report["estimated"], report["budget"])
+        assert not report["passed"] and not report["failures"]
+    assert got == expected
+    assert type(got[1]) is int and type(got[2]) is int
+
+
+def test_one_check_raises_and_only_the_cli_overrides_a_budget():
+    raisers, knobs = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and "BudgetExceededError" in ast.unparse(node):
+                raisers.append(path.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and path.name != "errors.py":
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(a.arg == "budget" for a in args):
+                    knobs.append(f"{path.stem}.{node.name}")
+    assert raisers == ["errors.py"]
+    # outside the policy module, only what count-vinogradov --budget reaches
+    assert sorted(knobs) == ["vinogradov._power_sum_distribution", "vinogradov.count_J", "vinogradov.count_J_congruence"]

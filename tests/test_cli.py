@@ -266,15 +266,29 @@ class TestFailureModes:
             {"q": 3, "k": 3, "terms": [{"re": 1.0, "modulation": ["0", "0", "0"],
                                         "cube": {"corner": ["0", "0", "0"], "scale_exp": 0}}]},
             {"q": 3317044064679887385961981, "k": 2, "terms": []},
+            {"q": 3, "k": 2},
+            {"q": 3, "k": 2, "terms": 5},
+            {"q": 3, "k": 2, "terms": [5]},
+            {"q": 3, "k": 2, "terms": [{"re": 1.0, "cube": {"corner": ["0", "0"], "scale_exp": 0}}]},
+            {"q": 3, "k": 2, "terms": [{"re": 1.0, "modulation": [0, 0],
+                                        "cube": {"corner": ["0", "0"], "scale_exp": 0}}]},
+            {"q": 3, "k": 2, "terms": [{"re": 1.0, "modulation": ["0", "0"], "cube": {"corner": ["0", "0"]}}]},
+            {"q": 3, "k": 2, "terms": [{"re": 1.0, "modulation": ["0", "0"], "cube": [["0", "0"], 0]}]},
+            {"q": 3, "k": 2, "terms": [{"re": 1.0, "modulation": "00",
+                                        "cube": {"corner": ["0", "0"], "scale_exp": 0}}]},
+            {"q": 3, "k": 2, "terms": [{"re": 1.0, "modulation": ["0", "0"],
+                                        "cube": {"corner": "00", "scale_exp": 0}}]},
         ],
-        ids=["top-level-list", "nan-coefficient", "nonprime-q", "q-not-above-k", "q-past-primality-bound"],
+        ids=["top-level-list", "nan-coefficient", "nonprime-q", "q-not-above-k", "q-past-primality-bound",
+             "no-terms", "terms-not-a-list", "term-not-an-object", "no-modulation", "numeric-digits",
+             "no-scale-exp", "cube-a-list", "modulation-a-string", "corner-a-string"],
     )
     def test_malformed_fixture_is_usage_error(self, tmp_path, capsys, fixture):
         from momentlab import cli
 
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(fixture))
-        for argv in (["ratio", "--p", "8"], ["main-lemma", "--p", "8"], ["pigeonhole-report"]):
+        for argv in FIXTURE_COMMANDS:
             assert cli.main([*argv, "--input", str(path), "--delta-exp", "2"]) == 2
             assert '"usage"' in capsys.readouterr().err
 

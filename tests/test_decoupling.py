@@ -291,7 +291,7 @@ class TestBroadNarrow:
 
 class TestCountingLemma:
     def test_diagonal_membership(self):
-        cfg = ScaleConfig(3, 2, 2, 1, 1)
+        cfg = ScaleConfig(3, 2, 2, 1)
         coarse = cfg.coarse_partition()
         K1 = coarse[0].partition(2)[1]
         K2 = coarse[2].partition(2)[0]
@@ -304,7 +304,7 @@ class TestCountingLemma:
     @pytest.mark.parametrize("q,k,delta_exp,kappa_exp", [(3, 2, 2, 1), (5, 2, 2, 1), (3, 2, 3, 1), (3, 2, 2, 2)])
     def test_pointwise_oracle_matches_the_exhaustive_table(self, q, k, delta_exp, kappa_exp):
         rep = dec.counting_lemma_exhaustive(q, k, delta_exp, kappa_exp)
-        cfg = ScaleConfig(q, k, delta_exp, -(-delta_exp // k), kappa_exp)
+        cfg = ScaleConfig(q, k, delta_exp, kappa_exp)
         qm = q**delta_exp
         coarse, fine_by_coarse, tau_corner = tau_corners(q, k, delta_exp, kappa_exp)
 
@@ -354,7 +354,7 @@ class TestCountingLemma:
             verify.counting_lemma_suite(cases=((5, 3, 2, 1), (5, 3, 3, 1)))
 
     def test_invalid_queries_rejected(self):
-        cfg = ScaleConfig(3, 2, 2, 1, 1)
+        cfg = ScaleConfig(3, 2, 2, 1)
         coarse = cfg.coarse_partition()
         box = Cube(QVector.zero(3, 2), cfg.nu_exp * 2)
         with pytest.raises(ValueError):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momentlab import errors
 from momentlab.errors import BudgetExceededError
 from momentlab.geometry import (
-    DEFAULT_CELL_BUDGET,
     Cube,
     Interval,
     ThetaBox,
@@ -166,7 +166,7 @@ class TestCubes:
         with pytest.raises(BudgetExceededError) as exc:
             ball(5, 3, 0).subdivide(4)
         assert time.perf_counter() - t0 < 1.0
-        assert (exc.value.estimated, exc.value.budget) == (625**3, DEFAULT_CELL_BUDGET)
+        assert (exc.value.estimated, exc.value.budget) == (625**3, errors.CELL_BUDGET)
 
 
 scalars = st.builds(QRational, st.sampled_from([3, 5]), st.integers(-300, 300), st.integers(-4, 4))

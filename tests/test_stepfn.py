@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import momentlab.quotient_dft as qd
-from momentlab import verify
+from momentlab import errors, verify
 from momentlab.errors import BudgetExceededError
 from momentlab.geometry import Cube, ball, unit_interval
 from momentlab.qadic import QRational, QVector, char_value
@@ -720,7 +720,8 @@ class TestNorms:
         with pytest.raises(ValueError):
             f.lp_norm(0.5)
 
-    def test_cell_budget(self):
+    def test_cell_budget(self, monkeypatch):
+        monkeypatch.setattr(errors, "CELL_BUDGET", 10)
         Q = ball(3, 2, 0)
         f = ModulatedStep(
             3,
@@ -731,7 +732,7 @@ class TestNorms:
             ],
         )
         with pytest.raises(BudgetExceededError):
-            f.lp_norm(2, budget=10)
+            f.lp_norm(2)
 
 
 class TestCellKernel:
@@ -811,12 +812,13 @@ class TestJointCells:
         volumes, moduli = joint_cell_values([f, g])
         assert volumes.size == 9 and sorted(np.round(moduli[0], 12).tolist()) == [1.0] * 6 + [2.0] * 3
 
-    def test_zero_rows_and_budget(self):
+    def test_zero_rows_and_budget(self, monkeypatch):
         f = ModulatedStep.indicator(ball(3, 2, 0), 2.0)
         volumes, moduli = joint_cell_values([ModulatedStep.zero(3, 2), f])
         assert volumes.tolist() == [1.0] and moduli.tolist() == [[0.0], [2.0]]
+        monkeypatch.setattr(errors, "CELL_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
-            joint_cell_values([f, ModulatedStep.indicator(Cube(vec(0, 0), 4))], budget=100)
+            joint_cell_values([f, ModulatedStep.indicator(Cube(vec(0, 0), 4))])
 
 
 class TestOracleAgreement:
@@ -997,14 +999,15 @@ class TestSlicedGrid:
                 x = _grid_point(f.q, f.k, MM, idx)
                 assert abs(grid[idx] - h.evaluate(x)) < 1e-12
 
-    def test_budget_raised_before_any_array(self):
+    def test_budget_raised_before_any_array(self, monkeypatch):
         f = ModulatedStep.indicator(ball(3, 2, 0), 1.0, QVector([deep(1, -6), deep(2, -6)]))
         M, r = qd.grid_geometry(f)
         points = 3 ** ((M + r) * 2)  # 531441 points, 8.5 MB as complex128
+        monkeypatch.setattr(errors, "GRID_BUDGET", points - 1)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):
-                qd.evaluate_on_grid(f, M, r, budget=points - 1)
+                qd.evaluate_on_grid(f, M, r)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentlab import vinogradov
+from momentlab import errors, vinogradov
 from momentlab.errors import BudgetExceededError
 from momentlab.exponents import FLOAT_TOL, supercritical_slack
 from momentlab.qadic import QRational
@@ -308,9 +308,10 @@ class TestLinnik:
                 direct += 1
         assert linnik_count(k, p, H) == direct
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(errors, "OPERATION_BUDGET", 1000)
         with pytest.raises(BudgetExceededError):
-            linnik_max(3, 7, budget=1000)
+            linnik_max(3, 7)
 
     def test_degree_three_at_seven_within_the_default_budget(self):
         value, argmax = linnik_max(3, 7)

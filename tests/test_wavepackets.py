@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import momentlab.wavepackets as wp
+from momentlab import errors
 from momentlab.errors import BudgetExceededError, MomentLabError, SupportError
 from momentlab.geometry import Cube, Interval, ball, theta_of, unit_interval
 from momentlab.qadic import QRational, QVector, char_value
@@ -35,9 +36,7 @@ class TestScaleConfig:
 
     def test_invalid_scales_rejected(self):
         with pytest.raises(ValueError):
-            ScaleConfig(3, 2, 4, 1, 1)  # nu above delta^(1/k)
-        with pytest.raises(ValueError):
-            ScaleConfig(3, 2, 2, 1, 0)
+            ScaleConfig(3, 2, 2, 0)
 
 
 class TestDecomposition:
@@ -427,7 +426,7 @@ class TestCertificate:
             raise AssertionError("cell kernel called past the budget")
 
         monkeypatch.setattr(wp, "_cell_values", no_kernel)
-        monkeypatch.setattr(wp, "DEFAULT_CELL_BUDGET", 100)
+        monkeypatch.setattr(errors, "CELL_BUDGET", 100)
         # scale 3 refines each transform cube into 3^4 cells
         with pytest.raises(BudgetExceededError) as err:
             freq_certificate(f, 3)
