@@ -53,6 +53,14 @@ def _is_canonical(x: QRational, scale_exp: int) -> bool:
     return not x.unit or (x.valuation < scale_exp and 0 < x.unit < x.q ** (scale_exp - x.valuation))
 
 
+def _json_int(obj: dict, name: str) -> int:
+    """obj[name], which must be a JSON integer: a bool, a float or a string is refused."""
+    value = obj[name]
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _axis_corners(corner: QRational, scale_exp: int, n: int) -> list[QRational]:
     """corner + t * q^scale_exp for t in range(n), on ints at the lower valuation."""
     q, low = corner.q, min(corner.valuation, scale_exp)
@@ -126,7 +134,7 @@ class Interval:
 
     @classmethod
     def from_json(cls, q: int, obj: dict) -> "Interval":
-        return cls(QRational.from_text(q, obj["corner"]), int(obj["scale_exp"]))
+        return cls(QRational.from_text(q, obj["corner"]), _json_int(obj, "scale_exp"))
 
 
 def unit_interval(q: int) -> Interval:
@@ -145,9 +153,9 @@ def interval_distance(a: Interval, b: Interval) -> Fraction:
 
 
 class Cube:
-    """corner + q^scale_exp * Z_q^k, a cube of side q^(-scale_exp)."""
+    """corner + q^scale_exp * Z_q^k, a cube of side q^(-scale_exp); its key and hash are kept from first use."""
 
-    __slots__ = ("q", "corner", "scale_exp")
+    __slots__ = ("q", "corner", "scale_exp", "_key", "_hash")
 
     def __init__(self, corner: QVector, scale_exp: int):
         for c in corner.coords:
@@ -188,17 +196,20 @@ class Cube:
         return other.scale_exp >= self.scale_exp and self.contains(other.corner)
 
     def subdivide(self, scale_exp: int) -> list["Cube"]:
-        """All subcubes of side q^-scale_exp, in lexicographic digit order;
-        each axis runs over the corners of ``Interval.partition``, on ints.
-        At the cube's own scale that is [self]."""
+        """All subcubes of side q^-scale_exp, in lexicographic digit order:
+        the product of ``axis_corners``.  At the cube's own scale that is [self]."""
         if scale_exp == self.scale_exp:
             return [self]
+        return [Cube(QVector(corner), scale_exp) for corner in product(*self.axis_corners(scale_exp))]
+
+    def axis_corners(self, scale_exp: int) -> list[list[QRational]]:
+        """Per axis, the corners of ``Interval.partition`` at scale_exp, on
+        ints; their product, in order, is the corners of ``subdivide``."""
         if scale_exp < self.scale_exp:
             raise ValueError("cannot subdivide at a coarser scale")
         per_axis = self.q ** (scale_exp - self.scale_exp)
         check_budget(per_axis**self.k, errors.CELL_BUDGET, "subdivision into {estimated} cubes exceeds the budget")
-        axes = [_axis_corners(c, self.scale_exp, per_axis) for c in self.corner]
-        return [Cube(QVector(corner), scale_exp) for corner in product(*axes)]
+        return [_axis_corners(c, self.scale_exp, per_axis) for c in self.corner]
 
     def translate(self, v: QVector) -> "Cube":
         return Cube((self.corner + v).rep_mod(self.scale_exp), self.scale_exp)
@@ -209,10 +220,18 @@ class Cube:
         return self.corner == other.corner and self.scale_exp == other.scale_exp
 
     def __hash__(self):
-        return hash((self.corner, self.scale_exp))
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.key()))
+            return self._hash
 
-    def key(self):
-        return (self.scale_exp, self.corner.key())
+    def key(self) -> tuple:
+        try:
+            return self._key
+        except AttributeError:
+            object.__setattr__(self, "_key", (self.scale_exp, self.corner.key()))
+            return self._key
 
     def __repr__(self) -> str:
         return f"Cube({self.corner!r}; side {self.q}^-{self.scale_exp})"
@@ -225,7 +244,7 @@ class Cube:
 
     @classmethod
     def from_json(cls, q: int, obj: dict) -> "Cube":
-        return cls(QVector.from_text(q, obj["corner"]), int(obj["scale_exp"]))
+        return cls(QVector.from_text(q, obj["corner"]), _json_int(obj, "scale_exp"))
 
 
 def ball(q: int, k: int, radius_exp: int) -> Cube:
@@ -500,6 +519,22 @@ def tile_of_point(x: QVector, K: Interval) -> Tile:
     n, L = _scaled(x)
     w = _owner_digits(tangent_frame(K.corner, x.k), n, L, K.scale_exp, x.q)
     return Tile(K, QVector([QRational(x.q, d, L) for d in w]))
+
+
+def _tile_owners(points: list[QVector], K: Interval) -> tuple[list[Tile], list[int]]:
+    """``tile_of_point`` for many points, from one ``_owner_digits`` pass on integer columns:
+    the distinct tiles, one ``Tile`` each in order of first appearance, and each point's index."""
+    import numpy as np  # imported here so that importing momentlab does not load numpy
+
+    q, k, m = K.q, points[0].k, K.scale_exp
+    rows = tangent_frame(K.corner, k)
+    ints, L = _scaled([x for point in points for x in point])
+    # |M^T n| <= k * max|entry| * max|n|, and every modulus q^e is at most q^-L
+    bound = k * max(abs(e) for row in rows for e in row) * max(max(map(abs, ints)), q ** max(-L, 0))
+    cols = list(np.array(ints, dtype=np.int64 if bound < INT64_LIMIT else object).reshape(-1, k).T)
+    first: dict[tuple, int] = {}
+    index = [first.setdefault(w, len(first)) for w in zip(*[y.tolist() for y in _owner_digits(rows, cols, L, m, q)])]
+    return [Tile(K, QVector([QRational(q, d, L) for d in w])) for w in first], index
 
 
 def tile_partition(Q: Cube, K: Interval) -> list[Tile]:

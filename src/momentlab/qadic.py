@@ -271,9 +271,9 @@ def qnorm_of_fraction(fr: Fraction, q: int) -> Fraction:
 
 
 class QVector:
-    """A point of Q_q**k with coordinates in Z[1/q]."""
+    """A point of Q_q**k with coordinates in Z[1/q]; immutable, so its key and hash are kept from first use."""
 
-    __slots__ = ("q", "coords")
+    __slots__ = ("q", "coords", "_key", "_hash")
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -354,10 +354,19 @@ class QVector:
         return self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.key()))
+            return self._hash
 
-    def key(self):
-        return tuple(c.key() for c in self.coords)
+    def key(self) -> tuple:
+        """Deterministic sort key: the coordinates' (valuation, unit) pairs."""
+        try:
+            return self._key
+        except AttributeError:
+            object.__setattr__(self, "_key", tuple([(c.valuation, c.unit) for c in self.coords]))
+            return self._key
 
     def __repr__(self) -> str:
         return "(" + ", ".join(c.to_text() for c in self.coords) + ")"
@@ -421,10 +430,18 @@ def char_chi(x: QRational) -> UnitComplex:
     return UnitComplex(x.frac_part())
 
 
-def char_value(x: QRational) -> complex:
-    """chi(x) as a floating complex number: the cached value at the reduced
-    pair (unit mod q^n, q^n), n = -valuation, with no ``Fraction`` built."""
-    if x.unit == 0 or x.valuation >= 0:
+def _char_at(num: int, q: int, exp: int) -> complex:
+    """chi(num * q^-exp), exp >= 0: the cached value at the reduced pair
+    (num mod q^n, q^n), so equal fractions share one key and one value."""
+    den = q**exp
+    num %= den
+    if not num:
         return 1 + 0j
-    den = x.q ** (-x.valuation)
-    return _char_of(x.unit % den, den)
+    while num % q == 0:
+        num, den = num // q, den // q
+    return _char_of(num, den)
+
+
+def char_value(x: QRational) -> complex:
+    """chi(x) as a floating complex number, cached, with no ``Fraction`` built."""
+    return 1 + 0j if x.valuation >= 0 else _char_at(x.unit, x.q, -x.valuation)

@@ -24,23 +24,31 @@ Canonical form: all cubes at one common scale, at most one term per
 (cube, modulation) pair with modulations reduced to canonical digit
 representatives (so a modulation that is constant on its cube is absorbed
 into the coefficient), and coefficients below a relative threshold pruned.
-Each distinct modulation is reduced once per construction, and a term whose
-modulation is already canonical takes no phase: its coefficient is
-multiplied by the constant 1 + 0j, as chi(0) would give it.  The merge key
-(cube.key(), modulation.key()) is the one sort key; sibling compaction groups
-on the integer parent digits read off it and builds only merged parents.
+It runs on integer keys.  Each distinct modulation is reduced once per
+construction; one already canonical is recognized from its (unit,
+valuation) pairs and kept as it is, and its terms take the constant phase
+1 + 0j, as chi(0) would give it.  Otherwise its drift b - rep is a vector
+of integers at one valuation.  Each distinct cube is split once, per axis:
+the product of the per-axis corners gives each piece's key, its corner
+coordinates and its corner as integers, so a piece's drift phase is one
+integer numerator over a power of q, read from the character cache at
+``char_value``'s key.  A ``Cube`` is built only for a surviving piece, and
+an unsubdivided input cube is kept as it is.  The merge key (cube.key(),
+modulation.key()) is the one sort key; sibling compaction groups on the
+integer parent digits read off it and builds only merged parents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product, repeat
 from math import fsum, inf, isfinite
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import errors
 from .errors import MomentLabError, check_budget
-from .geometry import Cube, Interval
-from .qadic import QRational, QVector, char_value
+from .geometry import Cube, Interval, _is_canonical, _json_int, _scaled
+from .qadic import QRational, QVector, _char_at, char_value
 
 __all__ = ["ModulatedStep", "joint_cell_values"]
 
@@ -49,6 +57,33 @@ PRUNE_REL_TOL = 1e-12
 
 def _phase(b: QVector, point: QVector) -> complex:
     return char_value(b.dot(point))
+
+
+def _reduce(b: QVector, scale: int):
+    """(rep, rep.key(), drift): rep = b.rep_mod(-scale), drift = b - rep as
+    (integers, valuation), or None if b is canonical (then rep is b)."""
+    top = -scale
+    if all(_is_canonical(x, top) for x in b.coords):
+        return b, b.key(), None
+    X, d = _scaled(b.coords)
+    n = b.q ** max(top - d, 0)  # rep keeps the digits of X below position top - d
+    rep = QVector([QRational(b.q, x % n, d) for x in X])
+    return rep, rep.key(), ([x - x % n for x in X], d)
+
+
+def _split(cube: Cube, scale: int):
+    """(keys, pieces, X, L) of a cube at ``scale``, per piece in ``subdivide``
+    order: its key, the cube itself or its corner coordinates, and X[j] with
+    corner X[j] q^L."""
+    if cube.scale_exp == scale:
+        X, L = _scaled(cube.corner.coords)
+        return (cube.key(),), (cube,), (X,), L
+    axes = cube.axis_corners(scale)
+    flat, L = _scaled([x for axis in axes for x in axis])
+    n = len(axes[0])
+    keys = [(scale, corner) for corner in product(*[[x.key() for x in axis] for axis in axes])]
+    X = list(product(*[flat[i * n : (i + 1) * n] for i in range(len(axes))]))
+    return keys, list(product(*axes)), X, L
 
 
 class ModulatedStep:
@@ -93,34 +128,43 @@ class ModulatedStep:
         if not terms:
             return [], 0
         for _, b, cube in terms:
-            if b.k != k or cube.k != k or cube.q != q or b.q != q:
+            if len(b.coords) != k or len(cube.corner.coords) != k or cube.q != q or b.q != q:
                 raise ValueError("term dimensions do not match the function")
         scale = max(cube.scale_exp for _, _, cube in terms)
         merged: dict[tuple, list] = {}
         reduced: dict[QVector, tuple] = {}
+        split: dict[Cube, tuple] = {}
         for c, b, cube in terms:
-            pieces = cube.subdivide(scale)
             red = reduced.get(b)
             if red is None:
-                rep = b.rep_mod(-scale)
-                drift = b - rep
-                red = reduced[b] = (rep, rep.key(), None if all(d.is_zero for d in drift) else drift)
+                red = reduced[b] = _reduce(b, scale)
             rep, rep_key, drift = red
-            for piece in pieces:
-                coeff = c * (1 + 0j if drift is None else _phase(drift, piece.corner))
-                key = (piece.key(), rep_key)
+            if drift is None and cube.scale_exp == scale:  # its own one piece, of phase 1
+                keys, pieces = (cube.key(),), (cube,)
+            else:
+                rows = split.get(cube)
+                if rows is None:
+                    rows = split[cube] = _split(cube, scale)
+                keys, pieces, X, L = rows
+            if drift is None:
+                phases = repeat(1 + 0j)
+            else:  # chi(drift . x) with drift = D q^d, x = X q^L: one numerator D . X over q^-(d + L)
+                D, E = drift[0], max(-(drift[1] + L), 0)
+                phases = [_char_at(sum(map(mul, D, x)), q, E) for x in X]
+            for key, piece, phase in zip(keys, pieces, phases):
+                key = (key, rep_key)
                 slot = merged.get(key)
                 if slot is None:
-                    merged[key] = [coeff, rep, piece]
+                    merged[key] = [c * phase, rep, piece]
                 else:
-                    slot[0] += coeff
+                    slot[0] += c * phase
         tol = max(abs(slot[0]) for slot in merged.values()) * PRUNE_REL_TOL
         out = [(key, *slot) for key, slot in merged.items() if abs(slot[0]) > tol]
         if not out:
             return [], 0
         out, scale = ModulatedStep._compact(q, k, out, scale)
         out.sort(key=itemgetter(0))
-        return [(c, b, cube) for _, c, b, cube in out], scale
+        return [(c, b, cube if cube.__class__ is Cube else Cube(QVector(cube), scale)) for _, c, b, cube in out], scale
 
     @staticmethod
     def _compact(q, k, terms, scale):
@@ -138,7 +182,7 @@ class ModulatedStep:
             groups: dict[tuple, list] = {}
             for term in terms:
                 (_, corner), b_key = term[0]
-                digits = tuple((v, u % q ** (up - v)) if u and v < up else (0, 0) for v, u in corner)
+                digits = tuple([(v, u % q ** (up - v)) if u and v < up else (0, 0) for v, u in corner])
                 groups.setdefault((digits, b_key), []).append(term)
             for members in groups.values():
                 c0 = members[0][1]
@@ -369,12 +413,17 @@ class ModulatedStep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModulatedStep":
-        """Read ``to_json``'s shape; a document of any other shape raises ValueError."""
+        """Read ``to_json``'s shape; a document of any other shape raises
+        ValueError.  q, k and scale_exp are JSON integers and coefficient
+        parts JSON numbers: a bool, a fraction or a string is refused."""
         try:
-            q, k = int(obj["q"]), int(obj["k"])
+            q, k = _json_int(obj, "q"), _json_int(obj, "k")
             terms = []
             for t in obj["terms"]:
-                re, im = float(t["re"]), float(t.get("im", 0.0))
+                re, im = t["re"], t.get("im", 0.0)
+                if type(re) not in (int, float) or type(im) not in (int, float):
+                    raise ValueError(f"coefficient parts must be JSON numbers, got {re!r} and {im!r}")
+                re, im = float(re), float(im)
                 if not (isfinite(re) and isfinite(im)):
                     raise ValueError(f"coefficient {re} + {im}i is not finite")
                 modulation, cube = QVector.from_text(q, t["modulation"]), Cube.from_json(q, t["cube"])

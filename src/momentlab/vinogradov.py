@@ -53,10 +53,13 @@ def _power_sum_distribution(k: int, blocks, moduli=None, budget: int | None = No
     empty: the Counter is used and its sums are folded mod the moduli into a
     Counter keyed by residue tuples.  The budget bounds the keys at each step
     by the key space and by the multisets drawn; it defaults to the
-    operation limit.
+    operation limit.  Values are ranges or lists, and the budget is checked
+    before any range is enumerated.
     """
-    blocks = [(list(values), n, p) for values, n, p in blocks if n > 0]
-    n_all, top = sum(n for _, n, _ in blocks), max((max(v, default=0) for v, _, _ in blocks), default=0)
+    blocks = [(values, n, p) for values, n, p in blocks if n > 0]
+    # a range's largest value is read off its ends
+    top = max((max(v[0], v[-1]) if isinstance(v, range) else max(v) for v, _, _ in blocks if len(v)), default=0)
+    n_all = sum(n for _, n, _ in blocks)
     # digit j holds sum j, which never exceeds n_all * top^j, so packed sums never carry
     radix = [prod(n_all * top**i + 1 for i in range(1, j)) for j in range(1, k + 2)]
     dense = moduli is not None and prod(moduli) <= _multiset_bound(blocks)
@@ -70,6 +73,7 @@ def _power_sum_distribution(k: int, blocks, moduli=None, budget: int | None = No
     if budget is None:
         budget = errors.OPERATION_BUDGET
     check_budget(estimate, budget, "power-sum distribution needs about {estimated} operations (budget {budget})")
+    blocks = [(list(values), n, p) for values, n, p in blocks]  # listed once, as each is scanned several times
 
     if not dense:
         def table(values):

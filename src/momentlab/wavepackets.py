@@ -22,8 +22,9 @@ from .geometry import (
     Interval,
     Tile,
     _scaled,
+    _tile_owners,
     theta_of,
-    tile_of_point,
+    tile_of_point,  # noqa: F401  (unused here; perfbench's tracer wraps it in this namespace too)
     unit_interval,
 )
 from .qadic import QRational, QVector
@@ -62,6 +63,8 @@ class ScaleConfig:
         return cls(q, k, delta_exp, ceil(delta_exp * epsilon))
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"need a degree k >= 1, got k={self.k}")
         if self.delta_exp < 1:
             raise ValueError("need delta < 1")
         if not 1 <= self.kappa_exp <= self.delta_exp:
@@ -112,15 +115,15 @@ def _support_witnesses(f: ModulatedStep, delta_exp: int) -> dict[Interval, Cube]
     s = hat.scale_exp
     fine = max(s, m * k)
     groups: dict[tuple[Cube, QVector], list] = {}
-    for c, b, cube in hat.terms:
-        rep = b.rep_mod(-fine)
-        groups.setdefault((cube, rep), []).append((c, b - rep))
+    for c, b, cube in hat.terms:  # canonical terms are reduced at scale s already
+        groups.setdefault((cube, b if fine == s else b.rep_mod(-fine)), []).append((c, b))
     side = q ** (fine - s)
     check_budget(len(groups) * side**k, errors.CELL_BUDGET, "certificate cells exceed the budget")
-    values = np.concatenate([  # a lone character has modulus |c| on every cell
-        np.abs(_cell_values(cube, parts, fine)) if len(parts) > 1 else np.full(side**k, abs(parts[0][0]))
-        for (cube, _), parts in groups.items()
-    ])
+    # a lone character has modulus |c| on every cell; a cube of several goes through the kernel
+    values = np.repeat([abs(parts[0][0]) for parts in groups.values()], side**k)
+    for i, ((cube, rep), parts) in enumerate(groups.items()):
+        if len(parts) > 1:
+            values[i * side**k : (i + 1) * side**k] = np.abs(_cell_values(cube, [(c, b - rep) for c, b in parts], fine))
     counted = np.flatnonzero(values > values.max() * PRUNE_REL_TOL)
     # counted cell n is digit n % side^k, in subdivide order, of cube n // side^k; its corner
     # is cols[:, n] * q^L, and B(-a) cols stays below q^(mk + fine - L)
@@ -196,11 +199,12 @@ def wavepacket_decompose(g: ModulatedStep, K: Interval) -> WavepacketSet:
     if g.is_zero:
         return WavepacketSet(K, [])
     scale = max(g.scale_exp, -K.scale_exp)
-    by_tile: dict[Tile, list] = {}
-    for cube, parts in g._by_cube.items():
-        for piece in cube.subdivide(scale):
-            by_tile.setdefault(tile_of_point(piece.corner, K), []).extend((c, b, piece) for c, b in parts)
-    packets = [(t, ModulatedStep(g.q, g.k, by_tile[t])) for t in sorted(by_tile, key=Tile.key)]
+    pieces = [(piece, parts) for cube, parts in g._by_cube.items() for piece in cube.subdivide(scale)]
+    tiles, owner = _tile_owners([piece.corner for piece, _ in pieces], K)
+    terms: list[list] = [[] for _ in tiles]
+    for (piece, parts), i in zip(pieces, owner):
+        terms[i].extend((c, b, piece) for c, b in parts)
+    packets = sorted(((t, ModulatedStep(g.q, g.k, ts)) for t, ts in zip(tiles, terms)), key=lambda p: p[0].key())
     return WavepacketSet(K, [(t, p) for t, p in packets if not p.is_zero])
 
 

@@ -204,6 +204,15 @@ class TestFailureModes:
         # 465 pairs of coarse intervals, each shifting 961 anchors over at most 961 keys
         assert error["error"] == "budget-exceeded" and error["estimated"] == 465 * (961 + 961**2) > error["budget"]
 
+    def test_linnik_past_the_budget_exits_3_before_listing_residues(self, capsys):
+        # the p^k = 1000006000009 residues are neither listed nor scanned before the budget check
+        from momentlab import cli
+
+        start = time.perf_counter()
+        assert cli.main(["linnik", "--k", "2", "--p", "1000003", "--exhaustive"]) == 3
+        assert time.perf_counter() - start < 5
+        assert json.loads(capsys.readouterr().err)["error"] == "budget-exceeded"
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_a_usage_error(self, capsys, budget):
         from momentlab import cli
@@ -292,6 +301,25 @@ class TestFailureModes:
             assert cli.main([*argv, "--input", str(path), "--delta-exp", "2"]) == 2
             assert '"usage"' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("q", True), ("q", 3.9), ("q", 3.0), ("q", "3"),
+        ("k", True), ("k", 2.2), ("k", "2"),
+        ("scale_exp", False), ("scale_exp", 1.7), ("scale_exp", "1"),
+        ("re", True), ("re", "1.0"),
+        ("im", False), ("im", "0"),
+    ])
+    def test_fixture_numbers_are_json_integers_and_numbers(self, tmp_path, capsys, field, value):
+        # q, k and scale_exp are JSON integers, coefficient parts JSON numbers; nothing is truncated
+        from momentlab import cli
+
+        term = {"re": 1.0, "im": 0.0, "modulation": ["0", "0"], "cube": {"corner": ["0", "0"], "scale_exp": 0}}
+        doc = {"q": 3, "k": 2, "terms": [term]}
+        {"q": doc, "k": doc, "scale_exp": term["cube"]}.get(field, term)[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["ratio", "--input", str(path), "--p", "8", "--delta-exp", "2"]) == 2
+        assert "JSON" in json.loads(capsys.readouterr().err)["reason"]
+
     def test_huge_prime_fixture_hits_the_budget(self, tmp_path, capsys):
         from momentlab import cli
 
@@ -342,10 +370,11 @@ class TestFailureModes:
             ["verify-all", "--q", "3", "--k", "3"],
             ["counting-lemma", "--q", "2", "--k", "2", "--delta-exp", "2", "--kappa-exp", "1"],
             ["counting-lemma", "--q", "5", "--k", "5", "--delta-exp", "1", "--kappa-exp", "1"],
+            ["counting-lemma", "--q", "3", "--k", "0", "--delta-exp", "2", "--kappa-exp", "1"],
         ],
         ids=["residue-count", "no-q-or-k", "s-not-multiple-of-k", "zero-ratio", "zero-reverse-square",
              "csv-without-table", "positivity-violated", "verify-all-q-not-above-k",
-             "counting-lemma-q2-k2", "counting-lemma-q5-k5"],
+             "counting-lemma-q2-k2", "counting-lemma-q5-k5", "counting-lemma-k0"],
     )
     def test_usage_error_exits_2(self, tmp_path, capsys, argv):
         from momentlab import cli

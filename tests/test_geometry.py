@@ -20,6 +20,7 @@ from momentlab.geometry import (
     _offset_digits,
     _owner_digits,
     _scaled,
+    _tile_owners,
     ball,
     binomial_frame,
     frame_apply,
@@ -57,6 +58,12 @@ class TestIntervals:
     def test_unit_interval_partition(self):
         P = unit_interval(3).partition(1)
         assert [i.corner for i in P] == [q3(0), q3(1), q3(2)]
+
+    @pytest.mark.parametrize("scale_exp", [True, 1.0, 1.5, "1"])
+    def test_json_scale_exp_is_a_json_integer(self, scale_exp):
+        assert Interval.from_json(3, {"corner": "1", "scale_exp": 1}) == Interval(q3(1), 1)
+        with pytest.raises(ValueError, match="scale_exp must be a JSON integer"):
+            Interval.from_json(3, {"corner": "1", "scale_exp": scale_exp})
 
     def test_partition_count(self):
         I = Interval(QRational(5, 0), 1)
@@ -599,6 +606,22 @@ class TestLatticeKernels:
                 point = QVector([QRational(q, c[i], L) for c in x])
                 want = tile_of_point(point, K).dual_corner
                 assert QVector([QRational(q, int(d[i]), L) for d in digits]) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_columnar_owners_match_tile_of_point(self, data):
+        # points repeat (as the pieces of one cube share tiles), sit off the unit
+        # ball or deep inside it, and some coordinates are too large for int64
+        q, k = data.draw(st.sampled_from([(3, 2), (5, 2), (5, 3)]))
+        m = data.draw(st.integers(1, 3 if q == 3 else 2))
+        K = Interval(QRational(q, data.draw(st.integers(0, q**m - 1))), m)
+        unit = st.one_of(st.integers(-q**6, q**6), st.integers(q**40, q**41))
+        coord = st.builds(QRational, st.just(q), unit, st.integers(-3 * m * k, 3))
+        pool = data.draw(st.lists(st.lists(coord, min_size=k, max_size=k).map(QVector), min_size=1, max_size=4))
+        points = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+        tiles, owner = _tile_owners(points, K)
+        assert [tiles[i] for i in owner] == [tile_of_point(x, K) for x in points]
+        assert len(set(tiles)) == len(tiles) == len(set(owner))  # one Tile per distinct owner
 
     @pytest.mark.parametrize("dtype", ["int64", object])
     def test_column_offsets_and_corners_match_the_objects(self, dtype):

@@ -296,20 +296,35 @@ COEFFS = st.one_of(
 
 @st.composite
 def raw_terms(draw):
-    """(q, k, terms): cubes at up to two scales (negative ones included),
-    modulations drawn from a small pool so that they repeat, some already
-    canonical at the finest scale and some not."""
+    """(q, k, terms): cubes at up to two scales, big ones (negative scales)
+    and diagonal corners included, modulations drawn from a small pool so
+    that they repeat.  A pool modulation is arbitrary, canonical at the
+    finest scale, canonical plus an integer vector (a drift whose phase is
+    1), canonical plus opposite drifts on two axes (which cancel mod 1 on
+    diagonal corners), or a negated canonical corner, as ``_transform``
+    makes them."""
     q, k = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)]))
-    top = draw(st.integers(-1, 2))
+    top = draw(st.integers(-3, 2))
     low = top - draw(st.integers(0, 1 if q**k <= 125 else 0))
     pool = []
     for _ in range(draw(st.integers(1, 3))):
         b = QVector([QRational(q, draw(st.integers(-q**3, q**3)), draw(st.integers(-4, 1))) for _ in range(k)])
-        pool.append(b.rep_mod(-top) if draw(st.booleans()) else b)
+        kind = draw(st.sampled_from(["arbitrary", "canonical", "integer drift", "opposite drifts", "negated corner"]))
+        if kind == "canonical":
+            b = b.rep_mod(-top)
+        elif kind == "integer drift":
+            b = b.rep_mod(-top) + QVector.from_ints(q, [draw(st.integers(-q**2, q**2)) for _ in range(k)])
+        elif kind == "opposite drifts":
+            d = QRational(q, draw(st.integers(1, q**3)), draw(st.integers(-top, -top + 2)))
+            b = b.rep_mod(-top) + QVector([d, -d, *[QRational(q, 0)] * (k - 2)][:k])
+        elif kind == "negated corner":
+            b = -QVector([QRational(q, draw(st.integers(0, q**4)), -3).rep_mod(-top) for _ in range(k)])
+        pool.append(b)
     terms = []
     for _ in range(draw(st.integers(1, 6))):
         scale = draw(st.integers(low, top))
-        corner = QVector([QRational(q, draw(st.integers(0, q**4)), -3).rep_mod(scale) for _ in range(k)])
+        coords = [QRational(q, draw(st.integers(0, q**4)), min(scale, 0) - 3).rep_mod(scale) for _ in range(k)]
+        corner = QVector([coords[0]] * k if draw(st.booleans()) else coords)
         terms.append((draw(COEFFS), draw(st.sampled_from(pool)), Cube(corner, scale)))
     return q, k, terms
 
@@ -324,6 +339,18 @@ class TestCanonicalize:
         assert f.scale_exp == scale and len(f.terms) == len(want)
         for (c1, b1, Q1), (c2, b2, Q2) in zip(f.terms, want):
             assert (_bits(c1), b1, Q1) == (_bits(c2), b2, Q2)
+
+    def test_canonical_terms_at_one_scale_build_no_scalar_and_keep_their_cubes(self, monkeypatch):
+        # the modulations are canonical on their cubes, read off their integer keys
+        cubes = ball(3, 2, 0).subdivide(1)[:4]
+        b = QVector([deep(1, -2), deep(2, -2)])
+        raw = [(1.0 + i, b, cube) for i, cube in enumerate(cubes)]
+        built = []
+        init = QRational.__init__
+        monkeypatch.setattr(QRational, "__init__", lambda self, *a: (built.append(a), init(self, *a))[1])
+        f = ModulatedStep(3, 2, raw)
+        assert built == []
+        assert all(Q is cube and bb is b for (_, bb, Q), cube in zip(f.terms, cubes))
 
     def test_a_canonical_modulation_keeps_the_unit_phase_product(self):
         # c * (1 + 0j) turns the real part -0.0 of (-0.0 - 1j) into +0.0

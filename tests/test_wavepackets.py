@@ -73,8 +73,8 @@ class TestDecomposition:
 
     def test_one_tile_lookup_per_distinct_cube(self, monkeypatch):
         calls = []
-        real = wp.tile_of_point
-        monkeypatch.setattr(wp, "tile_of_point", lambda x, K: (calls.append(x), real(x, K))[1])
+        real = wp._tile_owners
+        monkeypatch.setattr(wp, "_tile_owners", lambda xs, K: (calls.append(xs), real(xs, K))[1])
         rng = random.Random(7)
         for m, i in ((1, 1), (2, 5)):
             K = unit_interval(3).partition(m)[i]
@@ -84,7 +84,8 @@ class TestDecomposition:
             assert len(_terms_at_scale(g, scale)) > len(cubes)  # several terms share a cube
             calls.clear()
             wavepacket_decompose(g, K)
-            assert sorted(calls, key=QVector.key) == sorted((c.corner for c in cubes), key=QVector.key)
+            assert len(calls) == 1  # one columnar pass
+            assert sorted(calls[0], key=QVector.key) == sorted((c.corner for c in cubes), key=QVector.key)
 
     def test_subsums_stay_supported(self):
         rng = random.Random(2)
