@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import BudgetExceededError, MomentLabError, SupportError, VerificationError
 from .geometry import Cube, Interval, ThetaBox, Tile, ball, gamma, unit_interval
-from .qadic import QRational, QVector, UnitComplex, char_chi, char_value
+from .qadic import QRational, QVector, char_value
 from .stepfn import ModulatedStep
 from .wavepackets import PigeonholeBucket, ScaleConfig, WavepacketSet
 
@@ -23,8 +23,6 @@ __all__ = [
     "VerificationError",
     "QRational",
     "QVector",
-    "UnitComplex",
-    "char_chi",
     "char_value",
     "Interval",
     "Cube",

@@ -22,7 +22,7 @@ from math import comb, frexp, fsum, inf, isfinite, perm
 
 from . import errors
 from .errors import MomentLabError, VerificationError, check_budget
-from .geometry import Cube, Interval, ball, binomial_frame, frame_apply, gamma, tau_of, unit_interval
+from .geometry import Cube, Interval, _axis_corners, ball, binomial_frame, frame_apply, gamma, tau_of, unit_interval
 from .qadic import QRational, QVector
 from .stepfn import ModulatedStep, _lp_from_cells, joint_cell_values
 from .vinogradov import _power_sum_distribution, count_power_sum_congruences
@@ -334,12 +334,13 @@ def _fine_piece_norms(pieces, p: int, k: int) -> dict[Interval, tuple[float, flo
     return norms
 
 
-def _live_children(live, nu_exp: int) -> dict[Interval, list[Interval]]:
-    """The live fine intervals grouped by nu-parent.  The keys are the live
-    nu-intervals, since a nu-piece is the sum of the fine pieces below it."""
+def _live_children(live, scale_exp: int) -> dict[Interval, list[Interval]]:
+    """The live fine intervals grouped by parent at ``scale_exp``, each group
+    in ``live``'s order.  The keys are the live parents, since a coarser
+    piece is the sum of the fine pieces below it."""
     children: dict[Interval, list[Interval]] = {}
     for K in live:
-        children.setdefault(K.parent(nu_exp), []).append(K)
+        children.setdefault(K.parent(scale_exp), []).append(K)
     return children
 
 
@@ -485,13 +486,11 @@ def affine_rescale(g_I: ModulatedStep, I: Interval) -> tuple[ModulatedStep, Frac
             [QRational(q, 1, -r * (i + 1)) * shifted[i] for i in range(k)]
         )
         fine_scale = s + r * k
-        axis_corners = []
-        for i in range(1, k + 1):
-            base_i = kappa_elt**i * w[i - 1]
-            steps = q ** (r * (k - i))
-            axis_corners.append(
-                [(base_i + QRational(q, t, s + r * i)).rep_mod(fine_scale) for t in range(steps)]
-            )
+        # axis i: the digits of kappa^i w_i below s + r i, then every digit block up to fine_scale
+        axis_corners = [
+            _axis_corners((kappa_elt**i * w_i).rep_mod(s + r * i), s + r * i, q ** (r * (k - i)))
+            for i, w_i in enumerate(w, 1)
+        ]
         for combo in product(*axis_corners):
             terms.append(
                 (coeff * coeff_scale, new_mod, Cube(QVector(combo), fine_scale))
@@ -571,10 +570,10 @@ def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
         raise VerificationError(f"reverse-square ratio {ratio} above trivial ceiling {ceiling}")
 
     coarse = g.freq_components(cfg.coarse_partition())
+    live = _live_children(pieces, kappa_exp)
     narrow_ratios = []
     for I, g_i in coarse.items():
-        children = [fK for K, fK in pieces.items() if I.contains_interval(K)]
-        d = _square_sum_moment(children, k)
+        d = _square_sum_moment([pieces[K] for K in live.get(I, ())], k)
         narrow_ratios.append(g_i.lp_norm(2 * k) ** (2 * k) / d)
     s_narrow = max(narrow_ratios, default=0.0)
 

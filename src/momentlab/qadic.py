@@ -7,9 +7,10 @@ are all determined by finitely many digits, so membership and support
 questions are decidable exactly.
 
 The additive character is fixed to ``chi(x) = exp(2*pi*i*frac_q(x))`` where
-``frac_q`` keeps the digits at negative positions.  Character values are
-carried as exact rational angles (denominator a power of q) and converted
-to floating complex numbers only when a norm or integral is evaluated.
+``frac_q`` keeps the digits at negative positions, the exact angle
+``x.rep_mod(0)``.  ``_char_at`` is its one evaluation: the angle as an exact
+integer numerator over a power of q, reduced, then evaluated once per
+reduced fraction and cached.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from fractions import Fraction
 __all__ = [
     "QRational",
     "QVector",
-    "UnitComplex",
-    "char_chi",
     "char_value",
     "qval_of_fraction",
     "qnorm_of_fraction",
@@ -198,23 +197,14 @@ class QRational:
         r = self.unit % self.q ** (scale_exp - self.valuation)
         return QRational(self.q, r, self.valuation)
 
-    def frac_part(self) -> Fraction:
-        """The canonical fractional part (digits at negative positions) in [0, 1)."""
-        return self.rep_mod(0).to_fraction()
-
     # -- protocol plumbing ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if other.__class__ is QRational:
-            return self.unit == other.unit and self.valuation == other.valuation and self.q == other.q
-        if isinstance(other, (int, Fraction)):
-            try:
-                other = self._coerce(other)
-            except ValueError:
-                return False
-        if not isinstance(other, QRational):
+        """Equal to another ``QRational`` of the same value only, so ``==``
+        agrees with ``hash``: an int or a Fraction is never equal."""
+        if other.__class__ is not QRational:
             return NotImplemented
-        return self.q == other.q and self.unit == other.unit and self.valuation == other.valuation
+        return self.unit == other.unit and self.valuation == other.valuation and self.q == other.q
 
     def __hash__(self):
         return hash((self.q, self.unit, self.valuation))
@@ -244,13 +234,6 @@ class QRational:
         if int(base) != q:
             raise ValueError(f"rendering uses base {base}, expected {q}")
         return cls(q, int(unit_part), int(exp or "1"))
-
-    def to_json(self) -> dict:
-        return {"unit": self.unit, "valuation": self.valuation}
-
-    @classmethod
-    def from_json(cls, q: int, obj: dict) -> "QRational":
-        return cls(q, int(obj["unit"]), int(obj["valuation"]))
 
 
 def qval_of_fraction(fr: Fraction, q: int):
@@ -375,8 +358,16 @@ class QVector:
 _CHAR_CACHE: dict[tuple[int, int], complex] = {}
 
 
-def _char_of(num: int, den: int) -> complex:
-    """exp(2*pi*i*num/den), 0 <= num < den, from the one character cache; exact -1 at 1/2."""
+def _char_at(num: int, q: int, exp: int) -> complex:
+    """chi(num * q^-exp), exp >= 0: exp(2*pi*i*num/den), where num/den is
+    (num mod q^exp) / q^exp reduced, so equal fractions share one cache key
+    and one value, computed once; 1/2 gives exactly -1."""
+    den = q**exp
+    num %= den
+    if not num:
+        return 1 + 0j
+    while num % q == 0:
+        num, den = num // q, den // q
     cached = _CHAR_CACHE.get((num, den))
     if cached is None:
         cached = -1 + 0j if 2 * num == den else cmath.exp(2j * cmath.pi * (num / den))
@@ -384,64 +375,6 @@ def _char_of(num: int, den: int) -> complex:
     return cached
 
 
-class UnitComplex:
-    """exp(2*pi*i*angle) with an exact rational angle in [0, 1).
-
-    Angles coming from the character always have a q-power denominator;
-    multiplication adds angles, so exactness is preserved under products.
-    """
-
-    __slots__ = ("angle",)
-
-    def __init__(self, angle: Fraction):
-        angle = Fraction(angle) % 1
-        object.__setattr__(self, "angle", angle)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitComplex is immutable")
-
-    def __mul__(self, other: "UnitComplex") -> "UnitComplex":
-        return UnitComplex(self.angle + other.angle)
-
-    def conj(self) -> "UnitComplex":
-        return UnitComplex(-self.angle)
-
-    def value(self) -> complex:
-        """Floating-complex value from ``char_value``'s cache, at (numerator, denominator)."""
-        return _char_of(self.angle.numerator, self.angle.denominator)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnitComplex):
-            return NotImplemented
-        return self.angle == other.angle
-
-    def __hash__(self):
-        return hash(self.angle)
-
-    def __repr__(self) -> str:
-        return f"e(2*pi*i*{self.angle})"
-
-
-def char_chi(x: QRational) -> UnitComplex:
-    """The additive character chi(x) = exp(2*pi*i*frac_q(x)).
-
-    Trivial exactly on Z_q (valuation >= 0) and nontrivial on (1/q)Z_q.
-    """
-    return UnitComplex(x.frac_part())
-
-
-def _char_at(num: int, q: int, exp: int) -> complex:
-    """chi(num * q^-exp), exp >= 0: the cached value at the reduced pair
-    (num mod q^n, q^n), so equal fractions share one key and one value."""
-    den = q**exp
-    num %= den
-    if not num:
-        return 1 + 0j
-    while num % q == 0:
-        num, den = num // q, den // q
-    return _char_of(num, den)
-
-
 def char_value(x: QRational) -> complex:
-    """chi(x) as a floating complex number, cached, with no ``Fraction`` built."""
+    """chi(x) as a floating complex number, through ``_char_at``."""
     return 1 + 0j if x.valuation >= 0 else _char_at(x.unit, x.q, -x.valuation)

@@ -31,11 +31,12 @@ valuation) pairs and kept as it is, and its terms take the constant phase
 of integers at one valuation.  Each distinct cube is split once, per axis:
 the product of the per-axis corners gives each piece's key, its corner
 coordinates and its corner as integers, so a piece's drift phase is one
-integer numerator over a power of q, read from the character cache at
-``char_value``'s key.  A ``Cube`` is built only for a surviving piece, and
-an unsubdivided input cube is kept as it is.  The merge key (cube.key(),
-modulation.key()) is the one sort key; sibling compaction groups on the
-integer parent digits read off it and builds only merged parents.
+integer numerator over a power of q, evaluated by ``qadic._char_at``, the
+one evaluation of chi, which ``char_value`` also calls.  A ``Cube`` is
+built only for a surviving piece, and an unsubdivided input cube is kept
+as it is.  The merge key (cube.key(), modulation.key()) is the one sort
+key; sibling compaction groups on the integer parent digits read off it
+and builds only merged parents.
 """
 
 from __future__ import annotations
