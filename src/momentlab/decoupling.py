@@ -134,7 +134,8 @@ def broad_narrow_check(g: ModulatedStep, cfg: ScaleConfig):
     radius q^M, with r = max(0, finest ``cell_scale``) and M the least
     radius, at least 0, that holds every support.  A cell stands for the
     grid points it holds; the points off every support, where all the
-    functions vanish, are narrow-binding.
+    functions vanish, are narrow-binding.  A cell that breaks the
+    dichotomy raises VerificationError.
     """
     import numpy as np
 
@@ -173,6 +174,8 @@ def broad_narrow_check(g: ModulatedStep, cfg: ScaleConfig):
     holds = bool((lhs <= rhs * (1 + REL_TOL)).all())
     live = rhs > 0
     worst = float((lhs[live] / rhs[live]).max()) if live.any() else 0.0
+    if not holds:
+        raise VerificationError(f"pointwise dichotomy failed: worst |g|^2k / rhs = {worst}")
     # a cell of volume q^-e stands for q^(rk - e) grid points, counted in exact integers
     exps, counts = np.unique(np.rint(-np.log(volumes[narrow < broad]) / np.log(q)), return_counts=True)
     broad_binding = sum(int(n) * q ** (r * k - int(e)) for e, n in zip(exps, counts))
@@ -506,12 +509,12 @@ def affine_rescale_verify(g: ModulatedStep, I: Interval, cfg: ScaleConfig, p: in
         raise MomentLabError("the piece over I vanishes; nothing to rescale")
     h, det_modulus = affine_rescale(g_I, I)
     factor = float(det_modulus) ** ((p - 1) / p)
-    lhs = g_I.lp_norm(p)
-    rhs = factor * h.lp_norm(p)
+    lhs, h_norm = g_I.lp_norm(p), h.lp_norm(p)
+    rhs = factor * h_norm
     report = {
         "interval": I.to_json(),
         "norm_parent": lhs,
-        "norm_rescaled": h.lp_norm(p),
+        "norm_rescaled": h_norm,
         "det_modulus": det_modulus,
         "holds_parent": abs(lhs - rhs) <= REL_TOL * max(1.0, lhs),
         "pieces": [],

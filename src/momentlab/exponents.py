@@ -42,12 +42,6 @@ def _decay(k: int, p) -> float:
     return float(Fraction(k - 1, k)) ** (float(p) / (2 * k))
 
 
-def _decay_exact_or_float(k: int, p):
-    if p % (2 * k) == 0:
-        return Fraction(k - 1, k) ** (p // (2 * k))
-    return _decay(k, p)
-
-
 def _check_lattice(p: int, p0: int, k: int) -> None:
     if p < p0 or (p - p0) % (2 * k) != 0:
         raise MomentLabError(f"p = {p} is not reachable from p0 = {p0} in steps of 2k = {2 * k}")
@@ -150,19 +144,15 @@ def theorem_exponent(params: ExponentParams, p: int):
     k, p0, c0 = params.k, params.p0, Fraction(params.c0)
     _check_lattice(p, p0, k)
     q_exp = a_coeff(p, p0, k) / p
-    decay = _decay_exact_or_float(k, p)
     main = Fraction(1, 2) - Fraction(k * (k + 1), 2 * p)
-    correction = (c0 / p) * decay if isinstance(decay, Fraction) else float(c0) / p * decay
-    if isinstance(correction, Fraction):
-        magnitude = main + correction
-        delta_exponent = -float(magnitude) - float(params.epsilon)
+    if p % (2 * k) == 0:  # the decay is rational, so the sum is exact until the one rounding
+        magnitude = float(main + c0 / p * Fraction(k - 1, k) ** (p // (2 * k)))
     else:
-        magnitude = float(main) + correction
-        delta_exponent = -magnitude - float(params.epsilon)
+        magnitude = float(main) + float(c0) / p * _decay(k, p)
     return {
         "p": p,
-        "delta_exponent": delta_exponent,
-        "delta_exponent_no_eps": -float(magnitude),
+        "delta_exponent": -magnitude - float(params.epsilon),
+        "delta_exponent_no_eps": -magnitude,
         "q_exponent": q_exp,
         "epsilon": params.epsilon,
     }

@@ -329,74 +329,56 @@ class KaratsubaTrace:
     X: Fraction
     bound: Fraction
     steps: list[dict] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
+        try:
+            bound_float = float(self.bound)
+        except OverflowError:  # past the float range; ``bound`` stays exact
+            bound_float = None
         return {
             "s": self.s,
             "k": self.k,
             "X": str(self.X),
             "bound": str(self.bound),
-            "bound_float": float(self.bound),
+            "bound_float": bound_float,
             "steps": [
                 {key: (str(v) if isinstance(v, Fraction) else v) for key, v in step.items()}
                 for step in self.steps
             ],
-            "warnings": list(self.warnings),
+            "warnings": [],  # the prime search never widens its range (Bertrand)
         }
 
 
 def karatsuba_bound(s: int, k: int, X) -> KaratsubaTrace:
-    """Recursive upper bound for the solution count, with full trace.
+    """Iterated upper bound for the solution count, with full trace.
 
-    Each step picks a prime p about X^(1/k) and multiplies the factor
-    p^(2s-2k) X^k p^(k(k-1)/2), recursing on (s-k, X/p); the base case
-    s = k is k! X^k from the Newton-Girard multiset argument.  Requires
-    s to be a multiple of k.
+    Each step at s' = s, s-k, ..., k+1 picks the least prime p in
+    [ceil(X'^(1/k)), 2 ceil(X'^(1/k))] (one exists by Bertrand's postulate)
+    and multiplies the factor p^(2s'-2k) X'^k p^(k(k-1)/2), going on with
+    X' / p; the base case s' = k is k! X'^k from the Newton-Girard multiset
+    argument, with X' read as at least 1.  Requires s to be a multiple of k.
     """
     if s % k != 0 or s < k:
         raise ValueError(f"iteration needs s a positive multiple of k, got s={s}, k={k}")
     X = Fraction(X)
     if X < 1:
         raise ValueError("X must be at least 1")
-    trace = KaratsubaTrace(s=s, k=k, X=X, bound=Fraction(0))
-
-    def recurse(s_cur: int, X_cur: Fraction) -> Fraction:
+    trace = KaratsubaTrace(s=s, k=k, X=X, bound=Fraction(1))
+    X_cur = X
+    for s_cur in range(s, k, -k):
         X_eff = max(X_cur, Fraction(1))
-        if s_cur == k:
-            base = Fraction(factorial(k)) * X_eff**k
-            trace.steps.append({"s": s_cur, "X": X_cur, "base_case": True, "factor": base})
-            return base
         lo = _nth_root_ceil(X_eff, k)
-        hi = Fraction(2 * lo)
-        p = smallest_prime_in(Fraction(lo), hi)
-        widened = False
-        while p is None:
-            hi *= 2
-            widened = True
-            p = smallest_prime_in(Fraction(lo), Fraction(hi))
-        if widened:
-            trace.warnings.append(
-                f"no prime in [X^(1/k), 2X^(1/k)] at X={X_cur}; widened the range"
-            )
-        factor = Fraction(p) ** (2 * s_cur - 2 * k) * X_eff**k * Fraction(p) ** (
-            k * (k - 1) // 2
-        )
-        trace.steps.append(
-            {
-                "s": s_cur,
-                "X": X_cur,
-                "prime": p,
-                "union_bound_factor": Fraction(p) ** (2 * s_cur - 2 * k),
-                "residue_factor": Fraction(p) ** (k * (k - 1) // 2),
-                "choice_factor": X_eff**k,
-                "factor": factor,
-                "base_case": False,
-            }
-        )
-        return factor * recurse(s_cur - k, X_cur / p)
-
-    trace.bound = recurse(s, X)
+        p = smallest_prime_in(Fraction(lo), Fraction(2 * lo))
+        union, residue, choice = Fraction(p) ** (2 * s_cur - 2 * k), Fraction(p) ** (k * (k - 1) // 2), X_eff**k
+        factor = union * choice * residue
+        trace.steps.append({"s": s_cur, "X": X_cur, "prime": p, "union_bound_factor": union,
+                            "residue_factor": residue, "choice_factor": choice, "factor": factor,
+                            "base_case": False})
+        trace.bound *= factor
+        X_cur /= p
+    base = Fraction(factorial(k)) * max(X_cur, Fraction(1)) ** k
+    trace.steps.append({"s": k, "X": X_cur, "base_case": True, "factor": base})
+    trace.bound *= base
     return trace
 
 

@@ -242,10 +242,7 @@ def _dyadic_class_down(value: float, top: float) -> int:
 
 def _dyadic_class_up(count: int) -> int:
     """Smallest power of two at least count (count in (alpha/2, alpha])."""
-    alpha = 1
-    while alpha < count:
-        alpha *= 2
-    return alpha
+    return 1 << (count - 1).bit_length()
 
 
 def pigeonhole(
@@ -290,7 +287,7 @@ def pigeonhole(
     max_h_classes += 1
 
     # stage 1: heights; what falls below the floor is the remainder
-    kept: dict[tuple[Interval, int], list[tuple[Tile, ModulatedStep, float]]] = {}
+    kept: dict[tuple[Interval, int], list[tuple[Tile, ModulatedStep]]] = {}
     low = []
     for K, ws in packets.items():
         for (tile, piece), h in zip(ws.packets, heights[K]):
@@ -298,25 +295,19 @@ def pigeonhole(
                 low.extend(piece.terms)
                 continue
             j = _dyadic_class_down(h, h_star)
-            kept.setdefault((K, j), []).append((tile, piece, h))
+            kept.setdefault((K, j), []).append((tile, piece))
     remainder = ModulatedStep(q, k, low)
 
-    # stage 2: packet counts per (K, H)
-    staged: dict[tuple[Interval, int, int], list[tuple[Tile, ModulatedStep]]] = {}
-    for (K, j), items in kept.items():
-        alpha = _dyadic_class_up(len(items))
-        staged[(K, j, alpha)] = [(t, piece) for t, piece, _ in items]
-
-    # stage 3: sibling counts within the nu-parent
+    # stage 2: packet counts per (K, H); stage 3: sibling counts within the nu-parent
     siblings: dict[tuple[int, int, Interval], list[Interval]] = {}
-    for K, j, alpha in staged:
-        siblings.setdefault((j, alpha, K.parent(cfg.nu_exp)), []).append(K)
+    for (K, j), items in kept.items():
+        siblings.setdefault((j, _dyadic_class_up(len(items)), K.parent(cfg.nu_exp)), []).append(K)
     buckets: dict[tuple[int, int, int], dict] = {}
     for (j, alpha, _), children in siblings.items():
         beta = _dyadic_class_up(len(children))
         slot = buckets.setdefault((j, alpha, beta), {"terms": [], "tiles": {}})
         for K in children:
-            for tile, piece in staged[(K, j, alpha)]:
+            for tile, piece in kept[(K, j)]:
                 slot["terms"].extend(piece.terms)
                 slot["tiles"].setdefault(K, []).append(tile)
 

@@ -157,6 +157,38 @@ class TestSubcommands:
         data = json.loads(a.stdout)
         assert data["n_buckets"] <= data["class_bound"]
 
+    def test_pigeonhole_report_q_k_must_match_the_fixture(self, fixture_path, capsys):
+        # the fixture is at q=3, k=2; its report's config must not claim other values
+        from momentlab import cli
+
+        argv = ["pigeonhole-report", "--input", fixture_path, "--delta-exp", "2"]
+        for extra in (["--q", "5", "--k", "3"], ["--q", "5"], ["--k", "3"], ["--k", "0"]):
+            assert cli.main([*argv, *extra]) == 2
+            assert "must match the fixture's q=3, k=2" in json.loads(capsys.readouterr().err)["reason"]
+        assert cli.main(argv) == 0
+        alone = capsys.readouterr().out
+        assert cli.main([*argv, "--q", "3", "--k", "2"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["q"], config["k"]) == (3, 2) and "q" not in json.loads(alone)["config"]
+
+    @pytest.mark.parametrize("s, k, X", [(18, 3, 10**12), (20, 4, 10**10), (24, 4, 10**8)])
+    def test_karatsuba_bound_past_the_float_range(self, capsys, s, k, X):
+        from fractions import Fraction
+
+        from momentlab import cli
+
+        assert cli.main(["karatsuba", "--s", str(s), "--k", str(k), "--X", str(X)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["bound_float"] is None and data["warnings"] == []
+        bound = Fraction(data["bound"])
+        assert bound > 2**1024
+        product = Fraction(1)
+        for step in data["steps"]:
+            product *= Fraction(step["factor"])
+        assert product == bound
+        assert cli.main(["karatsuba", "--s", str(s), "--k", str(k), "--X", str(X), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.count("\n") == 3 + len(data["steps"])
+
 
 class TestVerifyAll:
     def test_degree_one_suite_exits_clean(self):
@@ -360,12 +392,33 @@ class TestFailureModes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["verify-all", "--q", "3", "--k", "2"],
+            ["linnik", "--k", "2", "--p", "3"],
+            ["counting-lemma", "--q", "3", "--k", "2", "--delta-exp", "2", "--kappa-exp", "1"],
+            ["ratio", "--input", "g.json", "--p", "8", "--delta-exp", "2"],
+            ["main-lemma", "--input", "g.json", "--p", "8", "--delta-exp", "2"],
+            ["reverse-square", "--input", "g.json", "--delta-exp", "2", "--kappa-exp", "1"],
+            ["pigeonhole-report", "--q", "3", "--k", "2", "--delta-exp", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_without_a_table_is_a_usage_error(self, capsys, argv):
+        # only count-vinogradov, karatsuba and exponents have a table, so only they take --format
+        from momentlab import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["linnik", "--k", "2", "--p", "3", "--residues", "1"],
             ["pigeonhole-report", "--delta-exp", "2"],
             ["karatsuba", "--s", "3", "--k", "2", "--X", "10"],
             ["ratio", "--p", "8", "--delta-exp", "2", "--input", "ZERO"],
             ["reverse-square", "--delta-exp", "2", "--kappa-exp", "1", "--input", "ZERO"],
-            ["counting-lemma", "--q", "3", "--k", "2", "--delta-exp", "2", "--kappa-exp", "1", "--format", "csv"],
             ["exponents", "--k", "2", "--p0", "4", "--c0", "0", "--eps", "1/10", "--p-max", "12"],
             ["verify-all", "--q", "3", "--k", "3"],
             ["counting-lemma", "--q", "2", "--k", "2", "--delta-exp", "2", "--kappa-exp", "1"],
@@ -373,7 +426,7 @@ class TestFailureModes:
             ["counting-lemma", "--q", "3", "--k", "0", "--delta-exp", "2", "--kappa-exp", "1"],
         ],
         ids=["residue-count", "no-q-or-k", "s-not-multiple-of-k", "zero-ratio", "zero-reverse-square",
-             "csv-without-table", "positivity-violated", "verify-all-q-not-above-k",
+             "positivity-violated", "verify-all-q-not-above-k",
              "counting-lemma-q2-k2", "counting-lemma-q5-k5", "counting-lemma-k0"],
     )
     def test_usage_error_exits_2(self, tmp_path, capsys, argv):

@@ -1,7 +1,9 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import fsum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +274,16 @@ class TestBroadNarrow:
     def test_zero_function(self):
         rep = dec.broad_narrow_check(ModulatedStep.zero(3, 2), cfg92())
         assert rep["holds"] and rep["points"] == 0
+
+    def test_failing_dichotomy_raises_and_the_suite_reports_it(self, monkeypatch):
+        # below a negative tolerance every nonzero cell breaks the dichotomy
+        monkeypatch.setattr(dec, "REL_TOL", -1.0)
+        g = random_curve_supported(random.Random(0), 3, 2, 2, 4, 2)
+        with pytest.raises(VerificationError, match="pointwise dichotomy failed"):
+            dec.broad_narrow_check(g, cfg92())
+        rep = verify.broad_narrow_suite(3, 2, n_instances=2)
+        assert not rep["passed"] and "budget_exceeded" not in rep
+        assert len(rep["failures"]) == 1 and "pointwise dichotomy failed" in rep["failures"][0]
 
     @pytest.mark.parametrize("q, n", [(3, 12), (5, 4)])
     def test_matches_dense_grid(self, q, n):
@@ -571,3 +583,10 @@ class TestReverseSquare:
 
         rep = reverse_square_suite(5, 2, n_instances=8, seed=0)
         assert rep["passed"] and "budget_exceeded" not in rep
+
+
+def test_verify_reads_no_verdict_key():
+    # every check raises VerificationError when its statement fails, so no suite re-tests a flag
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not strings & {"holds", "broad_holds", "recursion_holds"}

@@ -334,6 +334,29 @@ class TestKaratsuba:
         assert smallest_prime_in(Fraction(3), Fraction(6)) == 3
         assert smallest_prime_in(Fraction(24), Fraction(28)) is None
 
+    def test_every_step_prime_is_in_bertrands_window_and_the_bound_is_the_product(self):
+        for k in range(1, 5):
+            for s in range(k, 6 * k + 1, k):
+                for X in (1, 2, 7, 100, 12345, 10**6, 10**9 + 7, 10**12):
+                    trace = karatsuba_bound(s, k, X)
+                    total, X_cur = Fraction(1), Fraction(X)
+                    for step in trace.steps:
+                        assert step["X"] == X_cur
+                        total *= step["factor"]
+                        if step["base_case"]:
+                            continue
+                        # lo = ceil(X_eff^(1/k)) is the least integer whose k-th power reaches X_eff, so
+                        # lo <= p <= 2 lo says p^k >= X_eff > (ceil(p/2) - 1)^k
+                        p, X_eff = step["prime"], max(X_cur, Fraction(1))
+                        assert p**k >= X_eff > ((p + 1) // 2 - 1) ** k and vinogradov._is_prime(p)
+                        assert step["union_bound_factor"] == p ** (2 * step["s"] - 2 * k)
+                        assert step["residue_factor"] == p ** (k * (k - 1) // 2) and step["choice_factor"] == X_eff**k
+                        assert step["factor"] == step["union_bound_factor"] * step["residue_factor"] * X_eff**k
+                        X_cur /= p
+                    assert [(st["s"], st["base_case"]) for st in trace.steps] == [
+                        (s_cur, s_cur == k) for s_cur in range(s, 0, -k)]
+                    assert trace.bound == total
+
     def test_trace_records_primes_and_factors(self):
         trace = karatsuba_bound(6, 2, 30)
         primes = [s["prime"] for s in trace.steps if not s["base_case"]]

@@ -191,6 +191,13 @@ class TestPigeonhole:
         )
         assert n_mid <= 3  # at most 1/nu intervals
 
+    def test_dyadic_class_up_is_the_doubling_loop(self):
+        alpha = 1
+        for n in range(1, 2**16 + 1):
+            while alpha < n:
+                alpha *= 2
+            assert wp._dyadic_class_up(n) == alpha
+
 
 def _refined_transform(f, scale_exp):
     """The transform refined to at least the given scale and canonicalized as a whole."""
