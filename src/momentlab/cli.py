@@ -23,12 +23,13 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__
-from .errors import BudgetExceededError, MomentLabError, SupportError
+from . import __version__, errors
+from .errors import BudgetExceededError, MomentLabError, VerificationError, check_budget
 from .exponents import ExponentParams, bdg_sharp_exponent, iterate_D_bound, theorem_exponent
 from .qadic import QRational
 from .stepfn import ModulatedStep
 from .vinogradov import (
+    _check_field,
     _is_prime,
     count_J,
     count_J_congruence,
@@ -180,8 +181,7 @@ def _load_fixture(path: str) -> ModulatedStep:
     if not isinstance(obj, dict):
         raise ValueError("fixture must be a JSON object")
     f = ModulatedStep.from_json(obj)
-    if not _is_prime(f.q) or f.q <= f.k:
-        raise ValueError(f"fixture needs a prime q > k, got q={f.q}, k={f.k}")
+    _check_field(f.q, f.k)
     return f
 
 
@@ -212,7 +212,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args) -> None:
     from .verify import run_all
 
     reports = []
@@ -224,12 +224,15 @@ def _cmd_verify_all(args) -> int:
         reports.append(r)
         t0 = time.perf_counter()
     _emit(args, {"passed": all(r["passed"] for r in reports), "suites": reports})
-    if any(r["failures"] for r in reports):
-        return EXIT_VERIFICATION
-    return EXIT_BUDGET if any("budget_exceeded" in r for r in reports) else EXIT_OK
+    failed = [r["name"] for r in reports if r["failures"]]
+    if failed:
+        raise VerificationError(f"suites failed: {', '.join(failed)}")
+    for r in reports:
+        if "budget_exceeded" in r:
+            check_budget(r["estimated"], r["budget"], f"suite {r['name']}: {r['budget_exceeded']}")
 
 
-def _cmd_count_vinogradov(args) -> int:
+def _cmd_count_vinogradov(args) -> None:
     if args.residue is not None and args.mod_p is None:
         raise ValueError("--residue pins a residue mod p and needs --mod-p")
     payload = {"count": count_J(args.s, args.k, args.X, args.budget)}
@@ -242,10 +245,9 @@ def _cmd_count_vinogradov(args) -> int:
     rows = [[args.s, args.k, args.X, payload["count"],
              payload.get("count_distinct_mod_p", ""), payload.get("count_pinned_residue", "")]]
     _emit(args, payload, rows, ["s", "k", "X", "count", "count_distinct_mod_p", "count_pinned_residue"])
-    return EXIT_OK
 
 
-def _cmd_linnik(args) -> int:
+def _cmd_linnik(args) -> None:
     bound = linnik_bound(args.k, args.p)
     payload = {"bound": bound}
     if args.exhaustive or args.residues is None:
@@ -257,10 +259,11 @@ def _cmd_linnik(args) -> int:
         payload["count"] = linnik_count(args.k, args.p, args.residues)
         payload["holds"] = payload.get("holds", True) and payload["count"] <= bound
     _emit(args, payload)
-    return EXIT_OK if payload.get("holds", True) else EXIT_VERIFICATION
+    if not payload["holds"]:
+        raise VerificationError(f"a residue count exceeds Linnik's bound {bound}")
 
 
-def _cmd_karatsuba(args) -> int:
+def _cmd_karatsuba(args) -> None:
     trace = karatsuba_bound(args.s, args.k, args.X)
     exponent, steps = karatsuba_exponent_trace(args.s, args.k)
     payload = trace.to_json()
@@ -271,43 +274,42 @@ def _cmd_karatsuba(args) -> int:
         for st in trace.steps
     ]
     _emit(args, payload, rows, ["s", "X", "prime", "factor"])
-    return EXIT_OK
 
 
-def _cmd_counting_lemma(args) -> int:
+def _cmd_counting_lemma(args) -> None:
     from .decoupling import counting_lemma_exhaustive
 
     _emit(args, counting_lemma_exhaustive(args.q, args.k, args.delta_exp, args.kappa_exp))
-    return EXIT_OK
 
 
-def _cmd_ratio(args) -> int:
+def _cmd_ratio(args) -> None:
     from .decoupling import decoupling_ratio
 
     _, rep = decoupling_ratio(_load_fixture(args.input), args.delta_exp, args.p)
     _emit(args, rep)
-    return EXIT_OK
 
 
-def _cmd_main_lemma(args) -> int:
+def _cmd_main_lemma(args) -> None:
     from .decoupling import verify_main_lemma
 
     f = _load_fixture(args.input)
     cfg = ScaleConfig.from_epsilon(f.q, f.k, args.delta_exp, args.eps)
     _emit(args, verify_main_lemma(f, cfg, args.p))
-    return EXIT_OK
 
 
-def _cmd_reverse_square(args) -> int:
+def _cmd_reverse_square(args) -> None:
     from .decoupling import reverse_square_check
 
     f = _load_fixture(args.input)
     _emit(args, reverse_square_check(f, args.delta_exp, args.kappa_exp))
-    return EXIT_OK
 
 
-def _cmd_exponents(args) -> int:
+def _cmd_exponents(args) -> None:
     params = ExponentParams(k=args.k, p0=args.p0, c0=args.c0, epsilon=args.eps)
+    n_rows = max(0, (args.p_max - args.p0) // (2 * args.k) + 1)
+    # each row costs its rung count, at most n_rows - 1; a trajectory unrolls every rung below its row
+    check_budget(n_rows * (n_rows if args.trajectories else n_rows - 1), errors.OPERATION_BUDGET,
+                 "exponent sweep needs about {estimated} operations (budget {budget})")
     rows = []
     records = []
     p = args.p0
@@ -325,10 +327,9 @@ def _cmd_exponents(args) -> int:
         rows.append([p, te["delta_exponent"], str(te["q_exponent"]), -bdg_sharp_exponent(args.k, p)])
         p += 2 * args.k
     _emit(args, {"rows": records}, rows, ["p", "delta_exponent", "q_exponent", "bdg_sharp_exponent"])
-    return EXIT_OK
 
 
-def _cmd_pigeonhole_report(args) -> int:
+def _cmd_pigeonhole_report(args) -> None:
     if args.input:
         f = _load_fixture(args.input)
         q, k = f.q, f.k
@@ -355,7 +356,6 @@ def _cmd_pigeonhole_report(args) -> int:
         "class_bound": info["class_bound"],
     }
     _emit(args, payload)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -375,18 +375,19 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         error = {"error": "budget-exceeded", "reason": str(exc), "estimated": exc.estimated, "budget": exc.budget}
         print(json.dumps(error), file=sys.stderr)
         return EXIT_BUDGET
-    except (SupportError, MomentLabError) as exc:
+    except MomentLabError as exc:
         print(json.dumps({"error": "verification-failure", "reason": str(exc)}), file=sys.stderr)
         return EXIT_VERIFICATION
     except (OSError, ValueError, ArithmeticError) as exc:
         # ArithmeticError: a fixture whose numbers overflow a float (say scale_exp -400)
         print(json.dumps({"error": "usage", "reason": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

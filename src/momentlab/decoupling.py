@@ -21,11 +21,12 @@ from itertools import combinations, permutations, product
 from math import comb, frexp, fsum, inf, isfinite, perm
 
 from . import errors
-from .errors import MomentLabError, VerificationError, check_budget
+from .errors import VerificationError, check_budget
+from .exponents import bdg_sharp_exponent
 from .geometry import Cube, Interval, _axis_corners, ball, binomial_frame, frame_apply, gamma, tau_of, unit_interval
 from .qadic import QRational, QVector
-from .stepfn import ModulatedStep, _lp_from_cells, joint_cell_values
-from .vinogradov import _power_sum_distribution, count_power_sum_congruences
+from .stepfn import REL_TOL, ModulatedStep, _lp_from_cells, joint_cell_values
+from .vinogradov import _check_field, _power_sum_distribution, count_power_sum_congruences
 from .wavepackets import ScaleConfig, freq_certificate
 
 __all__ = [
@@ -45,8 +46,6 @@ __all__ = [
     "affine_rescale_verify",
     "reverse_square_check",
 ]
-
-REL_TOL = 1e-9
 
 
 def trivial_decoupling_bound(q: int, scale_exp: int) -> float:
@@ -110,7 +109,7 @@ def exp_sum_lower_bound(q: int, k: int, delta_exp: int, p: int):
         {
             "congruence_count": n_cong,
             "ratio_from_count": predicted,
-            "predicted_exponent": max(0.0, 0.5 - k * (k + 1) / (2.0 * p)),
+            "predicted_exponent": bdg_sharp_exponent(k, p),
             "delta_exp": m,
             "p": p,
         }
@@ -123,6 +122,12 @@ def exp_sum_lower_bound(q: int, k: int, delta_exp: int, p: int):
 
 
 # -- broad-narrow ---------------------------------------------------------------
+
+
+def _dichotomy_constants(k: int, kappa: float) -> tuple[float, float]:
+    """The pointwise dichotomy's narrow and broad constants,
+    a1 = 2^(2k-1) k^(2k) and a2 = 2^(2k-1) kappa^-(4k-2)."""
+    return 2.0 ** (2 * k - 1) * float(k) ** (2 * k), 2.0 ** (2 * k - 1) * kappa ** (-(4 * k - 2))
 
 
 def broad_narrow_check(g: ModulatedStep, cfg: ScaleConfig):
@@ -148,7 +153,6 @@ def broad_narrow_check(g: ModulatedStep, cfg: ScaleConfig):
             "holds": True,
             "worst_ratio": 0.0,
         }
-    kappa = float(cfg.kappa)
     coarse = cfg.coarse_partition()
     comps, zero = g.freq_components(coarse), ModulatedStep.zero(q, k)
     fns = [g] + [comps.get(I, zero) for I in coarse]
@@ -159,8 +163,7 @@ def broad_narrow_check(g: ModulatedStep, cfg: ScaleConfig):
     n_points = q ** ((M + r) * k)
     volumes, moduli = joint_cell_values(fns)
     g_abs, piece_abs = moduli[0], moduli[1:]
-    narrow_const = 2.0 ** (2 * k - 1) * float(k) ** (2 * k)
-    broad_const = 2.0 ** (2 * k - 1) * kappa ** (-(4 * k - 2))
+    narrow_const, broad_const = _dichotomy_constants(k, float(cfg.kappa))
     narrow = narrow_const * piece_abs.max(axis=0) ** (2 * k)
     broad_core = None
     for tup in permutations(range(len(coarse)), k):
@@ -264,8 +267,7 @@ def counting_lemma_exhaustive(q: int, k: int, delta_exp: int, kappa_exp: int):
     empty sets).  The whole enumeration is budgeted first.  Returns a report
     with the worst count and the query space size in ordered tuples.
     """
-    if q <= k:
-        raise ValueError(f"need a prime q > k, got q={q}, k={k}")
+    _check_field(q, k)
     cfg = ScaleConfig(q, k, delta_exp, kappa_exp)
     m, r = delta_exp, kappa_exp
     qm, per_coarse = q**m, q ** (m - r)
@@ -320,7 +322,7 @@ def main_inequality_constants(k: int, p: int) -> tuple[float, float]:
     """
     if p <= 2 * k:
         raise ValueError("need p > 2k")
-    a1 = 2.0 ** (2 * k - 1) * float(k) ** (2 * k)
+    a1, _ = _dichotomy_constants(k, 1.0)
     lam = (2.0 * (p - 2 * k) / p) ** ((p - 2 * k) / p)
     c_narrow = 2.0 * (2.0 * k / p) * lam ** (p / (2.0 * k)) * a1 ** (p / (2.0 * k))
     c_broad = 2.0 ** (2 * k)
@@ -506,7 +508,7 @@ def affine_rescale_verify(g: ModulatedStep, I: Interval, cfg: ScaleConfig, p: in
     q, k, m = cfg.q, cfg.k, cfg.delta_exp
     g_I = g.freq_components([I]).get(I)
     if g_I is None:
-        raise MomentLabError("the piece over I vanishes; nothing to rescale")
+        raise ValueError("the piece over I vanishes; nothing to rescale")
     h, det_modulus = affine_rescale(g_I, I)
     factor = float(det_modulus) ** ((p - 1) / p)
     lhs, h_norm = g_I.lp_norm(p), h.lp_norm(p)
@@ -587,13 +589,10 @@ def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
         squares = moduli**2
         for tup in permutations(range(len(coarse)), k):
             broad_sum += fsum((volumes * squares[list(tup)].prod(axis=0)).tolist())
-    kappa = float(cfg.kappa)
     count_bound = float(q) ** ((kappa_exp - 1) * k * (k - 1))
     broad_vs_square = count_bound * denom
-    recursion_rhs = (
-        2 ** (2 * k - 1) * float(k) ** (2 * k) * s_narrow
-        + 2 ** (2 * k - 1) * kappa ** (-(4 * k - 2)) * count_bound
-    )
+    a1, a2 = _dichotomy_constants(k, float(cfg.kappa))
+    recursion_rhs = a1 * s_narrow + a2 * count_bound
     report = {
         "ratio": ratio,
         "trivial_ceiling": ceiling,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, log
 
-from .errors import MomentLabError
+from .errors import VerificationError
 
 __all__ = [
     "ExponentParams",
@@ -44,7 +44,7 @@ def _decay(k: int, p) -> float:
 
 def _check_lattice(p: int, p0: int, k: int) -> None:
     if p < p0 or (p - p0) % (2 * k) != 0:
-        raise MomentLabError(f"p = {p} is not reachable from p0 = {p0} in steps of 2k = {2 * k}")
+        raise ValueError(f"p = {p} is not reachable from p0 = {p0} in steps of 2k = {2 * k}")
 
 
 def a_coeff(p: int, p0: int, k: int) -> Fraction:
@@ -71,13 +71,13 @@ def a_coeff_recurrence(p: int, p0: int, k: int) -> Fraction:
 def corollary_q_exponent(p: int, k: int) -> Fraction:
     """a(p, 2k)/p, asserted equal to its expanded closed form."""
     if p % (2 * k) != 0 or p < 2 * k:
-        raise MomentLabError(f"p = {p} must be a positive multiple of 2k = {2 * k}")
+        raise ValueError(f"p = {p} must be a positive multiple of 2k = {2 * k}")
     via_a = a_coeff(p, 2 * k, k) / p
     closed = (Fraction(1, 2 * k) - Fraction(1, p)) * Fraction(k * k + 9 * k - 4, 2) + Fraction(
         1, 4
     ) * (Fraction(p, 2 * k) - 1)
     if via_a != closed:
-        raise MomentLabError(f"q-exponent forms disagree: {via_a} != {closed}")
+        raise VerificationError(f"q-exponent forms disagree: {via_a} != {closed}")
     return via_a
 
 
@@ -174,22 +174,6 @@ class BoundTrajectory:
     final_q_exponent: Fraction = Fraction(0)
     constants: list[str] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.params.k,
-            "p0": self.params.p0,
-            "c0": str(Fraction(self.params.c0)),
-            "epsilon": str(self.params.epsilon),
-            "p": self.p,
-            "final_delta_exponent": self.final_delta_exponent,
-            "final_q_exponent": str(self.final_q_exponent),
-            "constants": list(self.constants),
-            "steps": [
-                {key: (str(v) if isinstance(v, Fraction) else v) for key, v in s.items()}
-                for s in self.steps
-            ],
-        }
-
 
 def rung(k, p, T, loss):
     """The counted branch T(p) fed by T = T(p - 2k), plus a loss; exact when
@@ -217,11 +201,10 @@ def iterate_D_bound(params: ExponentParams, p: int) -> BoundTrajectory:
     epsf = float(eps)
     base_T = supercritical_slack(k, c0, p0)
     if base_T < -FLOAT_TOL:
-        raise MomentLabError("base bound has negative exponent; hypothesis violated")
+        raise ValueError("base bound has negative exponent; hypothesis violated")
     traj = BoundTrajectory(params=params, p=p)
     traj.constants = ["C1", f"C(k,p)^M with M={M}", "(log 1/delta)^(3Mp)"]
     T_prev = base_T
-    q_exp_prev = Fraction(0)
     traj.steps.append(
         {
             "p": p0,
@@ -237,14 +220,11 @@ def iterate_D_bound(params: ExponentParams, p: int) -> BoundTrajectory:
         cur += 2 * k
         slack = supercritical_slack(k, c0, cur)
         if slack < -FLOAT_TOL:
-            raise MomentLabError(f"positivity fails at p = {cur}; iteration inadmissible")
+            raise VerificationError(f"positivity fails at p = {cur}; iteration inadmissible")
         counted = rung(k, cur, T_prev, (k * k + 4 * k - 2) * epsf)
         # trivial cap after M rounds of replacing delta by delta^(1-eps)
         trivial_cap = (1.0 - epsf) ** M * cur / 2.0
         T_cur = max(trivial_cap, counted)
-        q_exp_cur = q_exp_prev + Fraction(cur, 2) + Fraction(k * k + 7 * k - 4, 2)
-        if q_exp_cur != a_coeff(cur, p0, k):
-            raise MomentLabError("q-exponent recurrence drifted from the closed form")
         traj.steps.append(
             {
                 "p": cur,
@@ -254,17 +234,16 @@ def iterate_D_bound(params: ExponentParams, p: int) -> BoundTrajectory:
                 "counted_branch": counted,
                 "trivial_branch": trivial_cap,
                 "branch": "counted" if counted >= trivial_cap else "trivial-cap",
-                "q_exponent": q_exp_cur,
+                "q_exponent": a_coeff(cur, p0, k),
                 "M": M,
             }
         )
         T_prev = T_cur
-        q_exp_prev = q_exp_cur
         cur_slack = T_cur - slack
         if cur_slack < -FLOAT_TOL:
-            raise MomentLabError(
+            raise VerificationError(
                 f"unrolled exponent beats the claimed bound at p = {cur}; bookkeeping error"
             )
     traj.final_delta_exponent = -T_prev / p
-    traj.final_q_exponent = q_exp_prev / p
+    traj.final_q_exponent = a_coeff(p, p0, k) / p
     return traj

@@ -23,7 +23,7 @@ from itertools import product
 from math import comb, factorial
 
 from . import errors
-from .errors import MomentLabError, check_budget
+from .errors import check_budget
 from .qadic import QRational, QVector
 
 __all__ = [
@@ -393,6 +393,8 @@ def theta_diff_decompose(K: Interval, k: int) -> list[Cube]:
     cube of the same side at M t mod q^(mk).
     """
     q, m = K.q, K.scale_exp
+    check_budget(q ** (m * k * (k - 1) // 2), errors.CELL_BUDGET,
+                 "difference box of {estimated} cubes exceeds the budget")
     entries = tangent_frame(K.corner, k)
     modulus = q ** (m * k)
     axes = [range(0, modulus, q ** (m * j)) for j in range(1, k + 1)]
@@ -545,9 +547,11 @@ def tile_partition(Q: Cube, K: Interval) -> list[Tile]:
     """
     q, k, m = Q.q, Q.k, K.scale_exp
     if Q.scale_exp != -m * k:
-        raise MomentLabError(
+        raise ValueError(
             f"tile partition needs a cube of side q^{m * k}, got side exponent {-Q.scale_exp}"
         )
+    check_budget(q ** (m * k * (k - 1) // 2), errors.CELL_BUDGET,
+                 "tile partition into {estimated} tiles exceeds the budget")
     # scale jointly with the side q^(mk), so that shifts by it are integers
     n, L = _scaled((*Q.corner, QRational(q, 1, -m * k)))
     step = q ** (-m * k - L)

@@ -97,9 +97,6 @@ class QRational:
             return Fraction(self.unit * self.q**v)
         return Fraction(self.unit, self.q ** (-v))
 
-    def __float__(self) -> float:
-        return float(self.to_fraction())
-
     # -- ring operations ---------------------------------------------------
 
     def _check_same_field(self, other: "QRational") -> None:

@@ -7,7 +7,7 @@ transform and convolution, all computed term by term in closed form.
 Two evaluation layers coexist: support and cube bookkeeping is exact
 (canonical corners, exact character angles), while coefficients are
 floating complex numbers.  Norms and integrals are therefore exact up to
-float rounding; the documented tolerance for comparisons is 1e-9.
+float rounding; the documented tolerance for comparisons is REL_TOL.
 
 Moduli are computed in one place.  One planner, ``joint_cell_values``,
 decides the cells on which several functions have constant modulus; one
@@ -47,12 +47,13 @@ from math import fsum, inf, isfinite
 from operator import itemgetter, mul
 
 from . import errors
-from .errors import MomentLabError, check_budget
+from .errors import check_budget
 from .geometry import Cube, Interval, _is_canonical, _json_int, _scaled
 from .qadic import QRational, QVector, _char_at, char_value
 
 __all__ = ["ModulatedStep", "joint_cell_values"]
 
+REL_TOL = 1e-9  # relative tolerance of every float comparison of a check
 PRUNE_REL_TOL = 1e-12
 
 
@@ -321,7 +322,7 @@ class ModulatedStep:
         if not hat.is_zero:
             scale = partition[0].scale_exp
             if any(i.scale_exp != scale for i in partition):
-                raise MomentLabError("freq_components needs a uniform-scale partition")
+                raise ValueError("freq_components needs a uniform-scale partition")
             lookup = {i.corner: i for i in partition}
             fine = max(hat.scale_exp, scale)
             for c, b, cube in hat.terms:
@@ -382,7 +383,7 @@ class ModulatedStep:
             for (c1, b1, q1), (c2, b2, q2) in zip(self.terms, other.terms)
         )
 
-    def close_to(self, other: "ModulatedStep", tol: float = 1e-9) -> bool:
+    def close_to(self, other: "ModulatedStep", tol: float = REL_TOL) -> bool:
         diff = self - other
         scale = max(self.max_abs_coeff(), other.max_abs_coeff(), 1.0)
         return diff.max_abs_coeff() <= tol * scale
@@ -491,7 +492,7 @@ def joint_cell_values(fns):
 
     fns = list(fns)
     if not fns:
-        raise MomentLabError("need at least one function")
+        raise ValueError("need at least one function")
     live = [f for f in fns if not f.is_zero]
     if not live:
         return np.zeros(0), np.zeros((len(fns), 0))

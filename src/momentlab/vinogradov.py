@@ -66,10 +66,15 @@ def _power_sum_distribution(k: int, blocks, moduli=None, budget: int | None = No
     cells = prod(moduli) if dense else radix[-1]
     keys, estimate = 1, 0
     for values, n, p in blocks:
-        bounds = [keys] + [min(cells, keys * comb(len(values) + i - 1, i)) for i in range(1, n + 1)]
+        # the keys before each step: a bound that reaches the key space stays there
+        # (given values to draw), so the steps after it are summed at once
+        total, i, bound = 0, 0, keys
+        while i < n and (bound < cells or not values):
+            total, i = total + bound, i + 1
+            bound = min(cells, keys * comb(len(values) + i - 1, i))
         # dense, also one scan of the array per step, and per class in a distinct block
-        estimate += sum(bounds[:-1]) * len(values) + (cells * n * (p or 1) if dense else 0)
-        keys = bounds[-1]
+        estimate += (total + bound * (n - i)) * len(values) + (cells * n * (p or 1) if dense else 0)
+        keys = bound
     if budget is None:
         budget = errors.OPERATION_BUDGET
     check_budget(estimate, budget, "power-sum distribution needs about {estimated} operations (budget {budget})")
@@ -243,8 +248,8 @@ def _need_degree(k: int) -> None:
 
 
 def linnik_bound(k: int, p: int) -> int:
-    """k! p^(k(k-1)/2), the residue-count ceiling."""
-    _need_degree(k)
+    """k! p^(k(k-1)/2), the residue-count ceiling: a theorem for a prime p > k."""
+    _check_field(p, k)
     return factorial(k) * p ** (k * (k - 1) // 2)
 
 
@@ -309,6 +314,13 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _check_field(q: int, k: int) -> None:
+    """Refuse anything but a prime q > k >= 1, where the field and Linnik's
+    bound live: q > k makes every j! with j <= k a unit."""
+    if not (1 <= k < q and _is_prime(q)):
+        raise ValueError(f"need a prime q > k >= 1, got q={q}, k={k}")
 
 
 def smallest_prime_in(lo: Fraction, hi: Fraction):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil
 
 from . import errors
-from .errors import MomentLabError, SupportError, VerificationError, check_budget
+from .errors import SupportError, VerificationError, check_budget
 from .geometry import (
     INT64_LIMIT,
     Cube,
@@ -28,7 +28,7 @@ from .geometry import (
     unit_interval,
 )
 from .qadic import QRational, QVector
-from .stepfn import PRUNE_REL_TOL, ModulatedStep, _cell_values
+from .stepfn import PRUNE_REL_TOL, REL_TOL, ModulatedStep, _cell_values
 
 __all__ = [
     "ScaleConfig",
@@ -73,10 +73,6 @@ class ScaleConfig:
     @property
     def nu_exp(self) -> int:
         return -(-self.delta_exp // self.k)
-
-    @property
-    def delta(self) -> Fraction:
-        return Fraction(1, self.q**self.delta_exp)
 
     @property
     def nu(self) -> Fraction:
@@ -174,7 +170,7 @@ class WavepacketSet:
 
     def reconstruct(self) -> ModulatedStep:
         if not self.packets:
-            raise MomentLabError("empty wavepacket set has no ambient group data")
+            raise ValueError("empty wavepacket set has no ambient group data")
         q, k = self.packets[0][1].q, self.packets[0][1].k
         return ModulatedStep(q, k, [t for _, piece in self.packets for t in piece.terms])
 
@@ -325,14 +321,14 @@ def pigeonhole(
 
     # closure checks: exact reconstruction and the remainder L^p bound
     total = ModulatedStep(q, k, [t for g in (remainder, *(b.function for b in out)) for t in g.terms])
-    if not total.close_to(f, 1e-9):
+    if not total.close_to(f):
         raise VerificationError("pigeonhole buckets plus remainder do not reconstruct f")
     if not remainder.is_zero:
         rhs = sum(fK.lp_norm(p) ** 2 for fK in pieces.values()) ** 0.5
         lhs = remainder.lp_norm(p)
         report["remainder_lp"] = lhs
         report["remainder_bound"] = rhs
-        if lhs > rhs * (1 + 1e-9):
+        if lhs > rhs * (1 + REL_TOL):
             raise VerificationError(
                 f"remainder bound violated: {lhs} > {rhs}"
             )

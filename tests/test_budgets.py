@@ -6,6 +6,7 @@ message, estimate and budget are part of the reports (``verify`` suites and
 """
 
 import ast
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from momentlab.errors import BudgetExceededError
 from momentlab.geometry import Cube, unit_interval
 from momentlab.qadic import QVector
 from momentlab.stepfn import ModulatedStep
-from momentlab.vinogradov import count_J_nested, count_power_sum_congruences
+from momentlab.vinogradov import count_J, count_J_nested, count_power_sum_congruences
 from momentlab.wavepackets import freq_certificate
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "momentlab"
@@ -93,3 +94,27 @@ def test_one_check_raises_and_only_the_cli_overrides_a_budget():
     assert raisers == ["errors.py"]
     # outside the policy module, only what count-vinogradov --budget reaches
     assert sorted(knobs) == ["vinogradov._power_sum_distribution", "vinogradov.count_J", "vinogradov.count_J_congruence"]
+
+
+def test_power_sum_estimate_costs_little_past_the_key_space():
+    # every step's bound past the key space is the key space, summed at once
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as exc:
+        count_J(10**6 + 3, 2, 10**12)
+    assert time.perf_counter() - start < 1
+    assert exc.value.estimated > OPERATIONS
+
+
+@pytest.mark.parametrize("q, first_over", [(7, None), (23, 23**3), (101, 101**2)])
+def test_interval_separation_counts_its_pairs_before_walking_them(q, first_over):
+    # from q = 23 on, a partition has more pairs than the budget; the desk grid walks them all
+    start = time.perf_counter()
+    report = verify.interval_separation(q)
+    if first_over is None:
+        assert report["passed"] and "budget_exceeded" not in report
+        return
+    if q == 101:
+        assert time.perf_counter() - start < 1
+    pairs = first_over * (first_over - 1) // 2
+    assert report["budget_exceeded"] == f"interval separation walks {pairs} pairs (budget {OPERATIONS})"
+    assert (report["estimated"], report["budget"]) == (pairs, OPERATIONS)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ import sys
 import tempfile
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,10 +21,27 @@ FIXTURE_COMMANDS = (["ratio", "--p", "8"], ["main-lemma", "--p", "8"], ["reverse
                     ["pigeonhole-report"])
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "momentlab"
+
+
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "momentlab", *argv], capture_output=True, text=True
     )
+
+
+def run_capped(argv, timeout):
+    """The CLI in a subprocess under a 2 GiB address-space cap, so that a
+    missing budget check fails fast instead of exhausting memory; one BLAS
+    thread keeps numpy's own reservation under the cap."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "momentlab", *argv], capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=cap, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +90,11 @@ class TestSubcommands:
 
         monkeypatch.setattr(cli, "linnik_bound", lambda k, p: 0)
         assert cli.main(["linnik", "--k", "2", "--p", "3", "--exhaustive"]) == 4
-        data = json.loads(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        data = json.loads(out)
         assert data["bound"] == 0 and not data["holds"]
+        # the report first, then the one JSON line every exit 4 ends stderr with
+        assert json.loads(err.splitlines()[-1])["error"] == "verification-failure"
 
     def test_linnik_with_both_flags_holds_only_if_both_verdicts_do(self, monkeypatch, capsys):
         from momentlab import cli
@@ -457,18 +479,8 @@ class TestFailureModes:
             assert over["estimated"] > over["budget"]
 
     def test_cube_subdivision_past_the_budget_exits_3(self):
-        # at (5,3) with delta 5^-2 the wavepacket split asks for 625^3 cubes;
-        # the address-space cap keeps a missing check from exhausting memory,
-        # and one BLAS thread keeps numpy's own reservation under the cap
-        import resource
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
-
-        argv = ["pigeonhole-report", "--q", "5", "--k", "3", "--delta-exp", "2"]
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-        r = subprocess.run([sys.executable, "-m", "momentlab", *argv], capture_output=True, text=True,
-                           timeout=30, preexec_fn=cap, env=env)
+        # at (5,3) with delta 5^-2 the wavepacket split asks for 625^3 cubes
+        r = run_capped(["pigeonhole-report", "--q", "5", "--k", "3", "--delta-exp", "2"], timeout=30)
         assert r.returncode == 3, r.stderr
         assert "subdivision into 244140625 cubes" in r.stderr
 
@@ -533,12 +545,21 @@ assert "momentlab.quotient_dft" not in sys.modules
             if state == "fail":
                 r["failures"].append("inequality failed")
             if state == "budget":
-                r["budget_exceeded"] = "too many cells"
+                r.update(budget_exceeded="too many cells", estimated=11, budget=10)
             return r
 
         monkeypatch.setattr(verify, "run_all", lambda q, k, seed: [report(s) for s in states])
         assert cli.main(["verify-all", "--q", "3", "--k", "2"]) == code
-        assert json.loads(capsys.readouterr().out)["passed"] == (code == 0)
+        out, err = capsys.readouterr()
+        assert json.loads(out)["passed"] == (code == 0)
+        # after the suite lines, a failure or the first overrun ends stderr as in every other command
+        last = err.splitlines()[-1]
+        if code == 0:
+            assert last.startswith("PASS")
+        else:
+            error = json.loads(last)
+            assert error["error"] == {3: "budget-exceeded", 4: "verification-failure"}[code]
+            assert code == 4 or (error["estimated"], error["budget"]) == (11, 10)
 
     def test_output_file_written_atomically(self, tmp_path):
         out = tmp_path / "r.json"
@@ -618,3 +639,57 @@ class TestFixtureFuzz:
                 code = cli.main([*argv, "--input", path, "--delta-exp", delta_exp,
                                  "--output", os.path.join(tmp, "r.json")])
         assert code in (0, 2, 3, 4)
+
+
+class TestContract:
+    """Exits 0/2/3/4 only, each nonzero one explained by one JSON line that
+    ends stderr, and one owner for each exit code."""
+
+    @pytest.mark.parametrize(
+        "argv, code, deadline",
+        [
+            (["linnik", "--k", "2", "--p", "2"], 2, 10),
+            (["linnik", "--k", "3", "--p", "3", "--exhaustive"], 2, 10),
+            (["verify-all", "--q", "2305843009213693951", "--k", "2"], 3, 20),
+            (["verify-all", "--q", "3", "--k", "0"], 2, 10),
+            (["count-vinogradov", "--s", "1000003", "--k", "2", "--X", "1000000000000"], 3, 5),
+            (["pigeonhole-report", "--q", "1000003", "--k", "3", "--delta-exp", "1"], 3, 10),
+            (["exponents", "--k", "2", "--p0", "4", "--c0", "2", "--eps", "0.01", "--p-max", "100000000"], 3, 5),
+            (["exponents", "--k", "2", "--p0", "4", "--c0", "2", "--eps", "0.01", "--p-max", "100000000",
+              "--trajectories"], 3, 5),
+        ],
+        ids=["linnik-p-equals-k", "linnik-p-equals-k-3", "verify-all-huge-q", "verify-all-k0",
+             "count-vinogradov-huge-s", "pigeonhole-report-huge-q", "exponents-huge-p-max",
+             "exponents-huge-p-max-trajectories"],
+    )
+    def test_exit_within_the_deadline_with_a_json_line(self, argv, code, deadline):
+        start = time.perf_counter()
+        r = run_capped(argv, timeout=deadline + 20)
+        assert r.returncode == code, r.stderr
+        assert time.perf_counter() - start < deadline
+        assert "Traceback" not in r.stderr
+        error = json.loads(r.stderr.splitlines()[-1])
+        assert error["error"] == {2: "usage", 3: "budget-exceeded"}[code]
+        if argv[0] == "verify-all" and code == 2:
+            assert len(r.stderr.splitlines()) == 1  # refused before any suite ran
+
+    def test_exit_codes_are_read_only_in_main(self):
+        codes = {"EXIT_USAGE", "EXIT_BUDGET", "EXIT_VERIFICATION"}
+        readers = set()
+        for path in sorted(SRC.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name) and node.id in codes and isinstance(node.ctx, ast.Load):
+                        readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+        assert readers == {"cli.main"}
+
+    def test_no_bare_package_error_is_raised(self):
+        # each exception class means one exit code, so the base class is only caught
+        bare = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "MomentLabError"
+        ]
+        assert bare == []

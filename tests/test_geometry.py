@@ -321,9 +321,7 @@ class TestDecompositions:
 
     def test_tile_partition_wrong_side_rejected(self):
         K = unit_interval(3).partition(1)[0]
-        from momentlab.errors import MomentLabError
-
-        with pytest.raises(MomentLabError):
+        with pytest.raises(ValueError):
             tile_partition(ball(3, 2, 1), K)
 
     def test_tile_of_point_consistency(self):

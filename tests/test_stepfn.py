@@ -1065,3 +1065,19 @@ class TestSerialization:
         volumes, moduli = joint_cell_values([a, b])
         assert moduli.shape == (2, 2) and volumes.tolist() == [1 / 9, 1 / 9]
         assert sorted(moduli.sum(axis=1).tolist()) == [1.0, 1.0]
+
+
+def test_each_tolerance_is_written_once():
+    # REL_TOL is every check's float tolerance; 1e-12 is the exponent engine's and the pruning threshold
+    import ast
+    from pathlib import Path
+
+    found = {1e-9: [], 1e-12: []}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "momentlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {id(node.value): node.targets[0].id for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is float and node.value in found:
+                found[node.value].append(f"{path.stem}.{names.get(id(node), node.lineno)}")
+    assert found == {1e-9: ["stepfn.REL_TOL"], 1e-12: ["exponents.FLOAT_TOL", "stepfn.PRUNE_REL_TOL"]}

@@ -278,6 +278,30 @@ class TestLinnik:
     def test_degree_one_is_unique(self):
         assert linnik_max(1, 5)[0] == 1 == linnik_bound(1, 5)
 
+    @pytest.mark.parametrize("k, p", [(2, 2), (3, 3), (3, 2), (2, 4)])
+    def test_bound_needs_a_prime_above_the_degree(self, k, p):
+        # the counts stay exact at any p (the brute-force tests cover p <= k), but
+        # k! p^(k(k-1)/2) is a theorem only for a prime p > k: linnik_max(2, 2) is 8
+        with pytest.raises(ValueError, match=f"need a prime q > k >= 1, got q={p}, k={k}"):
+            linnik_bound(k, p)
+
+    def test_field_rule_is_one_check(self):
+        import ast
+        from pathlib import Path
+
+        from momentlab.decoupling import counting_lemma_exhaustive
+        from momentlab.verify import run_all
+
+        for call in (lambda: counting_lemma_exhaustive(4, 2, 2, 1), lambda: counting_lemma_exhaustive(3, 3, 2, 1),
+                     lambda: next(run_all(3, 0)), lambda: next(run_all(9, 2))):
+            with pytest.raises(ValueError, match="need a prime q > k >= 1"):
+                call()
+        src = Path(__file__).resolve().parents[1] / "src" / "momentlab"
+        written = [path.name for path in sorted(src.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str) and "need a prime" in node.value]
+        assert written == ["vinogradov.py"]
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_degree_below_one_refused(self, k):
         for call in (lambda: linnik_bound(k, 3), lambda: linnik_count(k, 3, []), lambda: linnik_max(k, 3)):
