@@ -8,15 +8,16 @@ transform on that group, up to the Haar cell volume q^(-rk).
 This module evaluates functions pointwise on the quotient grid and
 transforms with numpy's FFT, giving a correctness anchor that shares no
 code path with the symbolic term calculus in stepfn.  Each term is a rank-1
-product of axis vectors written into its strided support slice of the grid.
-The grid is filled in cache-sized slabs of axis-0 rows, every term within a
-slab, so the slab stays in cache across the terms.  The FFTs run in place
-and consume their input grids, with results bitwise those of numpy's
-out-of-place calls; on a grid larger than one slab the forward transform
-calls the FFT only on the lines that are not all zero (a spatial grid is a
-few strided sublattices, one point per term at the finest scale).
-``max_abs_and_error`` takes both maxima of an oracle comparison in one pass
-of slabs, with no whole-grid temporary.
+product of axis vectors added on its strided support, one cache-sized slab
+of axis-0 planes at a time.  ``evaluate_on_grid`` builds the grids the FFTs
+consume; the FFTs run in place and consume them, with results bitwise
+those of numpy's out-of-place calls, and on a grid larger than one slab
+the forward transform calls the FFT only on the lines that are not all
+zero (a spatial grid is a few strided sublattices, one point per term at
+the finest scale).  ``compare_on_grid`` checks a function against an FFT
+grid without building the function's grid past one slab, and the L^2
+norms add up the leaves of numpy's own pairwise-sum tree: both equal the
+whole-grid computations bitwise, with no whole-grid temporary.
 
 It is an oracle only: ``verify.oracle_agreement``, the tests and the
 Fourier demo use it, and no check or norm computes through it, so it stays
@@ -39,10 +40,10 @@ __all__ = [
     "dft_grid",
     "convolve_grids",
     "grid_l2_norm",
-    "max_abs_and_error",
+    "compare_on_grid",
 ]
 
-SLAB_POINTS = 2**15  # per slab (at least one axis-0 row of a term, or one FFT line): 512 KiB of complex128 stays in cache
+SLAB_POINTS = 2**15  # per slab (at least one grid plane, or one FFT line): 512 KiB of complex128 stays in cache
 
 
 def grid_geometry(f) -> tuple[int, int]:
@@ -84,30 +85,31 @@ def _phase_numerators(mult: int, u: np.ndarray, n: int) -> np.ndarray:
     return (u.astype(object) * mult % n).astype(np.int64)
 
 
-def evaluate_on_grid(f, M: int, r: int) -> np.ndarray:
-    """Pointwise values on the quotient grid, shape (q^(M+r),) * k.
+def _slabs(f, M: int, r: int, grid: np.ndarray | None = None):
+    """f's values on the quotient grid (M, r), written a slab of axis-0 planes at a time.
 
-    Index u along an axis encodes the point u * q^-M, which enumerates the
-    ball of radius q^M modulo q^r.  Works for spatial or frequency grids
-    alike (swap the roles of M and r for the latter).
+    Yields after each slab: ``grid`` (zero on entry) or, without one, a buffer
+    holding just the slab, zeroed for each.  Terms are added on their strided
+    support in order, each as axis 0 times axis 1 times ..., then coeff: the
+    rounding of a dense outer-product sum, to which the tests pin the values.
     """
     q, k = f.q, f.k
     n = q ** (M + r)
-    check_budget(n**k, errors.GRID_BUDGET, "grid of {estimated} points exceeds the budget")
     step = q ** (f.scale_exp + M)  # canonical cubes share one side; membership: u = w mod step
     if not 1 <= step <= n:
         raise ValueError("cube side outside the grid's resolution and radius")
-    grid = np.zeros((n,) * k, dtype=np.complex128)
-    m = n // step  # support points per axis
-    rows = min(m, SLAB_POINTS // m ** (k - 1) or 1)
-    scratch = np.empty((rows,) + (m,) * (k - 1), dtype=np.complex128)
-    ones = np.ones(m, dtype=np.complex128)  # read-only, shared by every unmodulated axis
+    planes = n  # a power of q: a slab holds whole strides of support rows, or at most one
+    while planes > 1 and planes * n ** (k - 1) > SLAB_POINTS:
+        planes //= q
+    target = np.empty((planes,) + (n,) * (k - 1), dtype=np.complex128) if grid is None else grid
+    ones = np.ones(n // step, dtype=np.complex128)  # read-only, shared by every unmodulated axis
     terms = []
     for coeff, b, cube in f.terms:
-        support, axis_vectors = [], []
+        offsets, support, axis_vectors = [], [], []
         for i in range(k):
             w = _axis_offsets(q, M, cube.corner[i]) % step
-            support.append(slice(w, n, step))
+            offsets.append(w)
+            support.append(slice(w % target.shape[i], n, step))  # in a slab buffer, w mod planes on axis 0
             bi = b[i]
             if bi.is_zero:
                 axis_vectors.append(ones)
@@ -120,19 +122,84 @@ def evaluate_on_grid(f, M: int, r: int) -> np.ndarray:
                 mult = bi.unit * q ** (bi.valuation + r) % n
                 phase = _phase_numerators(mult, np.arange(w, n, step, dtype=np.int64), n)
                 axis_vectors.append(np.exp(2j * np.pi * phase / n))
-        terms.append((coeff, grid[tuple(support)], axis_vectors))
-    # slab by slab, every term in order (the slab's grid rows stay in cache);
-    # multiply axis 0, axis 1, ..., then coeff: the rounding of a dense
-    # outer-product sum, to which the tests pin every grid value bitwise
-    for lo in range(0, m, rows):
-        out = scratch[: m - lo]
-        for coeff, view, axis_vectors in terms:
-            term = axis_vectors[0][lo : lo + rows]
-            for i in range(1, k):
-                term = np.multiply.outer(term, axis_vectors[i], out=out if i == k - 1 else None)
-            np.multiply(coeff, term, out=out)
-            view[lo : lo + rows] += out
+        terms.append((coeff, offsets[0], axis_vectors, target[tuple(support)]))
+    scratch = np.empty((-(-planes // step),) + ones.shape * (k - 1), dtype=np.complex128)
+    for p in range(0, n, planes):
+        if grid is None:
+            target.fill(0)
+        for coeff, w, axis_vectors, view in terms:
+            lo, hi = -((w - p) // step), -((w - p - planes) // step)  # support rows in the slab
+            if lo < hi:
+                term, tmp = axis_vectors[0][lo:hi], scratch[: hi - lo]
+                for i in range(1, k):
+                    term = np.multiply.outer(term, axis_vectors[i], out=tmp if i == k - 1 else None)
+                base = lo if grid is None else 0  # the view's first row in the slab
+                view[lo - base : hi - base] += np.multiply(coeff, term, out=tmp)
+        yield target
+
+
+def evaluate_on_grid(f, M: int, r: int) -> np.ndarray:
+    """Pointwise values on the quotient grid, shape (q^(M+r),) * k.
+
+    Index u along an axis encodes the point u * q^-M, which enumerates the
+    ball of radius q^M modulo q^r.  Works for spatial or frequency grids
+    alike (swap the roles of M and r for the latter).
+    """
+    n = f.q ** (M + r)
+    check_budget(n**f.k, errors.GRID_BUDGET, "grid of {estimated} points exceeds the budget")
+    grid = np.zeros((n,) * f.k, dtype=np.complex128)
+    for _ in _slabs(f, M, r, grid):
+        pass
     return grid
+
+
+def _pairwise_sum(size: int, leaf, lo: int = 0):
+    """``np.add.reduce`` of a contiguous float64 run, bitwise, from ``leaf(lo, hi)``: its runs' sums.
+
+    numpy splits a run of over 128 points after its first half, rounded down
+    to a multiple of 8; the leaves, asked for in order, are the runs of at
+    most max(SLAB_POINTS, 128) points.
+    """
+    if size <= max(SLAB_POINTS, 128):
+        return leaf(lo, lo + size)
+    half = size // 2 - size // 2 % 8
+    return _pairwise_sum(half, leaf, lo) + _pairwise_sum(size - half, leaf, lo + half)
+
+
+def compare_on_grid(ref: np.ndarray, f, M: int, r: int) -> tuple[float, float, float]:
+    """(max |ref|, max |ref - f|, L^2 norm of f) against f's values on the grid (M, r).
+
+    Bitwise the whole-grid maxima (a NaN stays) and ``grid_l2_norm`` of
+    ``evaluate_on_grid(f, M, r)``, but past one slab f's grid is never whole.
+    """
+    if ref.size <= SLAB_POINTS:  # one slab, summed as one leaf: f's grid is cache-sized
+        z, mod = evaluate_on_grid(f, M, r), np.abs(ref)
+        l2 = grid_l2_norm(z, f.q, r)
+        return float(mod.max()), float(np.abs(np.subtract(ref, z, out=z), out=mod).max()), l2
+    width = max(SLAB_POINTS, ref[0].size)  # a slab: planes of at most SLAB_POINTS points, or one plane
+    ref, slabs, mod = ref.reshape(-1), _slabs(f, M, r), np.empty(width)  # a view of a C-contiguous grid
+    sq = np.empty(max(SLAB_POINTS, 128) + width)  # |f|^2 of grid points start..done-1
+    start = done = 0
+    peaks = [-math.inf, -math.inf]
+
+    def leaf(lo: int, hi: int):
+        nonlocal start, done
+        if hi > done:
+            sq[: done - lo] = sq[lo - start : done - start]  # the leaf's points already made
+            start = lo
+            while done < hi:
+                z = next(slabs).reshape(-1)
+                a, part, m = ref[done : done + z.size], sq[done - start : done - start + z.size], mod[: z.size]
+                np.square(np.abs(z, out=part), out=part)
+                ref_max = np.abs(a, out=m).max()
+                for i, x in enumerate((ref_max, np.abs(np.subtract(a, z, out=z), out=m).max())):
+                    if x > peaks[i] or math.isnan(x):  # a NaN stays, as in the whole-grid max
+                        peaks[i] = x
+                done += z.size
+        return np.add.reduce(sq[lo - start : hi - start])
+
+    norm_sq = _pairwise_sum(ref.size, leaf)
+    return float(peaks[0]), float(peaks[1]), float(np.sqrt(norm_sq * (1 / f.q ** (r * f.k))))
 
 
 def dft_grid(grid: np.ndarray, q: int, r: int) -> np.ndarray:
@@ -169,25 +236,6 @@ def _fftn_live_lines(grid: np.ndarray) -> np.ndarray:
     return np.fft.fft(grid, axis=0, out=grid)
 
 
-def max_abs_and_error(ref: np.ndarray, approx: np.ndarray) -> tuple[float, float]:
-    """(max |ref|, max |ref - approx|) over two grids of one shape, slab by slab.
-
-    Consumes ``approx``, which holds ref - approx afterwards.  A maximum is
-    exact in any order, so both equal the whole-grid ``np.abs(...).max()``.
-    """
-    ref, diff = ref.reshape(-1), approx.reshape(-1)  # views of C-contiguous grids
-    buf = np.empty(min(SLAB_POINTS, ref.size))
-    peaks = [-math.inf, -math.inf]
-    for lo in range(0, ref.size, buf.size):
-        a, d = ref[lo : lo + buf.size], diff[lo : lo + buf.size]
-        np.subtract(a, d, out=d)
-        part = buf[: a.size]
-        for i, x in enumerate((np.abs(a, out=part).max(), np.abs(d, out=part).max())):
-            if x > peaks[i] or math.isnan(x):  # a NaN stays, as in the whole-grid max
-                peaks[i] = x
-    return float(peaks[0]), float(peaks[1])
-
-
 def convolve_grids(a: np.ndarray, b: np.ndarray, q: int, r: int) -> np.ndarray:
     """Circular (= exact group) convolution of two spatial grids, in place: returns ``a``, consumes ``b``."""
     np.fft.ifftn(np.multiply(_fftn_live_lines(a), _fftn_live_lines(b), out=a), out=a)
@@ -196,8 +244,17 @@ def convolve_grids(a: np.ndarray, b: np.ndarray, q: int, r: int) -> np.ndarray:
 
 
 def grid_l2_norm(grid: np.ndarray, q: int, r: int) -> float:
-    cell = 1 / q ** (r * grid.ndim)
-    mod_sq = np.abs(grid)
-    np.square(mod_sq, out=mod_sq)
-    return float(np.sqrt(mod_sq.sum() * cell))
+    """``np.sqrt((np.abs(grid) ** 2).sum() * cell)`` of a C-contiguous grid, bitwise, with no whole-grid temporary."""
+    flat, cell = grid.reshape(-1), 1 / q ** (r * grid.ndim)
+    if flat.size <= max(SLAB_POINTS, 128):  # one leaf
+        mod = np.abs(flat)
+        return float(np.sqrt(np.add.reduce(np.square(mod, out=mod)) * cell))
+    buf = np.empty(max(SLAB_POINTS, 128))
 
+    def leaf(lo: int, hi: int):
+        part = flat[lo:hi]
+        if not np.count_nonzero(part.view(np.uint64)):  # a run of +0 adds exactly +0
+            return 0.0
+        return np.add.reduce(np.square(np.abs(part, out=buf[: hi - lo]), out=buf[: hi - lo]))
+
+    return float(np.sqrt(_pairwise_sum(flat.size, leaf) * cell))

@@ -887,9 +887,14 @@ class TestOracleAgreement:
             assert abs(grid[idx] - f.evaluate(x)) < 1e-12
 
 
+def _whole_grid_l2(grid, q, r):
+    return float(np.sqrt((np.abs(grid) ** 2).sum() * float(Fraction(q) ** (-r * grid.ndim))))
+
+
 def _out_of_place_oracle_agreement(report, q, k, n_instances, seed, grid_points, tol=1e-9):
-    """``verify.oracle_agreement`` with out-of-place FFTs and the spatial L^2
-    norm taken after the transform; records each instance's grid size."""
+    """``verify.oracle_agreement`` with materialized grids, out-of-place FFTs
+    and whole-grid norms and maxima; records each instance's grid size and
+    that of its convolution check (0 where it has none)."""
     rng = random.Random(seed)
     worst = 0.0
     heavy = q ** (3 * k) > verify.GRID_CHECK_LIMIT
@@ -898,13 +903,13 @@ def _out_of_place_oracle_agreement(report, q, k, n_instances, seed, grid_points,
         f = random_modstep(rng, q, k, rng.randint(1, 4), scale, mod_depth=scale)
         M, r = qd.grid_geometry(f)
         grid = qd.evaluate_on_grid(f, M, r)
-        grid_points.append(grid.size)
+        grid_points.append([grid.size, 0])
         oracle_hat = np.fft.fftn(grid)
         oracle_hat *= float(Fraction(q) ** (-r * k))
         fhat = f.fourier()
         sym_hat = qd.evaluate_on_grid(fhat, r, M)
         l2 = f.lp_norm(2)
-        grid_l2, hat_l2 = qd.grid_l2_norm(grid, q, r), qd.grid_l2_norm(sym_hat, q, M)
+        grid_l2, hat_l2 = _whole_grid_l2(grid, q, r), _whole_grid_l2(sym_hat, q, M)
         scale_ref = max(1.0, float(np.abs(oracle_hat).max()))
         np.subtract(oracle_hat, sym_hat, out=sym_hat)
         worst = max(worst, float(np.abs(sym_hat).max()) / scale_ref)
@@ -917,6 +922,7 @@ def _out_of_place_oracle_agreement(report, q, k, n_instances, seed, grid_points,
             Mg, rg = qd.grid_geometry(g)
             MM, rr = max(M, Mg), max(r, rg)
             a, b = qd.evaluate_on_grid(f, MM, rr), qd.evaluate_on_grid(g, MM, rr)
+            grid_points[-1][1] = a.size
             conv_oracle = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
             conv_oracle *= float(Fraction(q) ** (-rr * k))
             conv_sym = qd.evaluate_on_grid(f.convolve(g), MM, rr)
@@ -966,33 +972,85 @@ class TestInPlaceTransforms:
             mp.setattr(qd, "SLAB_POINTS", 1)
             _check_in_place_transforms(101, 1, a, b)
 
-    @pytest.mark.parametrize("slab_points", [1, 7, 50])
+    @pytest.mark.parametrize("slab_points", [1, 7, 50, qd.SLAB_POINTS])
     @settings(max_examples=30, deadline=None)
-    @given(grids=fft_grids(), noise=st.floats(0, 1e-3))
-    def test_max_abs_and_error_equals_whole_grid_maxima(self, slab_points, grids, noise):
-        _, _, ref, other = grids
-        approx = ref + noise * other
-        diff = ref - approx
-        want = (float(np.abs(ref).max()), float(np.abs(diff).max()))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qd, "SLAB_POINTS", slab_points)
-            assert qd.max_abs_and_error(ref, approx) == want
-        assert approx.tobytes() == diff.tobytes()
+    @given(f=grid_modsteps(), seed=st.integers(0, 2**32 - 1), noise=st.floats(0, 1e-3))
+    def test_streamed_comparison_equals_materialized_pipeline(self, slab_points, f, seed, noise):
+        # f-hat on (r, M), strided supports on (M+1, r), a convolution and the zero function
+        M, r = qd.grid_geometry(f)
+        rng = np.random.default_rng(seed)
+        cases = ((f.fourier(), r, M), (f, M + 1, r), (f.convolve(f), M, r), (ModulatedStep.zero(f.q, f.k), M, r))
+        for h, MM, rr in cases:
+            grid = qd.evaluate_on_grid(h, MM, rr)
+            ref = grid + noise * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+            want = (float(np.abs(ref).max()), float(np.abs(ref - grid).max()), _whole_grid_l2(grid, f.q, rr))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qd, "SLAB_POINTS", slab_points)
+                assert qd.compare_on_grid(ref, h, MM, rr) == want
 
-    def test_max_abs_and_error_keeps_a_nan_of_an_early_slab(self, monkeypatch):
-        monkeypatch.setattr(qd, "SLAB_POINTS", 2)
-        ref = np.array([1, np.nan, 3, 0.5], dtype=np.complex128)
-        assert np.isnan(qd.max_abs_and_error(ref, np.zeros(4, dtype=np.complex128))).all()
+    @pytest.mark.parametrize("slab_points", [1, qd.SLAB_POINTS])  # one point per slab, or one slab
+    def test_streamed_comparison_keeps_a_nan_of_an_early_slab(self, slab_points, monkeypatch):
+        monkeypatch.setattr(qd, "SLAB_POINTS", slab_points)
+        f = ModulatedStep.indicator(Cube(QVector([q3(0)]), 1), 2.0)
+        ref = np.ones(9, dtype=np.complex128)
+        ref[1] = np.nan
+        peak, err, l2 = qd.compare_on_grid(ref, f, 1, 1)
+        assert np.isnan(peak) and np.isnan(err)
+        assert l2 == _whole_grid_l2(qd.evaluate_on_grid(f, 1, 1), 3, 1)
+
+    def test_oracle_agreement_fails_on_a_nan_error(self, monkeypatch):
+        compare = qd.compare_on_grid
+
+        def nan_error(*args):
+            peak, _, l2 = compare(*args)
+            return peak, float("nan"), l2
+
+        monkeypatch.setattr(qd, "compare_on_grid", nan_error)
+        report = verify.oracle_agreement(3, 2, n_instances=3, seed=1)
+        assert not report["passed"]
+        assert len(report["failures"]) == 3 and all("non-finite error" in x for x in report["failures"])
 
     def test_oracle_report_on_the_largest_grid_equals_out_of_place_pipeline(self):
-        # seed 9 draws its (5,3) instance at scale 3, on the 125^3-point grid
-        grid_points = []
-        want = verify._suite("oracle-agreement")(_out_of_place_oracle_agreement)(
-            5, 3, n_instances=1, seed=9, grid_points=grid_points
-        )
-        assert grid_points == [125**3]
-        got = verify.oracle_agreement(5, 3, n_instances=1, seed=9)
-        assert repr(got) == repr(want)
+        # seed 9 draws its (5,3) instance at scale 3, on the 125^3-point grid, with no
+        # convolution check; seed 17 draws (5,2) and (3,3) instances at scale 3 that have one
+        for q, k, seed, points in ((5, 3, 9, [125**3, 0]), (5, 2, 17, [5**6] * 2), (3, 3, 17, [3**9] * 2)):
+            grid_points = []
+            want = verify._suite("oracle-agreement")(_out_of_place_oracle_agreement)(
+                q, k, n_instances=1, seed=seed, grid_points=grid_points
+            )
+            assert grid_points == [points]
+            got = verify.oracle_agreement(q, k, n_instances=1, seed=seed)
+            assert repr(got) == repr(want)
+
+
+class TestPairwiseSum:
+    """numpy's split rule for a contiguous float64 sum, which the streamed norms follow."""
+
+    @pytest.mark.parametrize("slab_points", [1, 7, 50, qd.SLAB_POINTS])
+    def test_equals_add_reduce(self, slab_points, monkeypatch):
+        monkeypatch.setattr(qd, "SLAB_POINTS", slab_points)
+        for n in [*range(1, 1101), 125**3, 3**11 + 2, 5**7 - 3, 1_000_003]:
+            rng = np.random.default_rng(n)
+            a = 10 ** rng.uniform(-8, 8, n) * rng.choice([-1.0, 1.0], n)
+            got = qd._pairwise_sum(n, lambda lo, hi: np.add.reduce(a[lo:hi]))
+            assert np.float64(got).tobytes() == np.add.reduce(a).tobytes(), n
+
+    @pytest.mark.parametrize("slab_points", [1, 7, 50, qd.SLAB_POINTS])
+    @pytest.mark.parametrize("kind", ["zero runs", "negative zeros", "nan"])
+    @pytest.mark.parametrize("shape", [(125,) * 3, (3**7,)])
+    def test_grid_l2_norm_equals_whole_grid_norm(self, slab_points, kind, shape, monkeypatch):
+        rng = np.random.default_rng(7)
+        grid = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10 ** rng.uniform(-8, 8, shape)
+        flat = grid.reshape(-1)
+        flat[flat.size // 6 : flat.size // 2] = 0  # a run of +0 longer than any slab
+        if kind == "negative zeros":
+            flat[-10:-5] = complex(-0.0, -0.0)
+            flat[-3] = complex(-0.0, 0.0)
+        elif kind == "nan":
+            flat[-40] = np.nan
+        want = np.sqrt((np.abs(grid) ** 2).sum() * (1 / 5**grid.ndim))
+        monkeypatch.setattr(qd, "SLAB_POINTS", slab_points)
+        assert np.float64(qd.grid_l2_norm(grid, 5, 1)).tobytes() == want.tobytes()
 
 
 class TestSlicedGrid:
