@@ -307,8 +307,10 @@ def _cmd_reverse_square(args) -> None:
 def _cmd_exponents(args) -> None:
     params = ExponentParams(k=args.k, p0=args.p0, c0=args.c0, epsilon=args.eps)
     n_rows = max(0, (args.p_max - args.p0) // (2 * args.k) + 1)
-    # each row costs its rung count, at most n_rows - 1; a trajectory unrolls every rung below its row
-    check_budget(n_rows * (n_rows if args.trajectories else n_rows - 1), errors.OPERATION_BUDGET,
+    # each row costs its rung count, at most n_rows - 1; a trajectory unrolls every rung below its
+    # row, n_rows (n_rows - 1) / 2 in all, at about 18 us (180 operations) each
+    unrolled = 180 * (n_rows * (n_rows - 1) // 2) if args.trajectories else 0
+    check_budget(n_rows * (n_rows - 1) + unrolled, errors.OPERATION_BUDGET,
                  "exponent sweep needs about {estimated} operations (budget {budget})")
     rows = []
     records = []

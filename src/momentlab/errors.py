@@ -6,7 +6,7 @@ everywhere; ``count-vinogradov --budget`` is the one override.
 """
 
 CELL_BUDGET = 8_000_000  # cubes, intervals, modulus cells and certificate cells
-OPERATION_BUDGET = 50_000_000  # steps of a counting enumeration
+OPERATION_BUDGET = 50_000_000  # steps of a counting enumeration, about 0.1 us each; timed costs convert at that rate
 GRID_BUDGET = 40_000_000  # points of a quotient-DFT grid
 
 

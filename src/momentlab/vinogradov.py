@@ -3,11 +3,12 @@
 The central object is the count J(s, k, X) of 2s-variable solutions of
 the simultaneous equations sum x_i^j = sum y_i^j for j = 1..k with all
 variables in [1, X]: the sum of squared multiplicities of the power-sum
-vectors of s-tuples, whose distribution is built one variable at a time,
-with an independent nested-loop oracle for small instances.  The same
-routine gives the residue-restricted counts and, mod p^j, the exhaustive
-Linnik residue bound.  On top sit the Newton-Girard identities and the
-recursive upper-bound trace that trades one counting step for a factor
+vectors of s-tuples, whose distribution (a dict, or numpy residues mod
+prime powers) is built one variable at a time, with an independent
+nested-loop oracle for small instances.  The same routine gives the
+residue-restricted counts and, mod p^j, the exhaustive Linnik residue
+bound.  On top sit the Newton-Girard identities and the recursive
+upper-bound trace that trades one counting step for a factor
 p^(2s-2k) X^k p^(k(k-1)/2).
 """
 
@@ -46,15 +47,16 @@ def _power_sum_distribution(k: int, blocks, moduli=None, budget: int | None = No
     Each block (values, n, p) adds n variables from values, one at a time;
     with p, they are pairwise distinct mod p: one pass over the classes mod
     p, each giving at most one value, times n! as power sums are symmetric.
-    With moduli, sum j is taken mod moduli[j-1] in a numpy array indexed by
-    residues, each value shifting the occupied cells; without, a Counter over
-    the sums packed into one integer (values nonnegative).  When prod(moduli)
-    exceeds the multisets that can be drawn, the array would stay mostly
-    empty: the Counter is used and its sums are folded mod the moduli into a
-    Counter keyed by residue tuples.  The budget bounds the keys at each step
-    by the key space and by the multisets drawn; it defaults to the
-    operation limit.  Values are ranges or lists, and the budget is checked
-    before any range is enumerated.
+    A step adds a table of values in one pass.  With moduli, sum j is taken
+    mod moduli[j-1] in a numpy array indexed by residues, every shift of
+    about 2^16 occupied cells going in one np.add.at; without, a plain dict
+    over the sums packed into one integer (values nonnegative), and no
+    numpy.  When prod(moduli) exceeds the multisets that can be drawn, the
+    array would stay mostly empty: the dict is used and its sums are folded
+    mod the moduli into a dict keyed by residue tuples.  The budget bounds
+    the keys at each step by the key space and by the multisets drawn; it
+    defaults to the operation limit.  Values are ranges or lists, and the
+    budget is checked before any range is enumerated.
     """
     blocks = [(values, n, p) for values, n, p in blocks if n > 0]
     # a range's largest value is read off its ends
@@ -84,31 +86,36 @@ def _power_sum_distribution(k: int, blocks, moduli=None, budget: int | None = No
         def table(values):
             return list(Counter(sum(v**j * radix[j - 1] for j in range(1, k + 1)) for v in values).items())
 
-        def shifted(dist, tab):
-            out: Counter = Counter()
-            for key, m in dist.items():
-                for e, w in tab:
-                    out[key + e] += m * w
+        def shifted(dist, tab, out=None):
+            out = {} if out is None else out
+            get, items = out.get, dist.items()
+            for e, w in tab:  # get on a plain dict: a Counter runs __missing__ in Python per new key
+                for key, m in items:
+                    key += e
+                    out[key] = get(key, 0) + m * w
             return out
 
-        dist = Counter({0: 1})
+        dist = {0: 1}
     else:
         import numpy as np
 
         def table(values):
             return list(Counter(tuple(pow(v, j, m) for j, m in enumerate(moduli, 1)) for v in values).items())
 
-        def shifted(dist, tab):
-            out = np.zeros_like(dist)
+        def shifted(dist, tab, out=None):
+            out = np.zeros_like(dist) if out is None else out
             occupied = np.flatnonzero(dist)
             coords, counts = np.unravel_index(occupied, moduli), dist[occupied]
-            for shift, w in tab:
-                # a shift permutes the cells, so no index repeats
-                out[np.ravel_multi_index([c + s for c, s in zip(coords, shift)], moduli, mode="wrap")] += counts * w
+            shifts = np.array([s for s, _ in tab], dtype=np.int64).reshape(-1, k).T
+            weights = np.array([w for _, w in tab], dtype=dist.dtype)
+            step = 1 + 2**16 // (len(tab) + 1)  # a block of occupied cells under every shift: ~2^16 indices
+            for lo in range(0, len(occupied), step):
+                flat = np.ravel_multi_index([c[lo:lo + step, None] + s for c, s in zip(coords, shifts)], moduli,
+                                            mode="wrap")
+                np.add.at(out, flat.ravel(), (counts[lo:lo + step, None] * weights).ravel())
             return out
 
-        tuples = prod(len(values) ** n for values, n, _ in blocks)
-        dist = np.zeros(cells, dtype=np.int64 if tuples < 2**63 else object)
+        dist = np.zeros(cells, dtype=np.int64 if prod(len(v) ** n for v, n, _ in blocks) < 2**63 else object)
         dist[0] = 1
     for values, n, p in blocks:
         if p is None:
@@ -116,21 +123,22 @@ def _power_sum_distribution(k: int, blocks, moduli=None, budget: int | None = No
                 dist = shifted(dist, table(values))
             continue
         classes = [table(c) for c in ([v for v in values if v % p == r] for r in range(p)) if c]
-        # states[j]: j values taken from the classes so far; a shift by no value is empty
-        states = [dist] + [shifted(dist, [])] * n
+        # states[j]: j values taken from the classes so far, filled in place; a shift by no value is empty
+        states = [dist] + [shifted(dist, []) for _ in range(n)]
         for c, tab in enumerate(classes):
             # downwards, so this class feeds each state from before it; only states that can still reach n
             for j in range(min(c, n - 1), max(0, n - len(classes) + c) - 1, -1):
-                states[j + 1] = states[j + 1] + shifted(states[j], tab)
+                shifted(states[j], tab, states[j + 1])
         # times n!, as a shift by the power-sum vector of 0 (the zero vector) of weight n!
         dist = shifted(states[n], [(zero, factorial(n)) for zero, _ in table([0])])
     if dense:
         return dist.reshape(moduli)
     if moduli is None:
         return dist
-    folded: Counter = Counter()
+    folded: dict = {}
     for key, m in dist.items():
-        folded[tuple(key // radix[j] % (radix[j + 1] // radix[j]) % moduli[j] for j in range(k))] += m
+        residues = tuple(key // radix[j] % (radix[j + 1] // radix[j]) % moduli[j] for j in range(k))
+        folded[residues] = folded.get(residues, 0) + m
     return folded
 
 
@@ -192,7 +200,7 @@ def count_power_sum_congruences(s: int, k: int, base: int, moduli) -> int:
     if len(moduli) != k:
         raise ValueError("need one modulus per degree")
     counts = _power_sum_distribution(k, [(range(base), s, None)], moduli)
-    values = counts.values() if isinstance(counts, Counter) else counts[counts != 0].tolist()
+    values = counts.values() if isinstance(counts, dict) else counts[counts != 0].tolist()
     return sum(m * m for m in values)
 
 

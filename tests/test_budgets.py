@@ -57,7 +57,7 @@ PINNED = [
     ),
     pytest.param(
         lambda: counting_lemma_exhaustive(31, 2, 3, 1),
-        ("counting-lemma enumeration needs about 429884130 operations (budget 50000000)", 429884130, OPERATIONS),
+        ("counting-lemma enumeration needs about 431169235 operations (budget 50000000)", 431169235, OPERATIONS),
         id="counting-lemma",
     ),
     pytest.param(

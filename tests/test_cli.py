@@ -255,8 +255,10 @@ class TestFailureModes:
         r = run_cli("counting-lemma", "--q", "31", "--k", "2", "--delta-exp", "3", "--kappa-exp", "1")
         assert r.returncode == 3 and time.perf_counter() - start < 10
         error = json.loads(r.stderr.splitlines()[-1])
-        # 465 pairs of coarse intervals, each shifting 961 anchors over at most 961 keys
-        assert error["error"] == "budget-exceeded" and error["estimated"] == 465 * (961 + 961**2) > error["budget"]
+        # 31 coarse intervals and 31^3 anchors built, then 465 pairs of coarse intervals, each one
+        # distribution call that shifts 961 anchors over at most 961 keys
+        estimated = 15 * 31 + 40 * 31**3 + 465 * (200 + 961 + 961**2)
+        assert error["error"] == "budget-exceeded" and error["estimated"] == estimated > error["budget"]
 
     def test_linnik_past_the_budget_exits_3_before_listing_residues(self, capsys):
         # the p^k = 1000006000009 residues are neither listed nor scanned before the budget check
@@ -497,6 +499,22 @@ class TestFailureModes:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
 
+    def test_counting_paths_load_without_numpy(self, tmp_path):
+        # the power-sum distribution imports numpy only for its dense residue arrays
+        code = f"""
+import sys
+from momentlab import cli
+from momentlab.vinogradov import count_J, count_J_congruence, karatsuba_bound
+assert count_J(3, 2, 10) and karatsuba_bound(4, 2, 100).bound
+assert count_J_congruence(3, 2, 10, 3) and count_J_congruence(3, 2, 10, 3, 1)
+for argv in (["count-vinogradov", "--s", "3", "--k", "2", "--X", "10", "--mod-p", "3", "--residue", "1"],
+             ["counting-lemma", "--q", "5", "--k", "2", "--delta-exp", "2", "--kappa-exp", "1"]):
+    assert cli.main([*argv, "--output", {str(tmp_path / "report.json")!r}]) == 0
+assert "numpy" not in sys.modules
+"""
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+
     def test_production_paths_do_not_load_the_oracle(self, fixture_path):
         # quotient_dft checks the cell planner, so the checks themselves must not use it
         code = f"""
@@ -657,10 +675,13 @@ class TestContract:
             (["exponents", "--k", "2", "--p0", "4", "--c0", "2", "--eps", "0.01", "--p-max", "100000000"], 3, 5),
             (["exponents", "--k", "2", "--p0", "4", "--c0", "2", "--eps", "0.01", "--p-max", "100000000",
               "--trajectories"], 3, 5),
+            (["exponents", "--k", "2", "--p0", "6", "--c0", "2", "--eps", "1/10", "--p-max", "20000",
+              "--trajectories"], 3, 5),
+            (["counting-lemma", "--q", "1000003", "--k", "1", "--delta-exp", "1", "--kappa-exp", "1"], 3, 5),
         ],
         ids=["linnik-p-equals-k", "linnik-p-equals-k-3", "verify-all-huge-q", "verify-all-k0",
              "count-vinogradov-huge-s", "pigeonhole-report-huge-q", "exponents-huge-p-max",
-             "exponents-huge-p-max-trajectories"],
+             "exponents-huge-p-max-trajectories", "exponents-unrolled-trajectories", "counting-lemma-huge-q"],
     )
     def test_exit_within_the_deadline_with_a_json_line(self, argv, code, deadline):
         start = time.perf_counter()

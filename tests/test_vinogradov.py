@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,17 +222,42 @@ class TestCongruenceCounts:
         assert count_power_sum_congruences(1, 1, 9, [9]) == 9
         assert count_power_sum_congruences(1, 1, 9, [3]) == 27
 
+    @staticmethod
+    def both_paths(k, blocks, moduli):
+        """The residue distribution by the sparse path (a dict) and by the dense path (an array)."""
+        out = []
+        for bound in (0, float("inf")):  # forces the sparse, then the dense path
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(vinogradov, "_multiset_bound", lambda blocks: bound)
+                out.append(vinogradov._power_sum_distribution(k, blocks, moduli))
+        assert type(out[0]) is dict and out[1].shape == tuple(moduli)
+        return out
+
+    @staticmethod
+    def occupied(dense):
+        return {cell: int(m) for cell, m in np.ndenumerate(dense) if m}
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 8), st.data())
     def test_sparse_and_dense_residue_paths_agree(self, s, base, data):
         k = data.draw(st.integers(1, 3))
         moduli = data.draw(st.lists(st.integers(1, 30), min_size=k, max_size=k))
-        counts = []
-        for bound in (0, float("inf")):  # forces the sparse, then the dense path
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(vinogradov, "_multiset_bound", lambda blocks: bound)
-                counts.append(count_power_sum_congruences(s, k, base, moduli))
-        assert counts[0] == counts[1]
+        blocks = [(range(base), s, None)]
+        if data.draw(st.booleans()):  # first a block of values distinct mod p, Linnik's shape
+            size, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+            blocks.insert(0, (range(size), n, data.draw(st.sampled_from([2, 3, 5]))))
+        sparse, dense = self.both_paths(k, blocks, moduli)
+        assert sparse == self.occupied(dense)
+
+    def test_linnik_distributions_agree_on_both_paths(self):
+        for k, p in ((2, 3), (2, 7), (3, 5)):
+            sparse, dense = self.both_paths(k, [(range(p**k), k, p)], [p**j for j in range(1, k + 1)])
+            assert sparse == self.occupied(dense) and max(sparse.values()) == linnik_max(k, p)[0]
+
+    def test_paths_agree_past_int64(self):
+        # 8^21 = 2^63 tuples: the dense array holds Python integers
+        sparse, dense = self.both_paths(1, [(range(8), 21, None)], [9])
+        assert dense.dtype == object and sparse == self.occupied(dense) and sum(sparse.values()) == 8**21
 
     def test_sparse_residues_when_moduli_dwarf_the_tuples(self):
         # 49^2 pairs of values against 7^8 residue cells
