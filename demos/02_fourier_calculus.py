@@ -25,7 +25,7 @@ rng = random.Random(0)
 f = random_modstep(rng, q, k, n_terms=4, scale_exp=2)
 M, r = qd.grid_geometry(f)
 grid = qd.evaluate_on_grid(f, M, r)
-oracle = qd.dft_grid(grid, q, r)
+oracle = qd.dft_grid(grid, q, r, qd.live_lines(f, M, r))
 symbolic = qd.evaluate_on_grid(f.fourier(), r, M)
 print(f"  grid side {q}^{M + r}, worst deviation {np.abs(oracle - symbolic).max():.2e}")
 

@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import isqrt
 
 from . import __version__, errors
 from .errors import BudgetExceededError, MomentLabError, VerificationError, check_budget
@@ -307,10 +308,12 @@ def _cmd_reverse_square(args) -> None:
 def _cmd_exponents(args) -> None:
     params = ExponentParams(k=args.k, p0=args.p0, c0=args.c0, epsilon=args.eps)
     n_rows = max(0, (args.p_max - args.p0) // (2 * args.k) + 1)
-    # each row costs its rung count, at most n_rows - 1; a trajectory unrolls every rung below its
-    # row, n_rows (n_rows - 1) / 2 in all, at about 18 us (180 operations) each
+    # a row costs about 40 us (400 operations); where 2k divides p it also takes (1 - 1/k)^(p/2k) exactly,
+    # whose b bits add about 2.8 us * (b/1000)^1.5, charged to every row at the last row's b; a trajectory
+    # unrolls every rung below its row, n_rows (n_rows - 1) / 2 in all, at about 18 us (180 operations) each
+    bits = args.p_max // (2 * args.k) * args.k.bit_length() if args.p0 % (2 * args.k) == 0 else 0
     unrolled = 180 * (n_rows * (n_rows - 1) // 2) if args.trajectories else 0
-    check_budget(n_rows * (n_rows - 1) + unrolled, errors.OPERATION_BUDGET,
+    check_budget(n_rows * (400 + 28 * bits * isqrt(bits) // 31_623) + unrolled, errors.OPERATION_BUDGET,
                  "exponent sweep needs about {estimated} operations (budget {budget})")
     rows = []
     records = []
@@ -337,14 +340,19 @@ def _cmd_pigeonhole_report(args) -> None:
         q, k = f.q, f.k
         if args.q not in (None, q) or args.k not in (None, k):
             raise ValueError(f"--q/--k must match the fixture's q={q}, k={k} or be left out")
+    elif args.q is None or args.k is None:
+        raise ValueError("need --q and --k (or --input) for a random instance")
     else:
-        if args.q is None or args.k is None:
-            raise ValueError("need --q and --k (or --input) for a random instance")
+        q, k = args.q, args.k
+    # the random instance and the certificate each build the q^delta_exp fine intervals, and the
+    # split walks them: about 10 us (100 operations) per interval
+    check_budget(100 * q**args.delta_exp, errors.OPERATION_BUDGET,
+                 "the fine intervals need about {estimated} operations (budget {budget})")
+    if not args.input:
         import random
 
         from .random_instances import random_curve_supported
 
-        q, k = args.q, args.k
         f = random_curve_supported(random.Random(args.seed), q, k, args.delta_exp, args.n_intervals, 2)
     cfg = ScaleConfig.from_epsilon(q, k, args.delta_exp, Fraction(1, 2))
     buckets, remainder, info = pigeonhole(f, cfg, args.p)

@@ -11,13 +11,15 @@ code path with the symbolic term calculus in stepfn.  Each term is a rank-1
 product of axis vectors added on its strided support, one cache-sized slab
 of axis-0 planes at a time.  ``evaluate_on_grid`` builds the grids the FFTs
 consume; the FFTs run in place and consume them, with results bitwise
-those of numpy's out-of-place calls, and on a grid larger than one slab
-the forward transform calls the FFT only on the lines that are not all
-zero (a spatial grid is a few strided sublattices, one point per term at
-the finest scale).  ``compare_on_grid`` checks a function against an FFT
-grid without building the function's grid past one slab, and the L^2
-norms add up the leaves of numpy's own pairwise-sum tree: both equal the
-whole-grid computations bitwise, with no whole-grid temporary.
+those of numpy's out-of-place calls.  A spatial grid is a few strided
+sublattices, one per term: on a grid larger than one slab,
+``live_lines`` reads from f's terms, never from the grid, which lines
+along the last axis they write, and the forward transform and the L^2
+norm pass over every other line, which is +0.  ``compare_on_grid``
+checks a function against an FFT grid without building the function's
+grid past one slab, and the L^2 norms add up the leaves of numpy's own
+pairwise-sum tree: both equal the whole-grid computations bitwise, with
+no whole-grid temporary.
 
 It is an oracle only: ``verify.oracle_agreement``, the tests and the
 Fourier demo use it, and no check or norm computes through it, so it stays
@@ -39,6 +41,7 @@ __all__ = [
     "evaluate_on_grid",
     "dft_grid",
     "convolve_grids",
+    "live_lines",
     "grid_l2_norm",
     "compare_on_grid",
 ]
@@ -83,6 +86,24 @@ def _phase_numerators(mult: int, u: np.ndarray, n: int) -> np.ndarray:
     if n * n < 2**63:
         return (mult * u) % n
     return (u.astype(object) * mult % n).astype(np.int64)
+
+
+def live_lines(f, M: int, r: int) -> np.ndarray | None:
+    """Which lines along the last axis of f's spatial grid (M, r) its terms write, by axis-0..k-2 index.
+
+    A term writes only where u_i = w_i mod step on every axis, as in
+    ``_slabs``; every line off the mask stays +0, so ``dft_grid``,
+    ``convolve_grids`` and ``grid_l2_norm`` pass over it.  None for a grid of
+    at most one slab, which those take whole.
+    """
+    n = f.q ** (M + r)
+    if n**f.k <= SLAB_POINTS:
+        return None
+    step = f.q ** (f.scale_exp + M)
+    live = np.zeros((n,) * (f.k - 1), dtype=bool)
+    for _, _, cube in f.terms:
+        live[tuple(slice(_axis_offsets(f.q, M, c) % step, n, step) for c in cube.corner.coords[:-1])] = True
+    return live
 
 
 def _slabs(f, M: int, r: int, grid: np.ndarray | None = None):
@@ -174,7 +195,7 @@ def compare_on_grid(ref: np.ndarray, f, M: int, r: int) -> tuple[float, float, f
     """
     if ref.size <= SLAB_POINTS:  # one slab, summed as one leaf: f's grid is cache-sized
         z, mod = evaluate_on_grid(f, M, r), np.abs(ref)
-        l2 = grid_l2_norm(z, f.q, r)
+        l2 = grid_l2_norm(z, f.q, r, None)
         return float(mod.max()), float(np.abs(np.subtract(ref, z, out=z), out=mod).max()), l2
     width = max(SLAB_POINTS, ref[0].size)  # a slab: planes of at most SLAB_POINTS points, or one plane
     ref, slabs, mod = ref.reshape(-1), _slabs(f, M, r), np.empty(width)  # a view of a C-contiguous grid
@@ -202,28 +223,27 @@ def compare_on_grid(ref: np.ndarray, f, M: int, r: int) -> tuple[float, float, f
     return float(peaks[0]), float(peaks[1]), float(np.sqrt(norm_sq * (1 / f.q ** (r * f.k))))
 
 
-def dft_grid(grid: np.ndarray, q: int, r: int) -> np.ndarray:
-    """Forward transform of spatial grid values (cell volume q^-r per axis).
+def dft_grid(grid: np.ndarray, q: int, r: int, live: np.ndarray | None) -> np.ndarray:
+    """Forward transform of spatial grid values (cell volume q^-r per axis), with their ``live_lines``.
 
     In place: returns ``grid``, whose index s now encodes frequency s * q^-r.
     """
-    _fftn_live_lines(grid)
+    _fftn_live_lines(grid, live)
     grid *= 1 / q ** (r * grid.ndim)  # int true division: q^-rk correctly rounded
     return grid
 
 
-def _fftn_live_lines(grid: np.ndarray) -> np.ndarray:
-    """``np.fft.fftn(grid, out=grid)`` bitwise, calling the FFT only on lines not all +0.
+def _fftn_live_lines(grid: np.ndarray, live: np.ndarray | None) -> np.ndarray:
+    """``np.fft.fftn(grid, out=grid)`` bitwise, calling the FFT only on the lines ``live`` marks.
 
     fftn runs the last axis first.  Once axes k-1..a+1 are done, a line along
-    axis a is still all +0 unless the input has a set bit under its axis-0..a-1
+    axis a is still all +0 unless a live line lies under its axis-0..a-1
     prefix; leaving it is exact when the FFT maps a +0 line to a +0 line (not
     so for Bluestein lengths such as 101).  Axis 0 is transformed in full.
     """
     n, k = grid.shape[0], grid.ndim
-    if grid.size <= SLAB_POINTS or np.fft.fft(np.zeros(n, dtype=np.complex128)).view(np.uint64).any():
+    if live is None or np.fft.fft(np.zeros(n, dtype=np.complex128)).tobytes() != bytes(16 * n):
         return np.fft.fftn(grid, out=grid)
-    live = grid.view(np.uint64).any(axis=-1)  # per line along the last axis
     for a in range(k - 1, 0, -1):
         lines = grid.reshape(n**a, n, -1)  # a view: (axis-0..a-1 prefix, axis a, the rest)
         prefixes = np.flatnonzero(live)
@@ -236,25 +256,32 @@ def _fftn_live_lines(grid: np.ndarray) -> np.ndarray:
     return np.fft.fft(grid, axis=0, out=grid)
 
 
-def convolve_grids(a: np.ndarray, b: np.ndarray, q: int, r: int) -> np.ndarray:
-    """Circular (= exact group) convolution of two spatial grids, in place: returns ``a``, consumes ``b``."""
-    np.fft.ifftn(np.multiply(_fftn_live_lines(a), _fftn_live_lines(b), out=a), out=a)
+def convolve_grids(a: np.ndarray, b: np.ndarray, q: int, r: int, live_a, live_b) -> np.ndarray:
+    """Circular (= exact group) convolution of two spatial grids with their ``live_lines``.
+
+    In place: returns ``a``, consumes ``b``.
+    """
+    out = a if a.size > 1 else None  # numpy rounds a one-point complex product made in place differently
+    np.fft.ifftn(np.multiply(_fftn_live_lines(a, live_a), _fftn_live_lines(b, live_b), out=out), out=a)
     a *= 1 / q ** (r * a.ndim)
     return a
 
 
-def grid_l2_norm(grid: np.ndarray, q: int, r: int) -> float:
-    """``np.sqrt((np.abs(grid) ** 2).sum() * cell)`` of a C-contiguous grid, bitwise, with no whole-grid temporary."""
+def grid_l2_norm(grid: np.ndarray, q: int, r: int, live: np.ndarray | None) -> float:
+    """``np.sqrt((np.abs(grid) ** 2).sum() * cell)`` of a C-contiguous grid with its ``live_lines``, bitwise.
+
+    No whole-grid temporary: a leaf of the pairwise sum that meets no live
+    line is a run of +0, which adds exactly +0.
+    """
     flat, cell = grid.reshape(-1), 1 / q ** (r * grid.ndim)
-    if flat.size <= max(SLAB_POINTS, 128):  # one leaf
+    if live is None:  # one slab, one leaf
         mod = np.abs(flat)
         return float(np.sqrt(np.add.reduce(np.square(mod, out=mod)) * cell))
-    buf = np.empty(max(SLAB_POINTS, 128))
+    n, live, buf = grid.shape[-1], live.reshape(-1), np.empty(max(SLAB_POINTS, 128))
 
     def leaf(lo: int, hi: int):
-        part = flat[lo:hi]
-        if not np.count_nonzero(part.view(np.uint64)):  # a run of +0 adds exactly +0
+        if not live[lo // n : (hi - 1) // n + 1].any():
             return 0.0
-        return np.add.reduce(np.square(np.abs(part, out=buf[: hi - lo]), out=buf[: hi - lo]))
+        return np.add.reduce(np.square(np.abs(flat[lo:hi], out=buf[: hi - lo]), out=buf[: hi - lo]))
 
     return float(np.sqrt(_pairwise_sum(flat.size, leaf) * cell))

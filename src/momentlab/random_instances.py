@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .geometry import Cube, Interval, gamma, theta_diff_decompose, unit_interval
+from .geometry import Cube, Interval, _diff_corners, gamma, tangent_frame, unit_interval
 from .qadic import QRational, QVector
 from .stepfn import ModulatedStep
 
@@ -56,12 +56,17 @@ def random_box_function(
     support is the ball of radius delta^-k.
     """
     m = K.scale_exp
-    pieces = theta_diff_decompose(K, k)
+    modulus, entries = q ** (m * k), tangent_frame(K.corner, k)
+    steps = [q ** (m * j) for j in range(1, k + 1)]  # group point t: t_j a multiple of q^(mj) below q^(mk)
     anchor_shift = gamma(K.corner, k)
     terms = []
     for _ in range(n_terms):
-        cube = rng.choice(pieces)
-        corner = (cube.corner + anchor_shift).rep_mod(m * k)
+        # the cube of theta_diff_decompose(K, k) at an index drawn as rng.choice would, built alone
+        index, t = rng.randrange(q ** (m * k * (k - 1) // 2)), []
+        for step in reversed(steps):
+            index, digit = divmod(index, modulus // step)
+            t.insert(0, digit * step)
+        corner = (QVector.from_ints(q, _diff_corners(entries, t, modulus)) + anchor_shift).rep_mod(m * k)
         coeff = complex(rng.gauss(0, 1), rng.gauss(0, 1))
         terms.append((coeff, QVector.zero(q, k), Cube(corner, m * k)))
     hat = ModulatedStep(q, k, terms)

@@ -102,10 +102,10 @@ def oracle_agreement(report, q: int, k: int, n_instances: int = 100, seed: int =
         scale = rng.choice([1, 1, 2, 2, 3]) if not heavy else rng.choice([1, 1, 1, 2, 2, 2, 2, 3])
         f = random_modstep(rng, q, k, rng.randint(1, 4), scale, mod_depth=scale)
         M, r = qd.grid_geometry(f)
-        grid = qd.evaluate_on_grid(f, M, r)
-        grid_l2 = qd.grid_l2_norm(grid, q, r)  # before dft_grid transforms grid in place
+        grid, live = qd.evaluate_on_grid(f, M, r), qd.live_lines(f, M, r)
+        grid_l2 = qd.grid_l2_norm(grid, q, r, live)  # before dft_grid transforms grid in place
         fhat = f.fourier()
-        peak, err, hat_l2 = qd.compare_on_grid(qd.dft_grid(grid, q, r), fhat, r, M)
+        peak, err, hat_l2 = qd.compare_on_grid(qd.dft_grid(grid, q, r, live), fhat, r, M)
         l2 = f.lp_norm(2)
         errs = [err / max(1.0, peak), abs(grid_l2 - l2), abs(l2 - hat_l2)]
         g = random_modstep(rng, q, k, rng.randint(1, 3), max(1, scale - 1), mod_depth=1)
@@ -118,7 +118,8 @@ def oracle_agreement(report, q: int, k: int, n_instances: int = 100, seed: int =
             Mg, rg = qd.grid_geometry(g)
             MM, rr = max(M, Mg), max(r, rg)
             conv_oracle = qd.convolve_grids(
-                qd.evaluate_on_grid(f, MM, rr), qd.evaluate_on_grid(g, MM, rr), q, rr
+                qd.evaluate_on_grid(f, MM, rr), qd.evaluate_on_grid(g, MM, rr), q, rr,
+                qd.live_lines(f, MM, rr), qd.live_lines(g, MM, rr),
             )
             peak, err, _ = qd.compare_on_grid(conv_oracle, f.convolve(g), MM, rr)
             errs.append(err / max(1.0, peak))

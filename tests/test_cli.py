@@ -678,10 +678,15 @@ class TestContract:
             (["exponents", "--k", "2", "--p0", "6", "--c0", "2", "--eps", "1/10", "--p-max", "20000",
               "--trajectories"], 3, 5),
             (["counting-lemma", "--q", "1000003", "--k", "1", "--delta-exp", "1", "--kappa-exp", "1"], 3, 5),
+            (["pigeonhole-report", "--q", "1000003", "--k", "2", "--delta-exp", "1"], 3, 5),
+            (["exponents", "--k", "2", "--p0", "6", "--c0", "2", "--eps", "1/10", "--p-max", "1000002"], 3, 5),
+            (["exponents", "--k", "10", "--p0", "200", "--c0", "2", "--eps", "1/10", "--p-max", "2000200"], 3, 5),
         ],
         ids=["linnik-p-equals-k", "linnik-p-equals-k-3", "verify-all-huge-q", "verify-all-k0",
              "count-vinogradov-huge-s", "pigeonhole-report-huge-q", "exponents-huge-p-max",
-             "exponents-huge-p-max-trajectories", "exponents-unrolled-trajectories", "counting-lemma-huge-q"],
+             "exponents-huge-p-max-trajectories", "exponents-unrolled-trajectories", "counting-lemma-huge-q",
+             "pigeonhole-report-huge-q-k2", "exponents-plain-rows-past-the-budget",
+             "exponents-exact-decay-past-the-budget"],
     )
     def test_exit_within_the_deadline_with_a_json_line(self, argv, code, deadline):
         start = time.perf_counter()
@@ -693,6 +698,15 @@ class TestContract:
         assert error["error"] == {2: "usage", 3: "budget-exceeded"}[code]
         if argv[0] == "verify-all" and code == 2:
             assert len(r.stderr.splitlines()) == 1  # refused before any suite ran
+
+    def test_a_7000_row_exponent_sweep_runs(self):
+        # each plain row is charged a constant, so 7,000 rows (well under a second) stay under the budget
+        argv = ["exponents", "--k", "2", "--p0", "6", "--c0", "2", "--eps", "1/10", "--p-max", "28002"]
+        start = time.perf_counter()
+        r = run_capped(argv, timeout=25)
+        assert r.returncode == 0, r.stderr
+        assert time.perf_counter() - start < 5
+        assert len(json.loads(r.stdout)["rows"]) == 7000
 
     def test_exit_codes_are_read_only_in_main(self):
         codes = {"EXIT_USAGE", "EXIT_BUDGET", "EXIT_VERIFICATION"}

@@ -106,10 +106,11 @@ def convolution_pairs(draw):
 
 
 @st.composite
-def grid_modsteps(draw):
+def grid_modsteps(draw, qk=None):
     """Small functions for full-grid checks: k = 1 included, corners off the
-    unit ball, terms at two scales; grids of at most a few thousand points."""
-    q, k = draw(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]))
+    unit ball, terms at two scales; grids of at most a few thousand points.
+    Over the group qk when given."""
+    q, k = qk or draw(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]))
     digits = {(3, 1): 6, (5, 1): 4, (3, 2): 3, (5, 2): 2, (3, 3): 2}[(q, k)]  # max M + r
     offset = draw(st.integers(0, 1))
     top = draw(st.integers(0, digits - offset - 1))
@@ -497,7 +498,7 @@ class TestFourier:
         assert cube == Cube(QVector([q3(0)]), -1)
         # oracle: finite character sums over the quotient
         M, r = qd.grid_geometry(f)
-        oracle = qd.dft_grid(qd.evaluate_on_grid(f, M, r), 3, r)
+        oracle = qd.dft_grid(qd.evaluate_on_grid(f, M, r), 3, r, qd.live_lines(f, M, r))
         sym = qd.evaluate_on_grid(hat, r, M)
         assert np.abs(oracle - sym).max() < 1e-15
 
@@ -637,7 +638,8 @@ class TestClosedFormConvolution:
         M, r = max(Mf, Mg), max(rf, rg)
         assume(f.q ** ((M + r) * f.k) <= 50_000)
         oracle = qd.convolve_grids(
-            qd.evaluate_on_grid(f, M, r), qd.evaluate_on_grid(g, M, r), f.q, r
+            qd.evaluate_on_grid(f, M, r), qd.evaluate_on_grid(g, M, r), f.q, r,
+            qd.live_lines(f, M, r), qd.live_lines(g, M, r),
         )
         sym = qd.evaluate_on_grid(f.convolve(g), M, r)
         assert np.abs(oracle - sym).max() <= 1e-12 * max(1.0, float(np.abs(oracle).max()))
@@ -779,7 +781,7 @@ class TestCellKernel:
     def test_norms_match_quotient_grid(self, f):
         M, r = qd.grid_geometry(f)
         grid = qd.evaluate_on_grid(f, M, r)
-        l2, sup = qd.grid_l2_norm(grid, f.q, r), float(np.abs(grid).max())
+        l2, sup = qd.grid_l2_norm(grid, f.q, r, qd.live_lines(f, M, r)), float(np.abs(grid).max())
         assert abs(f.lp_norm(2) - l2) < 1e-12 * max(1.0, l2)
         assert abs(f.lp_norm(inf) - sup) < 1e-12 * max(1.0, sup)
         # joint cells align functions of different scales on common cubes
@@ -855,7 +857,7 @@ class TestOracleAgreement:
             for _ in range(10):
                 f = random_modstep(rng, q, k, rng.randint(1, 4), rng.randint(1, 3))
                 M, r = qd.grid_geometry(f)
-                oracle = qd.dft_grid(qd.evaluate_on_grid(f, M, r), q, r)
+                oracle = qd.dft_grid(qd.evaluate_on_grid(f, M, r), q, r, qd.live_lines(f, M, r))
                 sym = qd.evaluate_on_grid(f.fourier(), r, M)
                 ref = max(1.0, float(np.abs(oracle).max()))
                 assert np.abs(oracle - sym).max() / ref < 1e-12
@@ -870,7 +872,8 @@ class TestOracleAgreement:
             Mg, rg = qd.grid_geometry(g)
             M, r = max(Mf, Mg), max(rf, rg)
             oracle = qd.convolve_grids(
-                qd.evaluate_on_grid(f, M, r), qd.evaluate_on_grid(g, M, r), q, r
+                qd.evaluate_on_grid(f, M, r), qd.evaluate_on_grid(g, M, r), q, r,
+                qd.live_lines(f, M, r), qd.live_lines(g, M, r),
             )
             sym = qd.evaluate_on_grid(f.convolve(g), M, r)
             assert np.abs(oracle - sym).max() < 1e-12
@@ -935,6 +938,11 @@ def _out_of_place_oracle_agreement(report, q, k, n_instances, seed, grid_points,
         report["failures"].append(f"relative error {worst} above {tol}")
 
 
+def _scanned_live_lines(grid):
+    """The lines along the last axis with a set bit, by a whole-grid scan; None for at most one slab."""
+    return None if grid.size <= qd.SLAB_POINTS else grid.view(np.uint64).any(axis=-1)
+
+
 def _check_in_place_transforms(q, r, a, b):
     cell = float(Fraction(q) ** (-r * a.ndim))
     want_hat = np.fft.fftn(a)
@@ -942,9 +950,9 @@ def _check_in_place_transforms(q, r, a, b):
     want_conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
     want_conv *= cell
     spatial = a.copy()
-    got_hat = qd.dft_grid(spatial, q, r)
+    got_hat = qd.dft_grid(spatial, q, r, _scanned_live_lines(spatial))
     assert got_hat is spatial and got_hat.tobytes() == want_hat.tobytes()
-    got_conv = qd.convolve_grids(a, b, q, r)
+    got_conv = qd.convolve_grids(a, b, q, r, _scanned_live_lines(a), _scanned_live_lines(b))
     assert got_conv is a and got_conv.tobytes() == want_conv.tobytes()
 
 
@@ -1023,6 +1031,42 @@ class TestInPlaceTransforms:
             assert repr(got) == repr(want)
 
 
+class TestLiveLines:
+    """``live_lines`` read from f's terms, against a whole-grid bit scan and numpy's whole-grid pipeline."""
+
+    @staticmethod
+    def spatial(h, M, r):
+        """h's grid and live lines, after checking that no line off the mask has a set bit."""
+        grid, live = qd.evaluate_on_grid(h, M, r), qd.live_lines(h, M, r)
+        if live is None:
+            assert grid.size <= qd.SLAB_POINTS
+        else:
+            assert live.shape == grid.shape[:-1]
+            assert not (_scanned_live_lines(grid) & ~live).any()
+        return grid, live
+
+    @pytest.mark.parametrize("slab_points", [1, 7, 50])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mask_covers_every_nonzero_line_and_the_pipeline_is_bitwise_whole_grid(self, slab_points, data):
+        f = data.draw(grid_modsteps())
+        g = data.draw(grid_modsteps((f.q, f.k)))
+        (M, r), (Mg, rg) = qd.grid_geometry(f), qd.grid_geometry(g)
+        MM, rr = max(M, Mg), max(r, rg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qd, "SLAB_POINTS", slab_points)
+            for MF, rF in ((M, r), (M + 1, r)):
+                grid, live = self.spatial(f, MF, rF)
+                want_l2, want_hat = _whole_grid_l2(grid, f.q, rF), np.fft.fftn(grid)
+                want_hat *= float(Fraction(f.q) ** (-rF * f.k))
+                assert qd.grid_l2_norm(grid, f.q, rF, live) == want_l2
+                assert qd.dft_grid(grid, f.q, rF, live).tobytes() == want_hat.tobytes()
+            (a, live_a), (b, live_b) = self.spatial(f, MM, rr), self.spatial(g, MM, rr)
+            want_conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
+            want_conv *= float(Fraction(f.q) ** (-rr * f.k))
+            assert qd.convolve_grids(a, b, f.q, rr, live_a, live_b).tobytes() == want_conv.tobytes()
+
+
 class TestPairwiseSum:
     """numpy's split rule for a contiguous float64 sum, which the streamed norms follow."""
 
@@ -1050,7 +1094,7 @@ class TestPairwiseSum:
             flat[-40] = np.nan
         want = np.sqrt((np.abs(grid) ** 2).sum() * (1 / 5**grid.ndim))
         monkeypatch.setattr(qd, "SLAB_POINTS", slab_points)
-        assert np.float64(qd.grid_l2_norm(grid, 5, 1)).tobytes() == want.tobytes()
+        assert np.float64(qd.grid_l2_norm(grid, 5, 1, _scanned_live_lines(grid))).tobytes() == want.tobytes()
 
 
 class TestSlicedGrid:
