@@ -344,17 +344,20 @@ def _cmd_pigeonhole_report(args) -> None:
         raise ValueError("need --q and --k (or --input) for a random instance")
     else:
         q, k = args.q, args.k
-    # the random instance and the certificate each build the q^delta_exp fine intervals, and the
-    # split walks them: about 10 us (100 operations) per interval
+    # the certificate builds the q^delta_exp fine intervals, and the split walks them: about 10 us
+    # (100 operations) per interval
     check_budget(100 * q**args.delta_exp, errors.OPERATION_BUDGET,
                  "the fine intervals need about {estimated} operations (budget {budget})")
+    cfg = ScaleConfig.from_epsilon(q, k, args.delta_exp, Fraction(1, 2))
     if not args.input:
         import random
 
         from .random_instances import random_curve_supported
 
+        # each piece's wavepacket split takes its cubes of side q^(mk) to side q^m, before drawing it
+        check_budget(q ** (args.delta_exp * k * (k - 1)), errors.CELL_BUDGET,
+                     "subdivision into {estimated} cubes exceeds the budget")
         f = random_curve_supported(random.Random(args.seed), q, k, args.delta_exp, args.n_intervals, 2)
-    cfg = ScaleConfig.from_epsilon(q, k, args.delta_exp, Fraction(1, 2))
     buckets, remainder, info = pigeonhole(f, cfg, args.p)
     payload = {
         "buckets": [b.to_json() for b in buckets],

@@ -144,11 +144,12 @@ def theorem_exponent(params: ExponentParams, p: int):
     k, p0, c0 = params.k, params.p0, Fraction(params.c0)
     _check_lattice(p, p0, k)
     q_exp = a_coeff(p, p0, k) / p
-    main = Fraction(1, 2) - Fraction(k * (k + 1), 2 * p)
-    if p % (2 * k) == 0:  # the decay is rational, so the sum is exact until the one rounding
-        magnitude = float(main + c0 / p * Fraction(k - 1, k) ** (p // (2 * k)))
+    if p % (2 * k) == 0:  # the decay is rational: one ratio of ints, rounded once by int true division
+        e = p // (2 * k)
+        den = c0.denominator * k**e  # 1/2 - k(k+1)/2p + c0/p ((k-1)/k)^e over 2p den
+        magnitude = ((p - k * (k + 1)) * den + 2 * c0.numerator * (k - 1) ** e) / (2 * p * den)
     else:
-        magnitude = float(main) + float(c0) / p * _decay(k, p)
+        magnitude = float(Fraction(1, 2) - Fraction(k * (k + 1), 2 * p)) + float(c0) / p * _decay(k, p)
     return {
         "p": p,
         "delta_exponent": -magnitude - float(params.epsilon),

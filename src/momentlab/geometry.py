@@ -523,12 +523,12 @@ def tile_of_point(x: QVector, K: Interval) -> Tile:
     return Tile(K, QVector([QRational(x.q, d, L) for d in w]))
 
 
-def _tile_owners(points: list[QVector], K: Interval) -> tuple[list[Tile], list[int]]:
-    """``tile_of_point`` for many points, from one ``_owner_digits`` pass on integer columns:
-    the distinct tiles, one ``Tile`` each in order of first appearance, and each point's index."""
+def _tile_owners(points, K: Interval) -> tuple[list[Tile], list[int]]:
+    """``tile_of_point`` for many points (``QVector``s or coordinate tuples), from one ``_owner_digits`` pass on
+    integer columns: the distinct tiles, one ``Tile`` each in order of first appearance, and each point's index."""
     import numpy as np  # imported here so that importing momentlab does not load numpy
 
-    q, k, m = K.q, points[0].k, K.scale_exp
+    q, k, m = K.q, len(points[0]), K.scale_exp
     rows = tangent_frame(K.corner, k)
     ints, L = _scaled([x for point in points for x in point])
     # |M^T n| <= k * max|entry| * max|n|, and every modulus q^e is at most q^-L

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import random
 
-from .geometry import Cube, Interval, _diff_corners, gamma, tangent_frame, unit_interval
+from . import errors
+from .geometry import Cube, Interval, _diff_corners, gamma, tangent_frame
 from .qadic import QRational, QVector
 from .stepfn import ModulatedStep
 
@@ -83,10 +84,11 @@ def random_curve_supported(
 ) -> ModulatedStep:
     """A function Fourier supported in the union of curve boxes.
 
-    Picks a few intervals of the fine partition and superposes box
-    functions over them.
+    Picks a few intervals of the fine partition by their indices (interval
+    i has corner i) and superposes box functions over them.
     """
-    fine = unit_interval(q).partition(delta_exp)
-    chosen = rng.sample(fine, min(n_intervals, len(fine)))
+    n = q**delta_exp
+    errors.check_budget(n, errors.CELL_BUDGET, "partition into {estimated} intervals exceeds the budget")
+    chosen = [Interval(QRational(q, i), delta_exp) for i in rng.sample(range(n), min(n_intervals, n))]
     boxes = [random_box_function(rng, q, k, K, terms_per_interval) for K in chosen]
     return ModulatedStep(q, k, [term for box in boxes for term in box.terms])

@@ -24,19 +24,19 @@ Canonical form: all cubes at one common scale, at most one term per
 (cube, modulation) pair with modulations reduced to canonical digit
 representatives (so a modulation that is constant on its cube is absorbed
 into the coefficient), and coefficients below a relative threshold pruned.
-It runs on integer keys.  Each distinct modulation is reduced once per
-construction; one already canonical is recognized from its (unit,
-valuation) pairs and kept as it is, and its terms take the constant phase
-1 + 0j, as chi(0) would give it.  Otherwise its drift b - rep is a vector
-of integers at one valuation.  Each distinct cube is split once, per axis:
-the product of the per-axis corners gives each piece's key, its corner
-coordinates and its corner as integers, so a piece's drift phase is one
-integer numerator over a power of q, evaluated by ``qadic._char_at``, the
-one evaluation of chi, which ``char_value`` also calls.  A ``Cube`` is
-built only for a surviving piece, and an unsubdivided input cube is kept
-as it is.  The merge key (cube.key(), modulation.key()) is the one sort
-key; sibling compaction groups on the integer parent digits read off it
-and builds only merged parents.
+It is built in two halves on integer keys.  ``_merge`` reduces each
+distinct modulation once (one already canonical is kept, with the phase
+1 + 0j that chi(0) would give; otherwise its drift b - rep is integers at
+one valuation), splits each distinct cube once per axis (the product of
+the per-axis corners gives each piece's key and integer corner, so a drift
+phase is one integer numerator over a power of q, evaluated by
+``qadic._char_at``, chi's one evaluation), and adds into one slot per
+(piece key, rep key).  ``_finish`` prunes one part's slots against that
+part's own largest coefficient, compacts sibling families on the integer
+parent digits read off the sort key, sorts, and builds a ``Cube`` only for
+a surviving piece.  The constructor finishes the merge of its terms as one
+part; a splitter (``freq_components``, ``wavepackets.wavepacket_decompose``)
+merges its input once and finishes each part from its share of the slots.
 """
 
 from __future__ import annotations
@@ -98,16 +98,12 @@ class ModulatedStep:
     __slots__ = ("q", "k", "scale_exp", "terms", "_by_cube", "_hat")
 
     def __init__(self, q: int, k: int, terms=()):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        canon, scale = self._canonicalize(q, k, list(terms))
-        object.__setattr__(self, "scale_exp", scale)
-        object.__setattr__(self, "terms", tuple(canon))
-        by_cube: dict[Cube, list[tuple[complex, QVector]]] = {}
-        for c, b, cube in canon:
-            by_cube.setdefault(cube, []).append((c, b))
-        object.__setattr__(self, "_by_cube", by_cube)
-        object.__setattr__(self, "_hat", None)
+        terms = [(complex(c), b, cube) for c, b, cube in terms if c != 0]
+        for _, b, cube in terms:
+            if len(b.coords) != k or len(cube.corner.coords) != k or cube.q != q or b.q != q:
+                raise ValueError("term dimensions do not match the function")
+        scale = max((cube.scale_exp for _, _, cube in terms), default=0)
+        self._finish(q, k, list(self._merge(q, terms, scale).items()), scale)
 
     def __setattr__(self, name, value):
         raise AttributeError("ModulatedStep is immutable")
@@ -125,14 +121,9 @@ class ModulatedStep:
         return cls(cube.q, cube.k, [(complex(coeff), modulation, cube)])
 
     @staticmethod
-    def _canonicalize(q, k, raw):
-        terms = [(complex(c), b, cube) for c, b, cube in raw if c != 0]
-        if not terms:
-            return [], 0
-        for _, b, cube in terms:
-            if len(b.coords) != k or len(cube.corner.coords) != k or cube.q != q or b.q != q:
-                raise ValueError("term dimensions do not match the function")
-        scale = max(cube.scale_exp for _, _, cube in terms)
+    def _merge(q, terms, scale) -> dict:
+        """One slot [coeff, rep, piece] per (piece key, rep key) of the terms split to ``scale``; a slot
+        adds its contributions in term order.  A piece is an unsubdivided cube or its corner coordinates."""
         merged: dict[tuple, list] = {}
         reduced: dict[QVector, tuple] = {}
         split: dict[Cube, tuple] = {}
@@ -160,13 +151,26 @@ class ModulatedStep:
                     merged[key] = [c * phase, rep, piece]
                 else:
                     slot[0] += c * phase
-        tol = max(abs(slot[0]) for slot in merged.values()) * PRUNE_REL_TOL
-        out = [(key, *slot) for key, slot in merged.items() if abs(slot[0]) > tol]
-        if not out:
-            return [], 0
-        out, scale = ModulatedStep._compact(q, k, out, scale)
-        out.sort(key=itemgetter(0))
-        return [(c, b, cube if cube.__class__ is Cube else Cube(QVector(cube), scale)) for _, c, b, cube in out], scale
+        return merged
+
+    def _finish(self, q: int, k: int, slots, scale: int) -> "ModulatedStep":
+        """Set up from one part's (key, slot) pairs, pruned against the part's own largest coefficient."""
+        tol = max((abs(slot[0]) for _, slot in slots), default=0.0) * PRUNE_REL_TOL
+        out = [(key, *slot) for key, slot in slots if abs(slot[0]) > tol]
+        if out:
+            out, scale = ModulatedStep._compact(q, k, out, scale)
+            out.sort(key=itemgetter(0))
+        canon = [(c, b, cube if cube.__class__ is Cube else Cube(QVector(cube), scale)) for _, c, b, cube in out]
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "scale_exp", scale if out else 0)
+        object.__setattr__(self, "terms", tuple(canon))
+        by_cube: dict[Cube, list[tuple[complex, QVector]]] = {}
+        for c, b, cube in canon:
+            by_cube.setdefault(cube, []).append((c, b))
+        object.__setattr__(self, "_by_cube", by_cube)
+        object.__setattr__(self, "_hat", None)
+        return self
 
     @staticmethod
     def _compact(q, k, terms, scale):
@@ -176,16 +180,18 @@ class ModulatedStep:
         (cube.key(), modulation.key()).  Families group on ints read off it:
         the corner digits below the parent scale, which are the parent's key.
         A parent ``Cube`` is built only when every family merges, so the
-        common-scale invariant survives.
+        common-scale invariant survives; grouping stops past len(terms)/family groups.
         """
         family = q**k
         while len(terms) % family == 0 and terms:
-            up = scale - 1
+            up, limit = scale - 1, len(terms) // family
             groups: dict[tuple, list] = {}
             for term in terms:
                 (_, corner), b_key = term[0]
                 digits = tuple([(v, u % q ** (up - v)) if u and v < up else (0, 0) for v, u in corner])
                 groups.setdefault((digits, b_key), []).append(term)
+                if len(groups) > limit:
+                    return terms, scale
             for members in groups.values():
                 c0 = members[0][1]
                 tol = PRUNE_REL_TOL * max(1.0, abs(c0))
@@ -315,27 +321,29 @@ class ModulatedStep:
         PRUNE_REL_TOL of f's largest transform coefficient, has no entry.
 
         This is the only frequency restriction: one interval's piece is the
-        entry for it in a partition that contains it.
+        entry for it in a partition that contains it.  The transform is merged
+        once; each interval's share of the slots is finished on its own.
         """
         hat = self.fourier()
-        buckets: dict[Interval, list] = {}
+        shares: dict[Interval, list] = {}
         if not hat.is_zero:
             scale = partition[0].scale_exp
             if any(i.scale_exp != scale for i in partition):
                 raise ValueError("freq_components needs a uniform-scale partition")
             lookup = {i.corner: i for i in partition}
             fine = max(hat.scale_exp, scale)
-            for c, b, cube in hat.terms:
-                for piece in cube.subdivide(fine):
-                    interval = lookup.get(piece.corner[0].rep_mod(scale))
-                    if interval is not None:
-                        buckets.setdefault(interval, []).append((c, b, piece))
+            where: dict[tuple, Interval | None] = {}  # each distinct piece's interval, None off the partition
+            for item in self._merge(self.q, hat.terms, fine).items():
+                (key, _), (_, _, piece) = item
+                if key not in where:
+                    where[key] = lookup.get((piece.corner if piece.__class__ is Cube else piece)[0].rep_mod(scale))
+                shares.setdefault(where[key], []).append(item)
         pieces = {}
-        tol = PRUNE_REL_TOL * max((abs(c) for c, _, _ in hat.terms), default=0.0)
+        tol = PRUNE_REL_TOL * hat.max_abs_coeff()
         for i in partition:
-            if i in buckets:
-                hat_i = ModulatedStep(self.q, self.k, buckets[i])
-                if max((abs(c) for c, _, _ in hat_i.terms), default=0.0) > tol:
+            if i in shares:
+                hat_i = ModulatedStep.__new__(ModulatedStep)._finish(self.q, self.k, shares[i], fine)
+                if hat_i.max_abs_coeff() > tol:
                     pieces[i] = hat_i.inverse_fourier()
                     object.__setattr__(pieces[i], "_hat", hat_i)
         return pieces

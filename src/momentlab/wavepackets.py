@@ -189,19 +189,23 @@ def wavepacket_decompose(g: ModulatedStep, K: Interval) -> WavepacketSet:
     """Split g (Fourier supported in the curve box over K) along dual tiles.
 
     Exact: the pieces sum back to g, each has constant modulus on its
-    tile, and each stays Fourier supported in the box.
+    tile, and each stays Fourier supported in the box.  g's terms are merged
+    once at the tile scale, one ``_tile_owners`` pass over the distinct
+    pieces finds their tiles, and each tile's share is finished on its own.
     """
     verify_theta_support(g, K)
     if g.is_zero:
         return WavepacketSet(K, [])
     scale = max(g.scale_exp, -K.scale_exp)
-    pieces = [(piece, parts) for cube, parts in g._by_cube.items() for piece in cube.subdivide(scale)]
-    tiles, owner = _tile_owners([piece.corner for piece, _ in pieces], K)
-    terms: list[list] = [[] for _ in tiles]
-    for (piece, parts), i in zip(pieces, owner):
-        terms[i].extend((c, b, piece) for c, b in parts)
-    packets = sorted(((t, ModulatedStep(g.q, g.k, ts)) for t, ts in zip(tiles, terms)), key=lambda p: p[0].key())
-    return WavepacketSet(K, [(t, p) for t, p in packets if not p.is_zero])
+    slots = ModulatedStep._merge(g.q, g.terms, scale)
+    pieces = {key: piece for (key, _), (_, _, piece) in slots.items()}
+    tiles, owner = _tile_owners([p.corner if p.__class__ is Cube else p for p in pieces.values()], K)
+    tile_of = dict(zip(pieces, owner))
+    shares: list[list] = [[] for _ in tiles]
+    for item in slots.items():
+        shares[tile_of[item[0][0]]].append(item)
+    packets = [(t, ModulatedStep.__new__(ModulatedStep)._finish(g.q, g.k, ts, scale)) for t, ts in zip(tiles, shares)]
+    return WavepacketSet(K, [(t, p) for t, p in sorted(packets, key=lambda p: p[0].key()) if not p.is_zero])
 
 
 @dataclass

@@ -79,7 +79,7 @@ def test_criterion_04_wavepackets():
         4,
         "wavepacket reconstruction/constant modulus/box support, 50 seeded instances",
         r["passed"],
-        3.0,
+        1.0,
         time.perf_counter() - t0,
     )
 

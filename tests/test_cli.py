@@ -681,12 +681,13 @@ class TestContract:
             (["pigeonhole-report", "--q", "1000003", "--k", "2", "--delta-exp", "1"], 3, 5),
             (["exponents", "--k", "2", "--p0", "6", "--c0", "2", "--eps", "1/10", "--p-max", "1000002"], 3, 5),
             (["exponents", "--k", "10", "--p0", "200", "--c0", "2", "--eps", "1/10", "--p-max", "2000200"], 3, 5),
+            (["pigeonhole-report", "--q", "499979", "--k", "2", "--delta-exp", "1"], 3, 1),
         ],
         ids=["linnik-p-equals-k", "linnik-p-equals-k-3", "verify-all-huge-q", "verify-all-k0",
              "count-vinogradov-huge-s", "pigeonhole-report-huge-q", "exponents-huge-p-max",
              "exponents-huge-p-max-trajectories", "exponents-unrolled-trajectories", "counting-lemma-huge-q",
              "pigeonhole-report-huge-q-k2", "exponents-plain-rows-past-the-budget",
-             "exponents-exact-decay-past-the-budget"],
+             "exponents-exact-decay-past-the-budget", "pigeonhole-report-subdivision-before-the-draw"],
     )
     def test_exit_within_the_deadline_with_a_json_line(self, argv, code, deadline):
         start = time.perf_counter()

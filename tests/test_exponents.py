@@ -124,6 +124,15 @@ class TestTheoremExponent:
         corr = (2 / 12) * (1 / 2) ** 3
         assert abs(te["delta_exponent_no_eps"] + main + corr) < 1e-12
 
+    @pytest.mark.parametrize("k, p0, c0, p", [(2, 4, Fraction(2), 4), (2, 4, Fraction(7, 3), 400_004),
+                                              (10, 200, Fraction(2), 2_000_200)])
+    def test_exact_branch_is_the_rounded_fraction(self, k, p0, c0, p):
+        # one int ratio, rounded once by int true division: bitwise the float of the exact sum
+        te = theorem_exponent(ExponentParams(k=k, p0=p0, c0=c0, epsilon=Fraction(1, 10)), p)
+        main = Fraction(1, 2) - Fraction(k * (k + 1), 2 * p)
+        exact = -float(main + c0 / p * Fraction(k - 1, k) ** (p // (2 * k)))
+        assert te["delta_exponent_no_eps"].hex() == exact.hex()
+
     def test_beats_trivial_for_large_p(self):
         params = ExponentParams(k=2, p0=4, c0=Fraction(2), epsilon=Fraction(1, 100))
         for p in (24, 48, 96):

@@ -8,16 +8,27 @@ import pytest
 
 from momentlab import cli
 
-# sha256 of each counting report's bytes, written by tests/golden/regenerate.py
-COUNTING = json.loads((Path(__file__).resolve().parent / "golden" / "counting.json").read_text(encoding="utf-8"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# sha256 of each report's bytes, written by tests/golden/regenerate.py
+COUNTING = json.loads((GOLDEN / "counting.json").read_text(encoding="utf-8"))
+DECOUPLING = json.loads((GOLDEN / "decoupling.json").read_text(encoding="utf-8"))
+
+
+def _check_pinned(pinned: dict, command: str, tmp_path) -> None:
+    path = tmp_path / "report.json"
+    assert cli.main([*command.split(), "--output", str(path)]) == 0
+    # a mismatch names both versions, as a new Python or numpy is the first suspect
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned["reports"][command], (
+        f"report bytes changed (pinned on Python {pinned['python']}, numpy {pinned['numpy']}; "
+        f"running Python {platform.python_version()}, numpy {numpy.__version__})"
+    )
 
 
 @pytest.mark.parametrize("command", sorted(COUNTING["reports"]))
 def test_counting_report_bytes_are_pinned(command, tmp_path):
-    path = tmp_path / "report.json"
-    assert cli.main([*command.split(), "--output", str(path)]) == 0
-    # a mismatch names both versions, as a new Python or numpy is the first suspect
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == COUNTING["reports"][command], (
-        f"report bytes changed (pinned on Python {COUNTING['python']}, numpy {COUNTING['numpy']}; "
-        f"running Python {platform.python_version()}, numpy {numpy.__version__})"
-    )
+    _check_pinned(COUNTING, command, tmp_path)
+
+
+@pytest.mark.parametrize("command", sorted(DECOUPLING["reports"]))
+def test_decoupling_report_bytes_are_pinned(command, tmp_path):
+    _check_pinned(DECOUPLING, command, tmp_path)

@@ -358,6 +358,13 @@ class TestCanonicalize:
         f = ModulatedStep.indicator(ball(3, 1, 0), complex(-0.0, -1.0))
         assert _bits(f.terms[0][0]) == _bits(complex(-0.0, -1.0) * (1 + 0j)) == _bits(complex(0.0, -1.0))
 
+    def test_a_slot_adds_its_contributions_in_term_order(self):
+        # (1e16 - 1e16) + 1 is 1, while 1e16 + (-1e16 + 1) rounds to 0; integer drifts phase by exactly 1 + 0j
+        O = ball(3, 2, 0)
+        for mods in ([vec(0, 0)] * 3, [vec(0, 0), vec(1, 0), vec(2, 5)]):
+            f = ModulatedStep(3, 2, [(c, b, O) for c, b in zip((1e16, -1e16, 1.0), mods)])
+            assert [(c, b, Q) for c, b, Q in f.terms] == [(1.0, vec(0, 0), O)]
+
     def test_duplicate_indicators_merge(self):
         one = ModulatedStep.indicator(ball(3, 1, 0))
         two = one + one
