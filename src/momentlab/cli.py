@@ -41,7 +41,7 @@ from .vinogradov import (
     linnik_count,
     linnik_max,
 )
-from .wavepackets import ScaleConfig, pigeonhole
+from .wavepackets import ScaleConfig, _check_split_budget, pigeonhole
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -354,9 +354,7 @@ def _cmd_pigeonhole_report(args) -> None:
 
         from .random_instances import random_curve_supported
 
-        # each piece's wavepacket split takes its cubes of side q^(mk) to side q^m, before drawing it
-        check_budget(q ** (args.delta_exp * k * (k - 1)), errors.CELL_BUDGET,
-                     "subdivision into {estimated} cubes exceeds the budget")
+        _check_split_budget(q, k, args.delta_exp)
         f = random_curve_supported(random.Random(args.seed), q, k, args.delta_exp, args.n_intervals, 2)
     buckets, remainder, info = pigeonhole(f, cfg, args.p)
     payload = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -56,7 +57,7 @@ from .vinogradov import (
     linnik_bound,
     linnik_max,
 )
-from .wavepackets import ScaleConfig, pigeonhole, verify_theta_support, wavepacket_decompose
+from .wavepackets import ScaleConfig, _check_split_budget, pigeonhole, verify_theta_support, wavepacket_decompose
 
 GRID_CHECK_LIMIT = 600_000
 RESIDUE_CHECK_LIMIT = 200_000
@@ -144,6 +145,9 @@ def tilings(report, q: int, k: int, delta_exps=(1, 2)):
     one of them, evenly.  ``Tile.contains`` is this owner test, so with
     distinct tile keys each residue lies in exactly one tile.
     """
+    # a tile costs about 4.5 us (45 operations) through tile_partition and the frame checks
+    check_budget(45 * sum((q - 1) * q ** (m * k * (k - 1) // 2) for m in delta_exps), errors.OPERATION_BUDGET,
+                 "the tile partitions need about {estimated} operations (budget {budget})")
     checked = 0
     for m in delta_exps:
         expected = q ** (m * k * (k - 1) // 2)
@@ -259,21 +263,19 @@ def wavepackets_suite(report, q: int, k: int, delta_exps=(1, 2), n_instances: in
 
 @_suite("pigeonhole")
 def pigeonhole_suite(report, q: int, k: int, delta_exp: int = 2, p: int = 8, n_instances: int = 10, seed: int = 0):
-    """Bucket statistics, reconstruction, and the remainder bound."""
+    """Bucket statistics on each bucket's packets, reconstruction, and the remainder bound."""
     rng = random.Random(seed)
     cfg = ScaleConfig.from_epsilon(q, k, delta_exp, Fraction(1, 2))
-    fine = cfg.fine_partition()
+    _check_split_budget(q, k, delta_exp)
     for i in range(n_instances):
-        f = random_curve_supported(rng, q, k, delta_exp, rng.randint(1, len(fine)), 2)
+        f = random_curve_supported(rng, q, k, delta_exp, rng.randint(1, q**delta_exp), 2)
         buckets, remainder, info = pigeonhole(f, cfg, p)
         for b in buckets:
+            if not all(b.height_H / 2 < h <= b.height_H * (1 + REL_TOL) for *_, h in b.packets):
+                report["failures"].append(f"height class broken in instance {i}")
             parents: dict = {}
-            for K, fK in b.function.freq_components(fine).items():
-                ws = wavepacket_decompose(fK, K)
-                hs = ws.heights()
-                if not all(b.height_H / 2 < h <= b.height_H * (1 + REL_TOL) for h in hs):
-                    report["failures"].append(f"height class broken in instance {i}")
-                if not (b.packet_count_alpha / 2 < len(ws) <= b.packet_count_alpha):
+            for K, n in Counter(K for K, *_ in b.packets).items():
+                if not (b.packet_count_alpha / 2 < n <= b.packet_count_alpha):
                     report["failures"].append(f"packet-count class broken in instance {i}")
                 parents.setdefault(K.parent(cfg.nu_exp), []).append(K)
             for J, children in parents.items():

@@ -10,7 +10,7 @@ remainder controlled in L^p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
@@ -208,24 +208,35 @@ def wavepacket_decompose(g: ModulatedStep, K: Interval) -> WavepacketSet:
     return WavepacketSet(K, [(t, p) for t, p in sorted(packets, key=lambda p: p[0].key()) if not p.is_zero])
 
 
+def _check_split_budget(q: int, k: int, delta_exp: int) -> None:
+    """Check, before an instance is drawn, its wavepacket split's subdivision of side q^(mk) cubes to side q^m."""
+    check_budget(q ** (delta_exp * k * (k - 1)), errors.CELL_BUDGET,
+                 "subdivision into {estimated} cubes exceeds the budget")
+
+
 @dataclass
 class PigeonholeBucket:
-    """All wavepackets with height ~H, packet count ~alpha, sibling count ~beta."""
+    """All wavepackets with height ~H, packet count ~alpha, sibling count ~beta:
+    ``packets`` holds each as (K, tile, piece, height), the children in sibling
+    order and each child's in tile order, and ``function`` sums their terms."""
 
     height_H: float
     packet_count_alpha: int
     sibling_count_beta: int
     function: ModulatedStep
-    packet_tiles: dict[Interval, list[Tile]] = field(default_factory=dict)
+    packets: list[tuple[Interval, Tile, ModulatedStep, float]]
 
     def to_json(self) -> dict:
+        tiles: dict[Interval, list[Tile]] = {}
+        for K, tile, _, _ in self.packets:
+            tiles.setdefault(K, []).append(tile)
         return {
             "H": self.height_H,
             "alpha": self.packet_count_alpha,
             "beta": self.sibling_count_beta,
             "packet_tiles": [
-                {"interval": K.to_json(), "tiles": [t.to_json() for t in tiles]}
-                for K, tiles in sorted(self.packet_tiles.items(), key=lambda kv: kv[0].key())
+                {"interval": K.to_json(), "tiles": [t.to_json() for t in ts]}
+                for K, ts in sorted(tiles.items(), key=lambda kv: kv[0].key())
             ],
         }
 
@@ -256,8 +267,11 @@ def pigeonhole(
     Requires f spatially supported on one translate of the ball of radius
     delta^-k and Fourier supported in the union of curve boxes, which
     freq_certificate checks, then wavepacket_decompose per piece on the
-    transform the piece was made from.  Returns (buckets, remainder,
-    report); ||remainder||_p <= (sum_K ||f_K||_p^2)^(1/2) is asserted.
+    transform the piece was made from.  Each packet above the height floor
+    goes, as (K, tile, piece, height) with its height from the one
+    ``heights`` pass, into the bucket of its three classes, whose function
+    sums those pieces.  Returns (buckets, remainder, report);
+    ||remainder||_p <= (sum_K ||f_K||_p^2)^(1/2) is asserted.
     """
     q, k, m = cfg.q, cfg.k, cfg.delta_exp
     if height_floor_exponent is None:
@@ -287,41 +301,29 @@ def pigeonhole(
     max_h_classes += 1
 
     # stage 1: heights; what falls below the floor is the remainder
-    kept: dict[tuple[Interval, int], list[tuple[Tile, ModulatedStep]]] = {}
+    kept: dict[tuple[Interval, int], list[tuple[Interval, Tile, ModulatedStep, float]]] = {}
     low = []
     for K, ws in packets.items():
         for (tile, piece), h in zip(ws.packets, heights[K]):
             if h <= floor:
                 low.extend(piece.terms)
-                continue
-            j = _dyadic_class_down(h, h_star)
-            kept.setdefault((K, j), []).append((tile, piece))
+            else:
+                kept.setdefault((K, _dyadic_class_down(h, h_star)), []).append((K, tile, piece, h))
     remainder = ModulatedStep(q, k, low)
 
     # stage 2: packet counts per (K, H); stage 3: sibling counts within the nu-parent
     siblings: dict[tuple[int, int, Interval], list[Interval]] = {}
     for (K, j), items in kept.items():
         siblings.setdefault((j, _dyadic_class_up(len(items)), K.parent(cfg.nu_exp)), []).append(K)
-    buckets: dict[tuple[int, int, int], dict] = {}
+    buckets: dict[tuple[int, int, int], list] = {}
     for (j, alpha, _), children in siblings.items():
-        beta = _dyadic_class_up(len(children))
-        slot = buckets.setdefault((j, alpha, beta), {"terms": [], "tiles": {}})
+        slot = buckets.setdefault((j, alpha, _dyadic_class_up(len(children))), [])
         for K in children:
-            for tile, piece in kept[(K, j)]:
-                slot["terms"].extend(piece.terms)
-                slot["tiles"].setdefault(K, []).append(tile)
-
+            slot.extend(kept[(K, j)])
     out = []
     for (j, alpha, beta), slot in sorted(buckets.items()):
-        out.append(
-            PigeonholeBucket(
-                height_H=h_star / 2**j,
-                packet_count_alpha=alpha,
-                sibling_count_beta=beta,
-                function=ModulatedStep(q, k, slot["terms"]),
-                packet_tiles=slot["tiles"],
-            )
-        )
+        g = ModulatedStep(q, k, [t for _, _, piece, _ in slot for t in piece.terms])
+        out.append(PigeonholeBucket(h_star / 2**j, alpha, beta, g, slot))
 
     # closure checks: exact reconstruction and the remainder L^p bound
     total = ModulatedStep(q, k, [t for g in (remainder, *(b.function for b in out)) for t in g.terms])

@@ -67,7 +67,7 @@ def test_criterion_03_tilings():
         3,
         "both tiling counts d^(-k(k-1)/2) with exact disjoint unions (q>k cells)",
         ok,
-        5.0,
+        1.0,
         time.perf_counter() - t0,
     )
 

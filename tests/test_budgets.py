@@ -36,6 +36,17 @@ PINNED = [
         id="wavepackets-5-3",
     ),
     pytest.param(
+        lambda: verify.pigeonhole_suite(5, 3, n_instances=1),
+        ("subdivision into 244140625 cubes exceeds the budget", 244140625, CELLS),
+        id="pigeonhole-5-3",
+    ),
+    pytest.param(
+        lambda: verify.tilings(101, 3),
+        ("the tile partitions need about 4776845314059000 operations (budget 50000000)", 45 * 100 * (101**3 + 101**6),
+         OPERATIONS),
+        id="tilings-101-3",
+    ),
+    pytest.param(
         lambda: unit_interval(3).partition(20),
         ("partition into 3486784401 intervals exceeds the budget", 3486784401, CELLS),
         id="partition",
@@ -79,6 +90,15 @@ def test_budget_report_is_pinned(run, expected):
         assert not report["passed"] and not report["failures"]
     assert got == expected
     assert type(got[1]) is int and type(got[2]) is int
+
+
+@pytest.mark.parametrize("suite, builder",
+                         [("tilings", "tile_partition"), ("pigeonhole_suite", "random_curve_supported")])
+def test_a_suite_counts_its_whole_work_before_building_any(suite, builder, monkeypatch):
+    # at (101, 3) one tile partition takes about 4 s and one drawn instance about 4 s
+    monkeypatch.setattr(verify, builder, lambda *args: pytest.fail(f"{suite} called {builder} past the budget"))
+    report = getattr(verify, suite)(101, 3)
+    assert "budget_exceeded" in report and not report["failures"]
 
 
 def test_one_check_raises_and_only_the_cli_overrides_a_budget():

@@ -682,12 +682,15 @@ class TestContract:
             (["exponents", "--k", "2", "--p0", "6", "--c0", "2", "--eps", "1/10", "--p-max", "1000002"], 3, 5),
             (["exponents", "--k", "10", "--p0", "200", "--c0", "2", "--eps", "1/10", "--p-max", "2000200"], 3, 5),
             (["pigeonhole-report", "--q", "499979", "--k", "2", "--delta-exp", "1"], 3, 1),
+            (["verify-all", "--q", "101", "--k", "3"], 3, 5),
+            (["pigeonhole-report", "--q", "5", "--k", "3", "--delta-exp", "3"], 3, 1),
         ],
         ids=["linnik-p-equals-k", "linnik-p-equals-k-3", "verify-all-huge-q", "verify-all-k0",
              "count-vinogradov-huge-s", "pigeonhole-report-huge-q", "exponents-huge-p-max",
              "exponents-huge-p-max-trajectories", "exponents-unrolled-trajectories", "counting-lemma-huge-q",
              "pigeonhole-report-huge-q-k2", "exponents-plain-rows-past-the-budget",
-             "exponents-exact-decay-past-the-budget", "pigeonhole-report-subdivision-before-the-draw"],
+             "exponents-exact-decay-past-the-budget", "pigeonhole-report-subdivision-before-the-draw",
+             "verify-all-tilings-total", "pigeonhole-report-k3-delta-3"],
     )
     def test_exit_within_the_deadline_with_a_json_line(self, argv, code, deadline):
         start = time.perf_counter()

@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import momentlab.wavepackets as wp
-from momentlab import errors
+from momentlab import errors, verify
 from momentlab.errors import BudgetExceededError, SupportError
 from momentlab.geometry import Cube, Interval, ball, theta_of, unit_interval
 from momentlab.qadic import QRational, QVector, char_value
 from momentlab.random_instances import random_box_function, random_curve_supported
-from momentlab.stepfn import ModulatedStep
+from momentlab.stepfn import REL_TOL, ModulatedStep
 from momentlab.wavepackets import (
     ScaleConfig,
     freq_certificate,
@@ -463,9 +463,9 @@ class TestSinglePassSums:
                 pieces[K] = dict(wavepacket_decompose(fK, K).packets)
         in_buckets = set()
         for b in buckets:
-            chain = _chain((pieces[K][t] for K, tiles in b.packet_tiles.items() for t in tiles), 3, 2)
+            chain = _chain((pieces[K][t] for K, t, _, _ in b.packets), 3, 2)
             assert b.function.is_identical(chain)
-            in_buckets |= {(K, t) for K, tiles in b.packet_tiles.items() for t in tiles}
+            in_buckets |= {(K, t) for K, t, _, _ in b.packets}
         rest = _chain((g for K, ps in pieces.items() for t, g in ps.items() if (K, t) not in in_buckets), 3, 2)
         assert remainder.is_identical(rest)
 
@@ -476,3 +476,75 @@ class TestSinglePassSums:
         assert ws.reconstruct().is_identical(_chain((g for _, g in ws.packets), 3, 2))
         with pytest.raises(ValueError):
             wp.WavepacketSet(K, []).reconstruct()
+
+
+def _packets(pieces):
+    """(K, tile, piece, height) for each packet of each piece of {K: g_K}, in
+    the dict's order, then in tile order."""
+    out = []
+    for K, gK in pieces.items():
+        ws = wavepacket_decompose(gK, K)
+        out.extend((K, t, piece, h) for (t, piece), h in zip(ws.packets, ws.heights()))
+    return out
+
+
+def _assert_same_packets(got, want):
+    """Same intervals and tiles; each piece on the same cubes with the same
+    modulations, its coefficients and height equal up to the rounding of the
+    transform and its inverse that the split goes through."""
+    assert [(K, t) for K, t, _, _ in got] == [(K, t) for K, t, _, _ in want]
+    for (*_, g, hg), (*_, w, hw) in zip(got, want):
+        assert [(b, cube) for _, b, cube in g.terms] == [(b, cube) for _, b, cube in w.terms]
+        assert g.close_to(w) and abs(hg - hw) <= REL_TOL * hw
+
+
+@st.composite
+def packet_sums(draw):
+    """(f, m, rng): f curve-supported at (3,2) or (5,2) with delta = q^-m."""
+    q, m = draw(st.sampled_from([3, 5])), draw(st.integers(1, 2))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_curve_supported(rng, q, 2, m, draw(st.integers(1, 4)), draw(st.integers(1, 3))), m, rng
+
+
+class TestPacketsRoundTrip:
+    """Splitting and decomposing a sum of packets gives the packets back, so
+    the pigeonhole suite reads each bucket's classes off ``b.packets``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(packet_sums())
+    def test_buckets_and_packet_sums_split_back_into_their_packets(self, case):
+        f, m, rng = case
+        fine = unit_interval(f.q).partition(m)
+        buckets, _, _ = pigeonhole(f, ScaleConfig.from_epsilon(f.q, 2, m, Fraction(1, 2)), p=8)
+        rank = {K: i for i, K in enumerate(fine)}
+        for b in buckets:  # a bucket lists its children in sibling order, not partition order
+            got = _packets(b.function.freq_components(fine))
+            _assert_same_packets(got, sorted(b.packets, key=lambda p: rank[p[0]]))
+        packets = _packets(freq_certificate(f, m))
+        chosen = [p for p in packets if rng.random() < 0.5] or packets[:1]
+        g = ModulatedStep(f.q, 2, [t for *_, piece, _ in chosen for t in piece.terms])
+        _assert_same_packets(_packets(g.freq_components(fine)), chosen)
+
+    def test_the_suite_splits_no_bucket_again(self, monkeypatch):
+        inside = []
+        real_pigeonhole, real_split = verify.pigeonhole, ModulatedStep.freq_components
+
+        def spy_pigeonhole(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_pigeonhole(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def spy_split(g, partition):
+            assert inside, "the pigeonhole suite split a bucket again"
+            return real_split(g, partition)
+
+        def no_decompose(*args):
+            raise AssertionError("the pigeonhole suite decomposed a bucket again")
+
+        monkeypatch.setattr(verify, "pigeonhole", spy_pigeonhole)
+        monkeypatch.setattr(ModulatedStep, "freq_components", spy_split)
+        monkeypatch.setattr(verify, "wavepacket_decompose", no_decompose)
+        report = verify.pigeonhole_suite(3, 2, n_instances=3)
+        assert report["passed"] and report["instances"] == 3
