@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
 
 from . import __version__, errors
 from .errors import BudgetExceededError, MomentLabError, VerificationError, check_budget
@@ -308,12 +308,14 @@ def _cmd_reverse_square(args) -> None:
 def _cmd_exponents(args) -> None:
     params = ExponentParams(k=args.k, p0=args.p0, c0=args.c0, epsilon=args.eps)
     n_rows = max(0, (args.p_max - args.p0) // (2 * args.k) + 1)
-    # a row costs about 40 us (400 operations); where 2k divides p it also takes (1 - 1/k)^(p/2k) exactly,
-    # whose b bits add about 2.8 us * (b/1000)^1.5, charged to every row at the last row's b; a trajectory
-    # unrolls every rung below its row, n_rows (n_rows - 1) / 2 in all, at about 18 us (180 operations) each
-    bits = args.p_max // (2 * args.k) * args.k.bit_length() if args.p0 % (2 * args.k) == 0 else 0
+    # a row costs about 40 us (400 operations); where 2k divides p, k^e and (k-1)^e (e = p/2k) add 7 us per 1000
+    # bits b of k^e, plus 0.22 us * (b/1000)^1.75 for each not a power of two, charged to every row at the last
+    # row's b; a trajectory unrolls n_rows (n_rows - 1) / 2 rungs in all, at about 18 us (180 operations) each
+    bits = args.p_max // (2 * args.k) * round(1024 * log2(args.k)) // 1024 if args.p0 % (2 * args.k) == 0 else 0
+    pows = sum(x & (x - 1) != 0 for x in (args.k, args.k - 1))
+    exact = 70 * bits // 1000 + pows * 22 * bits * isqrt(bits) * isqrt(isqrt(bits)) // 1_778_279
     unrolled = 180 * (n_rows * (n_rows - 1) // 2) if args.trajectories else 0
-    check_budget(n_rows * (400 + 28 * bits * isqrt(bits) // 31_623) + unrolled, errors.OPERATION_BUDGET,
+    check_budget(n_rows * (400 + exact) + unrolled, errors.OPERATION_BUDGET,
                  "exponent sweep needs about {estimated} operations (budget {budget})")
     rows = []
     records = []

@@ -396,6 +396,13 @@ class ModulatedStep:
         scale = max(self.max_abs_coeff(), other.max_abs_coeff(), 1.0)
         return diff.max_abs_coeff() <= tol * scale
 
+    def _is_sum_of(self, terms) -> bool:
+        """Whether the terms add up to self within REL_TOL * max(|self|, 1), by one merge with self's
+        negated terms: no canonical form of their sum, or of the difference, is built."""
+        terms = [*terms, *[(-c, b, cube) for c, b, cube in self.terms]]
+        slots = self._merge(self.q, terms, max((cube.scale_exp for _, _, cube in terms), default=0))
+        return max((abs(slot[0]) for slot in slots.values()), default=0.0) <= REL_TOL * max(self.max_abs_coeff(), 1.0)
+
     def __repr__(self) -> str:
         if self.is_zero:
             return f"ModulatedStep(0 on Q_{self.q}^{self.k})"

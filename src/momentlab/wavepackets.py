@@ -218,12 +218,11 @@ def _check_split_budget(q: int, k: int, delta_exp: int) -> None:
 class PigeonholeBucket:
     """All wavepackets with height ~H, packet count ~alpha, sibling count ~beta:
     ``packets`` holds each as (K, tile, piece, height), the children in sibling
-    order and each child's in tile order, and ``function`` sums their terms."""
+    order and each child's in tile order; no sum of them is built."""
 
     height_H: float
     packet_count_alpha: int
     sibling_count_beta: int
-    function: ModulatedStep
     packets: list[tuple[Interval, Tile, ModulatedStep, float]]
 
     def to_json(self) -> dict:
@@ -269,8 +268,9 @@ def pigeonhole(
     freq_certificate checks, then wavepacket_decompose per piece on the
     transform the piece was made from.  Each packet above the height floor
     goes, as (K, tile, piece, height) with its height from the one
-    ``heights`` pass, into the bucket of its three classes, whose function
-    sums those pieces.  Returns (buckets, remainder, report);
+    ``heights`` pass, into the bucket of its three classes.  One merge of
+    every bucket's packets and the remainder against f checks that they
+    add up to f.  Returns (buckets, remainder, report);
     ||remainder||_p <= (sum_K ||f_K||_p^2)^(1/2) is asserted.
     """
     q, k, m = cfg.q, cfg.k, cfg.delta_exp
@@ -320,14 +320,11 @@ def pigeonhole(
         slot = buckets.setdefault((j, alpha, _dyadic_class_up(len(children))), [])
         for K in children:
             slot.extend(kept[(K, j)])
-    out = []
-    for (j, alpha, beta), slot in sorted(buckets.items()):
-        g = ModulatedStep(q, k, [t for _, _, piece, _ in slot for t in piece.terms])
-        out.append(PigeonholeBucket(h_star / 2**j, alpha, beta, g, slot))
+    out = [PigeonholeBucket(h_star / 2**j, alpha, beta, slot) for (j, alpha, beta), slot in sorted(buckets.items())]
 
     # closure checks: exact reconstruction and the remainder L^p bound
-    total = ModulatedStep(q, k, [t for g in (remainder, *(b.function for b in out)) for t in g.terms])
-    if not total.close_to(f):
+    parts = [t for b in out for _, _, piece, _ in b.packets for t in piece.terms]
+    if not f._is_sum_of(parts + list(remainder.terms)):
         raise VerificationError("pigeonhole buckets plus remainder do not reconstruct f")
     if not remainder.is_zero:
         rhs = sum(fK.lp_norm(p) ** 2 for fK in pieces.values()) ** 0.5

@@ -11,7 +11,8 @@ count-vinogradov plain, mod p and with a residue at k = 2 and 3,
 exhaustive and targeted Linnik counts, Karatsuba traces and the counting
 lemma at q = 3, 5 and 7.  decoupling.json pins reports that pass through
 the frequency split and the wavepacket split: seeded pigeonhole reports at
-(q, k) = (3, 2) with delta = 3^-2, and at (5, 2) with delta = 5^-1 and, at
+(q, k) = (3, 2) with delta = 3^-2 (at p = 12 with a nonzero remainder,
+and at p = 4 with none), and at (5, 2) with delta = 5^-1 and, at
 seeds 0 and 1, 5^-2; and the whole ``verify-all`` report at (3, 2).
 ``tests/test_golden.py`` reruns them and compares.
 """
@@ -56,6 +57,8 @@ GOLDEN = {
         "pigeonhole-report --q 3 --k 2 --delta-exp 2 --seed 0",
         "pigeonhole-report --q 3 --k 2 --delta-exp 2 --seed 1",
         "pigeonhole-report --q 3 --k 2 --delta-exp 2 --seed 2",
+        "pigeonhole-report --q 3 --k 2 --delta-exp 2 --p 12 --seed 0",
+        "pigeonhole-report --q 3 --k 2 --delta-exp 2 --p 4 --seed 0",
         "pigeonhole-report --q 5 --k 2 --delta-exp 1",
         "pigeonhole-report --q 5 --k 2 --delta-exp 2 --seed 0",
         "pigeonhole-report --q 5 --k 2 --delta-exp 2 --seed 1",

@@ -14,7 +14,7 @@ import pytest
 from momentlab import verify
 from momentlab.decoupling import counting_lemma_exhaustive
 from momentlab.errors import BudgetExceededError
-from momentlab.geometry import Cube, unit_interval
+from momentlab.geometry import Cube, Interval, unit_interval
 from momentlab.qadic import QVector
 from momentlab.stepfn import ModulatedStep
 from momentlab.vinogradov import count_J, count_J_nested, count_power_sum_congruences
@@ -65,6 +65,11 @@ PINNED = [
         lambda: count_power_sum_congruences(6, 2, 49, [7**4, 7**4]),
         ("power-sum distribution needs about 189551796 operations (budget 50000000)", 189551796, OPERATIONS),
         id="extremizer-7-2",
+    ),
+    pytest.param(
+        lambda: verify.extremizer_suite(1000003, 2),
+        ("the extremizer's waves need about 4000012000 operations (budget 50000000)", 4000012000, OPERATIONS),
+        id="extremizer-huge-q",
     ),
     pytest.param(
         lambda: counting_lemma_exhaustive(31, 2, 3, 1),
@@ -138,3 +143,13 @@ def test_interval_separation_counts_its_pairs_before_walking_them(q, first_over)
     pairs = first_over * (first_over - 1) // 2
     assert report["budget_exceeded"] == f"interval separation walks {pairs} pairs (budget {OPERATIONS})"
     assert (report["estimated"], report["budget"]) == (pairs, OPERATIONS)
+
+
+def test_no_whole_partition_is_built_before_a_budget_trips(monkeypatch):
+    # at q = 1000003 a partition at scale 1 holds 1,000,003 intervals and takes about 2.7 s to build
+    sizes, real = [], Interval.partition
+    monkeypatch.setattr(Interval, "partition", lambda I, m: sizes.append(I.q ** (m - I.scale_exp)) or real(I, m))
+    reports = [verify.interval_separation(1000003), verify.wavepackets_suite(1000003, 2, n_instances=2),
+               verify.extremizer_suite(1000003, 2)]
+    assert all("budget_exceeded" in r and not r["failures"] for r in reports)
+    assert sizes == [1]  # interval separation's scale-0 partition, before the scale-1 pairs are counted

@@ -684,13 +684,14 @@ class TestContract:
             (["pigeonhole-report", "--q", "499979", "--k", "2", "--delta-exp", "1"], 3, 1),
             (["verify-all", "--q", "101", "--k", "3"], 3, 5),
             (["pigeonhole-report", "--q", "5", "--k", "3", "--delta-exp", "3"], 3, 1),
+            (["verify-all", "--q", "1000003", "--k", "2"], 3, 5),
         ],
         ids=["linnik-p-equals-k", "linnik-p-equals-k-3", "verify-all-huge-q", "verify-all-k0",
              "count-vinogradov-huge-s", "pigeonhole-report-huge-q", "exponents-huge-p-max",
              "exponents-huge-p-max-trajectories", "exponents-unrolled-trajectories", "counting-lemma-huge-q",
              "pigeonhole-report-huge-q-k2", "exponents-plain-rows-past-the-budget",
              "exponents-exact-decay-past-the-budget", "pigeonhole-report-subdivision-before-the-draw",
-             "verify-all-tilings-total", "pigeonhole-report-k3-delta-3"],
+             "verify-all-tilings-total", "pigeonhole-report-k3-delta-3", "verify-all-million-q"],
     )
     def test_exit_within_the_deadline_with_a_json_line(self, argv, code, deadline):
         start = time.perf_counter()
@@ -711,6 +712,16 @@ class TestContract:
         assert r.returncode == 0, r.stderr
         assert time.perf_counter() - start < 5
         assert len(json.loads(r.stdout)["rows"]) == 7000
+
+    def test_a_14000_row_exact_sweep_at_k2_runs(self):
+        # an exact-branch row is charged from the bit length of k^e, so at k = 2 (where k^e is a shift)
+        # 14,000 rows (about 0.6 s) stay under the budget
+        argv = ["exponents", "--k", "2", "--p0", "4", "--c0", "2", "--eps", "1/10", "--p-max", "56000"]
+        start = time.perf_counter()
+        r = run_capped(argv, timeout=25)
+        assert r.returncode == 0, r.stderr
+        assert time.perf_counter() - start < 5
+        assert len(json.loads(r.stdout)["rows"]) == 14000
 
     def test_exit_codes_are_read_only_in_main(self):
         codes = {"EXIT_USAGE", "EXIT_BUDGET", "EXIT_VERIFICATION"}

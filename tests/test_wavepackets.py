@@ -10,7 +10,7 @@ from momentlab import errors, verify
 from momentlab.errors import BudgetExceededError, SupportError
 from momentlab.geometry import Cube, Interval, ball, theta_of, unit_interval
 from momentlab.qadic import QRational, QVector, char_value
-from momentlab.random_instances import random_box_function, random_curve_supported
+from momentlab.random_instances import random_box_function, random_curve_supported, random_modstep
 from momentlab.stepfn import REL_TOL, ModulatedStep
 from momentlab.wavepackets import (
     ScaleConfig,
@@ -19,6 +19,11 @@ from momentlab.wavepackets import (
     verify_theta_support,
     wavepacket_decompose,
 )
+
+
+def _bucket_sum(b):
+    """The sum of a pigeonhole bucket's packets, their terms in ``b.packets`` order."""
+    return ModulatedStep(b.packets[0][2].q, b.packets[0][2].k, [t for *_, piece, _ in b.packets for t in piece.terms])
 
 
 def _terms_at_scale(h, scale_exp):
@@ -136,7 +141,7 @@ class TestPigeonhole:
             buckets, remainder, report = pigeonhole(f, cfg, p=8)
             total = remainder
             for b in buckets:
-                total = total + b.function
+                total = total + _bucket_sum(b)
             assert total.close_to(f, 1e-9)
             assert report["remainder_lp"] <= report["remainder_bound"] * (1 + 1e-9)
             assert report["n_buckets"] <= report["class_bound"]
@@ -464,7 +469,7 @@ class TestSinglePassSums:
         in_buckets = set()
         for b in buckets:
             chain = _chain((pieces[K][t] for K, t, _, _ in b.packets), 3, 2)
-            assert b.function.is_identical(chain)
+            assert _bucket_sum(b).is_identical(chain)
             in_buckets |= {(K, t) for K, t, _, _ in b.packets}
         rest = _chain((g for K, ps in pieces.items() for t, g in ps.items() if (K, t) not in in_buckets), 3, 2)
         assert remainder.is_identical(rest)
@@ -518,7 +523,7 @@ class TestPacketsRoundTrip:
         buckets, _, _ = pigeonhole(f, ScaleConfig.from_epsilon(f.q, 2, m, Fraction(1, 2)), p=8)
         rank = {K: i for i, K in enumerate(fine)}
         for b in buckets:  # a bucket lists its children in sibling order, not partition order
-            got = _packets(b.function.freq_components(fine))
+            got = _packets(_bucket_sum(b).freq_components(fine))
             _assert_same_packets(got, sorted(b.packets, key=lambda p: rank[p[0]]))
         packets = _packets(freq_certificate(f, m))
         chosen = [p for p in packets if rng.random() < 0.5] or packets[:1]
@@ -548,3 +553,92 @@ class TestPacketsRoundTrip:
         monkeypatch.setattr(verify, "wavepacket_decompose", no_decompose)
         report = verify.pigeonhole_suite(3, 2, n_instances=3)
         assert report["passed"] and report["instances"] == 3
+
+
+def _spy_constructions(monkeypatch):
+    """Count ModulatedStep constructions, and record the terms of every ``_merge`` call."""
+    inits, merges = [], []
+    real_init, real_merge = ModulatedStep.__init__, ModulatedStep._merge
+
+    def init(self, q, k, terms=()):
+        inits.append(q)
+        real_init(self, q, k, terms)
+
+    def merge(q, terms, scale):
+        merges.append(list(terms))
+        return real_merge(q, merges[-1], scale)
+
+    monkeypatch.setattr(ModulatedStep, "__init__", init)
+    monkeypatch.setattr(ModulatedStep, "_merge", staticmethod(merge))
+    return inits, merges
+
+
+def _closures(merges, f):
+    """The merges that take f's negated terms last: a check that parts add up to f."""
+    negated = [(-c, b, cube) for c, b, cube in f.terms]
+    return [terms for terms in merges if len(terms) >= len(negated) and terms[len(terms) - len(negated):] == negated]
+
+
+@st.composite
+def sums_near(draw):
+    """(f, parts, off): parts add up to f, each of f's terms split in two, one half on the
+    term's child cubes, plus one stray term whose largest coefficient is off * max(|f|, 1)."""
+    q, k = draw(st.sampled_from([(3, 1), (3, 2), (5, 2)]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.integers(0, 2))
+    f = random_modstep(rng, q, k, draw(st.integers(0, 4)), scale, mod_depth=scale + 1)
+    parts = []
+    for c, b, cube in f.terms:
+        w = draw(st.floats(0.1, 0.9))
+        parts.append((c * w, b, cube))
+        parts.extend((c * (1 - w), b, child) for child in cube.subdivide(cube.scale_exp + 1))
+    off = draw(st.sampled_from([0.0, 1e-15, 1e-13, 1e-6, 1e-3, 1.0]))
+    if off:
+        (c, b, cube), = random_modstep(rng, q, k, 1, scale + 1, mod_depth=scale + 1).terms
+        parts.insert(draw(st.integers(0, len(parts))), (c / abs(c) * off * max(f.max_abs_coeff(), 1.0), b, cube))
+    return f, parts, off
+
+
+class TestOneClosureMerge:
+    """Each reconstruction check is one merge of the parts against f: no sum of
+    a bucket, of all the parts or of their difference from f is built."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sums_near())
+    def test_is_sum_of_agrees_with_close_to_away_from_the_tolerance(self, case):
+        f, parts, off = case
+        assert f._is_sum_of(parts) == ModulatedStep(f.q, f.k, parts).close_to(f) == (off < 1e-9)
+
+    def test_pigeonhole_builds_no_bucket_sum_and_merges_against_f_once(self, monkeypatch):
+        cfg = ScaleConfig.from_epsilon(3, 2, 2, Fraction(1, 2))
+        f = random_curve_supported(random.Random(4), 3, 2, 2, 5, 2)
+        f.fourier()  # kept, so that each construction below is a piece's inverse transform or the remainder
+        n_pieces = len(freq_certificate(f, 2))
+        inits, merges = _spy_constructions(monkeypatch)
+        buckets, remainder, _ = pigeonhole(f, cfg, p=8, height_floor_exponent=Fraction(1, 4))
+        assert len(buckets) > 1 and not remainder.is_zero
+        assert not hasattr(buckets[0], "function")
+        assert len(inits) == n_pieces + 1
+        (closure,) = _closures(merges, f)
+        parts = [t for b in buckets for *_, piece, _ in b.packets for t in piece.terms] + list(remainder.terms)
+        assert closure[: len(parts)] == parts
+        # so a packet dropped from, or listed twice in, a bucket's packets fails the check
+        assert f._is_sum_of(parts) and not f._is_sum_of(parts[len(buckets[0].packets[0][2].terms):])
+        assert not f._is_sum_of(list(buckets[0].packets[0][2].terms) + parts)
+
+    def test_the_wavepacket_suite_checks_each_reconstruction_by_one_merge(self, monkeypatch):
+        inits, merges = _spy_constructions(monkeypatch)
+        checked, real = [], ModulatedStep._is_sum_of
+        monkeypatch.setattr(ModulatedStep, "_is_sum_of", lambda g, terms: checked.append(g) or real(g, terms))
+        monkeypatch.setattr(wp.WavepacketSet, "reconstruct", lambda ws: pytest.fail("the suite summed the packets"))
+        monkeypatch.setattr(ModulatedStep, "close_to", lambda *args: pytest.fail("the suite built a difference"))
+        report = verify.wavepackets_suite(3, 2, n_instances=6)
+        assert report["passed"] and report["instances"] == len(checked) == 6
+        assert all(len(_closures(merges, g)) == 1 for g in checked)
+
+    @pytest.mark.parametrize("q, m", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 2)])
+    def test_the_suite_draws_its_interval_as_a_choice_of_the_partition(self, q, m):
+        P = unit_interval(q).partition(m)
+        assert all(P[i] == Interval(QRational(q, i), m) for i in range(q**m))
+        for seed in range(20):
+            assert random.Random(seed).choice(P) == Interval(QRational(q, random.Random(seed).randrange(q**m)), m)
