@@ -65,9 +65,9 @@ def decoupling_ratio(f: ModulatedStep, delta_exp: int, p: int):
         raise ValueError("p must be an even integer >= 2")
     if f.is_zero:
         raise ValueError("the zero function has no decoupling ratio")
+    numerator = f.lp_norm(p)  # before the split: f's own modulus cells meet the budget first
     pieces = freq_certificate(f, delta_exp)
     sq = fsum(fK.lp_norm(p) ** 2 for fK in pieces.values())
-    numerator = f.lp_norm(p)
     ratio = numerator / sq**0.5
     ceiling = trivial_decoupling_bound(f.q, delta_exp)
     if ratio > ceiling * (1 + REL_TOL):

@@ -17,9 +17,9 @@ sublattices, one per term: on a grid larger than one slab,
 along the last axis they write, and the forward transform and the L^2
 norm pass over every other line, which is +0.  ``compare_on_grid``
 checks a function against an FFT grid without building the function's
-grid past one slab, and the L^2 norms add up the leaves of numpy's own
-pairwise-sum tree: both equal the whole-grid computations bitwise, with
-no whole-grid temporary.
+grid past one slab.  Maxima and FFTs equal the whole-grid computations
+bitwise; the L^2 norms are summed per slab (on a grid of one slab, one
+sum over it), with no whole-grid temporary.
 
 It is an oracle only: ``verify.oracle_agreement``, the tests and the
 Fourier demo use it, and no check or norm computes through it, so it stays
@@ -174,52 +174,21 @@ def evaluate_on_grid(f, M: int, r: int) -> np.ndarray:
     return grid
 
 
-def _pairwise_sum(size: int, leaf, lo: int = 0):
-    """``np.add.reduce`` of a contiguous float64 run, bitwise, from ``leaf(lo, hi)``: its runs' sums.
-
-    numpy splits a run of over 128 points after its first half, rounded down
-    to a multiple of 8; the leaves, asked for in order, are the runs of at
-    most max(SLAB_POINTS, 128) points.
-    """
-    if size <= max(SLAB_POINTS, 128):
-        return leaf(lo, lo + size)
-    half = size // 2 - size // 2 % 8
-    return _pairwise_sum(half, leaf, lo) + _pairwise_sum(size - half, leaf, lo + half)
-
-
 def compare_on_grid(ref: np.ndarray, f, M: int, r: int) -> tuple[float, float, float]:
-    """(max |ref|, max |ref - f|, L^2 norm of f) against f's values on the grid (M, r).
+    """(max |ref|, max |ref - f|, L^2 norm of f) against f's values on the grid (M, r), a slab at a time.
 
-    Bitwise the whole-grid maxima (a NaN stays) and ``grid_l2_norm`` of
-    ``evaluate_on_grid(f, M, r)``, but past one slab f's grid is never whole.
+    The maxima are bitwise the whole-grid ones (a NaN stays); |f|^2 is summed
+    per slab, so past one slab f's grid is never whole.
     """
-    if ref.size <= SLAB_POINTS:  # one slab, summed as one leaf: f's grid is cache-sized
-        z, mod = evaluate_on_grid(f, M, r), np.abs(ref)
-        l2 = grid_l2_norm(z, f.q, r, None)
-        return float(mod.max()), float(np.abs(np.subtract(ref, z, out=z), out=mod).max()), l2
-    width = max(SLAB_POINTS, ref[0].size)  # a slab: planes of at most SLAB_POINTS points, or one plane
-    ref, slabs, mod = ref.reshape(-1), _slabs(f, M, r), np.empty(width)  # a view of a C-contiguous grid
-    sq = np.empty(max(SLAB_POINTS, 128) + width)  # |f|^2 of grid points start..done-1
-    start = done = 0
-    peaks = [-math.inf, -math.inf]
-
-    def leaf(lo: int, hi: int):
-        nonlocal start, done
-        if hi > done:
-            sq[: done - lo] = sq[lo - start : done - start]  # the leaf's points already made
-            start = lo
-            while done < hi:
-                z = next(slabs).reshape(-1)
-                a, part, m = ref[done : done + z.size], sq[done - start : done - start + z.size], mod[: z.size]
-                np.square(np.abs(z, out=part), out=part)
-                ref_max = np.abs(a, out=m).max()
-                for i, x in enumerate((ref_max, np.abs(np.subtract(a, z, out=z), out=m).max())):
-                    if x > peaks[i] or math.isnan(x):  # a NaN stays, as in the whole-grid max
-                        peaks[i] = x
-                done += z.size
-        return np.add.reduce(sq[lo - start : hi - start])
-
-    norm_sq = _pairwise_sum(ref.size, leaf)
+    ref, norm_sq, peaks, done = ref.reshape(-1), 0.0, [-math.inf, -math.inf], 0  # a view of a C-contiguous grid
+    for z in _slabs(f, M, r):
+        z = z.reshape(-1)
+        a, mod = ref[done : done + z.size], np.abs(z)
+        norm_sq += np.add.reduce(np.square(mod, out=mod))
+        for i, x in enumerate((np.abs(a, out=mod).max(), np.abs(np.subtract(a, z, out=z), out=mod).max())):
+            if x > peaks[i] or math.isnan(x):  # a NaN stays, as in the whole-grid max
+                peaks[i] = x
+        done += z.size
     return float(peaks[0]), float(peaks[1]), float(np.sqrt(norm_sq * (1 / f.q ** (r * f.k))))
 
 
@@ -268,20 +237,19 @@ def convolve_grids(a: np.ndarray, b: np.ndarray, q: int, r: int, live_a, live_b)
 
 
 def grid_l2_norm(grid: np.ndarray, q: int, r: int, live: np.ndarray | None) -> float:
-    """``np.sqrt((np.abs(grid) ** 2).sum() * cell)`` of a C-contiguous grid with its ``live_lines``, bitwise.
+    """``np.sqrt((np.abs(grid) ** 2).sum() * cell)`` of a C-contiguous grid with its ``live_lines``.
 
-    No whole-grid temporary: a leaf of the pairwise sum that meets no live
-    line is a run of +0, which adds exactly +0.
+    Summed a chunk of at most one slab of live lines at a time, so no
+    temporary outgrows a slab; a grid of one slab (``live`` None) is one sum.
     """
-    flat, cell = grid.reshape(-1), 1 / q ** (r * grid.ndim)
-    if live is None:  # one slab, one leaf
-        mod = np.abs(flat)
-        return float(np.sqrt(np.add.reduce(np.square(mod, out=mod)) * cell))
-    n, live, buf = grid.shape[-1], live.reshape(-1), np.empty(max(SLAB_POINTS, 128))
-
-    def leaf(lo: int, hi: int):
-        if not live[lo // n : (hi - 1) // n + 1].any():
-            return 0.0
-        return np.add.reduce(np.square(np.abs(flat[lo:hi], out=buf[: hi - lo]), out=buf[: hi - lo]))
-
-    return float(np.sqrt(_pairwise_sum(flat.size, leaf) * cell))
+    flat, cell, norm_sq = grid.reshape(-1), 1 / q ** (r * grid.ndim), 0.0
+    if live is None:
+        chunks = [flat]
+    else:
+        n, rows = grid.shape[-1], np.flatnonzero(live)
+        per = max(1, SLAB_POINTS // n)  # lines per chunk
+        chunks = (flat.reshape(-1, n)[rows[lo : lo + per]] for lo in range(0, rows.size, per))
+    for chunk in chunks:
+        mod = np.abs(chunk)
+        norm_sq += np.add.reduce(np.square(mod, out=mod), axis=None)
+    return float(np.sqrt(norm_sq * cell))

@@ -239,6 +239,8 @@ def wavepackets_suite(report, q: int, k: int, delta_exps=(1, 2), n_instances: in
     """Reconstruction (one merge of the packets against g), constant modulus, and box support for tile pieces."""
     rng = random.Random(seed)
     per_scale = max(1, n_instances // len(tuple(delta_exps)))
+    for m in delta_exps:
+        _check_split_budget(q, k, m)
     done = 0
     for m in delta_exps:
         for _ in range(per_scale):

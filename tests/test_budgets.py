@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from momentlab import decoupling as dec
 from momentlab import verify
 from momentlab.decoupling import counting_lemma_exhaustive
 from momentlab.errors import BudgetExceededError
@@ -104,6 +105,21 @@ def test_a_suite_counts_its_whole_work_before_building_any(suite, builder, monke
     monkeypatch.setattr(verify, builder, lambda *args: pytest.fail(f"{suite} called {builder} past the budget"))
     report = getattr(verify, suite)(101, 3)
     assert "budget_exceeded" in report and not report["failures"]
+
+
+def test_wavepackets_suite_checks_every_scale_before_drawing(monkeypatch):
+    # at (5, 3) the scale-1 split fits and the scale-2 split does not: no scale-1 instance is drawn first
+    monkeypatch.setattr(verify, "random_box_function", lambda *args: pytest.fail("an instance was drawn"))
+    report = verify.wavepackets_suite(5, 3)
+    assert report["budget_exceeded"] == "subdivision into 244140625 cubes exceeds the budget"
+    assert not report["failures"]
+
+
+def test_decoupling_ratio_meets_the_cell_budget_before_the_split(monkeypatch):
+    # at q = 10007 the extremizer's own modulus cells overrun; its q-piece split takes about 1.4 s
+    monkeypatch.setattr(dec, "freq_certificate", lambda *args: pytest.fail("f was split past the budget"))
+    report = verify.extremizer_suite(10007, 2)
+    assert report["budget_exceeded"] == "modulus cells exceed the budget" and not report["failures"]
 
 
 def test_one_check_raises_and_only_the_cli_overrides_a_budget():

