@@ -192,9 +192,6 @@ class Cube:
                 return False
         return True
 
-    def contains_cube(self, other: "Cube") -> bool:
-        return other.scale_exp >= self.scale_exp and self.contains(other.corner)
-
     def subdivide(self, scale_exp: int) -> list["Cube"]:
         """All subcubes of side q^-scale_exp, in lexicographic digit order:
         the product of ``axis_corners``.  At the cube's own scale that is [self]."""

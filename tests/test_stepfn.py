@@ -111,7 +111,7 @@ def grid_modsteps(draw, qk=None):
     unit ball, terms at two scales; grids of at most a few thousand points.
     Over the group qk when given."""
     q, k = qk or draw(st.sampled_from([(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]))
-    digits = {(3, 1): 6, (5, 1): 4, (3, 2): 3, (5, 2): 2, (3, 3): 2}[(q, k)]  # max M + r
+    digits = {(3, 1): 6, (5, 1): 4, (3, 2): 3, (5, 2): 2, (3, 3): 2, (5, 3): 2}[(q, k)]  # max M + r
     offset = draw(st.integers(0, 1))
     top = draw(st.integers(0, digits - offset - 1))
     terms = []
@@ -204,6 +204,11 @@ def _subdivide_and_pair_convolve(f, g):
             corner = (cube1.corner + cube2.corner).rep_mod(scale)
             out.append((c1 * c2 * vol * char_value(d.dot(cube1.corner)), b2, Cube(corner, scale)))
     return ModulatedStep(f.q, f.k, out)
+
+
+def _nested(outer, inner):
+    """Whether cube ``inner`` lies in cube ``outer``: no coarser, with its corner inside."""
+    return inner.scale_exp >= outer.scale_exp and outer.contains(inner.corner)
 
 
 def _grid_point(q, k, M, index):
@@ -582,7 +587,7 @@ class TestPointwise:
                     m = min(a.scale_exp, b.scale_exp)
                     sums.add(Cube((a.corner + b.corner).rep_mod(m), m))
             for cube in prod_cubes:
-                assert any(s.contains_cube(cube) or cube.contains_cube(s) for s in sums)
+                assert any(_nested(s, cube) or _nested(cube, s) for s in sums)
 
 
 class TestProductByParentLookup:
@@ -1003,11 +1008,10 @@ class TestInPlaceTransforms:
         for h, MM, rr in cases:
             grid = qd.evaluate_on_grid(h, MM, rr)
             ref = grid + noise * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-            want = (float(np.abs(ref).max()), float(np.abs(ref - grid).max()), _whole_grid_l2(grid, f.q, rr))
+            want = (float(np.abs(ref).max()), float(np.abs(ref - grid).max()))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(qd, "SLAB_POINTS", slab_points)
-                *peaks, l2 = qd.compare_on_grid(ref, h, MM, rr)
-            assert peaks == list(want[:2]) and _l2_close(l2, want[2])
+                assert qd.compare_on_grid(ref, h, MM, rr) == want
 
     @pytest.mark.parametrize("slab_points", [1, qd.SLAB_POINTS])  # one point per slab, or one slab
     def test_streamed_comparison_keeps_a_nan_of_an_early_slab(self, slab_points, monkeypatch):
@@ -1015,18 +1019,19 @@ class TestInPlaceTransforms:
         f = ModulatedStep.indicator(Cube(QVector([q3(0)]), 1), 2.0)
         ref = np.ones(9, dtype=np.complex128)
         ref[1] = np.nan
-        peak, err, l2 = qd.compare_on_grid(ref, f, 1, 1)
+        peak, err = qd.compare_on_grid(ref, f, 1, 1)
         assert np.isnan(peak) and np.isnan(err)
-        assert l2 == _whole_grid_l2(qd.evaluate_on_grid(f, 1, 1), 3, 1)
 
-    def test_oracle_agreement_fails_on_a_nan_error(self, monkeypatch):
-        compare = qd.compare_on_grid
+    @pytest.mark.parametrize("name, index", [("compare_on_grid", 1), ("compare_transform", 2)])
+    def test_oracle_agreement_fails_on_a_nan_error(self, name, index, monkeypatch):
+        compare = getattr(qd, name)
 
         def nan_error(*args):
-            peak, _, l2 = compare(*args)
-            return peak, float("nan"), l2
+            out = list(compare(*args))
+            out[index] = float("nan")
+            return tuple(out)
 
-        monkeypatch.setattr(qd, "compare_on_grid", nan_error)
+        monkeypatch.setattr(qd, name, nan_error)
         report = verify.oracle_agreement(3, 2, n_instances=3, seed=1)
         assert not report["passed"]
         assert len(report["failures"]) == 3 and all("non-finite error" in x for x in report["failures"])
@@ -1078,6 +1083,71 @@ class TestLiveLines:
             want_conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
             want_conv *= float(Fraction(f.q) ** (-rr * f.k))
             assert qd.convolve_grids(a, b, f.q, rr, live_a, live_b).tobytes() == want_conv.tobytes()
+
+
+class TestCompareTransform:
+    """``compare_transform`` against the whole-grid pipeline: the grid, ``np.fft.fftn``, whole-grid maxima and norms."""
+
+    @staticmethod
+    def check(f, fhat, M, r, monkeypatch):
+        """Every figure, and every FFT value of the blocks it compares (taken from ``_fold_peaks``)."""
+        q, k = f.q, f.k
+        grid = qd.evaluate_on_grid(f, M, r)
+        want_hat = np.fft.fftn(grid)
+        want_hat *= float(Fraction(q) ** (-r * k))
+        sym_hat = _dense_evaluate_on_grid(fhat, r, M)
+        blocks, fold = [], qd._fold_peaks
+        with monkeypatch.context() as mp:
+            mp.setattr(qd, "_fold_peaks", lambda peaks, a, *rest: (blocks.append(a.copy()), fold(peaks, a, *rest)))
+            l2, peak, err, hat_l2 = qd.compare_transform(f, fhat, M, r)
+        assert np.concatenate(blocks, axis=min(1, k - 1)).tobytes() == want_hat.tobytes()
+        # f's norm is the live-line sum the grid pipeline takes, bitwise; past one slab it is not numpy's whole-grid sum
+        assert l2 == qd.grid_l2_norm(grid, q, r, qd.live_lines(f, M, r)) and _l2_close(l2, _whole_grid_l2(grid, q, r))
+        assert (peak, err) == (float(np.abs(want_hat).max()), float(np.abs(want_hat - sym_hat).max()))
+        assert _l2_close(hat_l2, _whole_grid_l2(sym_hat, q, M))
+
+    @pytest.mark.parametrize("slab_points", [1, 7, 50, qd.SLAB_POINTS])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_streamed_check_equals_whole_grid_pipeline(self, slab_points, data):
+        # blocks of one row or a few, with dead planes on (M + 1, r); the zero function has no live plane
+        f = data.draw(grid_modsteps(data.draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 2), (5, 3)]))))
+        (q, k), (M, r) = (f.q, f.k), qd.grid_geometry(f)
+        cases = [(f, M, r), (ModulatedStep.zero(q, k), M, r)] + [(f, M + 1, r)] * (q ** ((M + 1 + r) * k) <= 5**6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qd, "SLAB_POINTS", slab_points)
+            for h, MM, rr in cases:
+                self.check(h, h.fourier(), MM, rr, mp)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bluestein_length_check_equals_whole_grid_pipeline(self, k, monkeypatch):
+        # numpy's FFT of a +0 line of length 101 has -0.0 entries: the guard transforms every line of the live
+        # planes; the dead planes are +0, where fftn leaves -0.0 entries, and their axis-0 transform is the same
+        assert np.fft.fft(np.zeros(101, dtype=np.complex128)).tobytes() != bytes(16 * 101)
+        monkeypatch.setattr(qd, "SLAB_POINTS", 50)
+        f = sum(
+            (ModulatedStep.indicator(Cube(QVector([QRational(101, u)] * k), 1), c, QVector([QRational(101, 5, -1)] * k))
+             for u, c in ((7, 1 - 2j), (60, 0.5))),
+            ModulatedStep.zero(101, k),
+        )
+        M, r = qd.grid_geometry(f)
+        assert 101 ** (M + r) == 101 and qd.live_lines(f, M, r) is not None
+        for h in (f, ModulatedStep.zero(101, k)):
+            self.check(h, h.fourier(), M, r, monkeypatch)
+
+    def test_a_125_cubed_check_holds_no_grid(self):
+        # a (5,3) instance drawn as oracle_agreement draws those of scale 3; its whole grid would be 31.25 MB
+        f = random_modstep(random.Random(2), 5, 3, 4, 3, mod_depth=3)
+        M, r = qd.grid_geometry(f)
+        assert 5 ** ((M + r) * 3) == 125**3
+        fhat = f.fourier()
+        tracemalloc.start()
+        try:
+            qd.compare_transform(f, fhat, M, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestPairwiseSum:
