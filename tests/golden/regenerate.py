@@ -17,7 +17,9 @@ seeds 0 and 1, 5^-2; and the whole ``verify-all`` report at (3, 2) and at
 (5, 3), where the oracle takes grids of 125^3 points and the wavepacket and
 pigeonhole suites stop at their budgets (exit 3, after the report is
 written).
-``tests/test_golden.py`` reruns them and compares.
+``tests/test_golden.py`` reruns them and compares.  Each command whose
+digest changed is printed with its old and new digest, so that the change
+can name it.
 """
 
 from __future__ import annotations
@@ -87,8 +89,13 @@ def digest(command: str) -> str:
 
 def main() -> int:
     for name, commands in GOLDEN.items():
+        path = HERE / name
+        old = json.loads(path.read_text(encoding="utf-8"))["reports"] if path.exists() else {}
         doc = {**versions(), "reports": {command: digest(command) for command in commands}}
-        with open(HERE / name, "w", encoding="utf-8") as fh:
+        for command, new in doc["reports"].items():
+            if old.get(command) != new:
+                print(f"{name}: {command}\n  old {old.get(command)}\n  new {new}")
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
     return 0

@@ -212,6 +212,86 @@ class TestSubcommands:
         assert capsys.readouterr().out.count("\n") == 3 + len(data["steps"])
 
 
+STATED_COMMANDS = (
+    ["verify-all", "--q", "3", "--k", "2"],
+    ["count-vinogradov", "--s", "3", "--k", "2", "--X", "8", "--mod-p", "5", "--residue", "0"],
+    ["linnik", "--k", "2", "--p", "5", "--exhaustive"],
+    ["karatsuba", "--s", "6", "--k", "3", "--X", "77"],
+    ["counting-lemma", "--q", "3", "--k", "2", "--delta-exp", "2", "--kappa-exp", "1"],
+    ["ratio", "--p", "8", "--delta-exp", "2"],
+    ["main-lemma", "--p", "8", "--delta-exp", "2"],
+    ["reverse-square", "--delta-exp", "2", "--kappa-exp", "1"],
+    ["exponents", "--k", "2", "--p0", "4", "--c0", "2", "--eps", "0.01", "--p-max", "40", "--trajectories"],
+    ["exponents", "--k", "2", "--p0", "4", "--c0", "2", "--eps", "0.01", "--p-max", "40", "--format", "csv"],
+    ["pigeonhole-report", "--q", "3", "--k", "2", "--delta-exp", "2", "--seed", "0"],
+)
+
+
+def _csv_cells(text: str) -> list:
+    """The rows of a CSV report, each cell that a float wrote read back as that float."""
+    import csv
+
+    def cell(x):
+        try:
+            return x if x.lstrip("-").isdigit() else float(x)
+        except ValueError:
+            return x
+
+    return [[cell(x) for x in row] for row in csv.reader(io.StringIO(text))]
+
+
+def _check_stated(got, raw, floats: list) -> None:
+    """``got`` is ``raw`` with each float at 10 significant digits, a fixed point of the rounding; every other
+    value is equal, of the same type.  Appends each (got, raw) float pair to ``floats``."""
+    assert type(got) is type(raw)
+    if isinstance(raw, dict):
+        assert list(got) == list(raw)
+        for key in raw:
+            _check_stated(got[key], raw[key], floats)
+    elif isinstance(raw, list):
+        assert len(got) == len(raw)
+        for a, b in zip(got, raw):
+            _check_stated(a, b, floats)
+    elif isinstance(raw, float):
+        assert repr(got) == repr(float(f"{got:.10g}")) == repr(float(f"{raw:.10g}"))
+        floats.append((got, raw))
+    else:
+        assert got == raw
+
+
+class TestStatedFigures:
+    """Every float a report writes, JSON or CSV, is stated at 10 significant digits by ``cli._stated``."""
+
+    @pytest.mark.parametrize("argv", STATED_COMMANDS, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_every_float_is_stated_and_nothing_else_moves(self, argv, fixture_path, tmp_path, monkeypatch, capsys):
+        from momentlab import cli
+
+        if argv[0] in ("ratio", "main-lemma", "reverse-square"):
+            argv = [*argv, "--input", fixture_path]
+        stated, raw = tmp_path / "stated", tmp_path / "raw"
+        assert cli.main([*argv, "--output", str(stated)]) == 0
+        monkeypatch.setattr(cli, "_stated", lambda value: value)
+        assert cli.main([*argv, "--output", str(raw)]) == 0
+        capsys.readouterr()
+        read = _csv_cells if "csv" in argv else json.loads
+        floats = []
+        _check_stated(read(stated.read_text()), read(raw.read_text()), floats)
+        if argv[0] not in ("count-vinogradov", "linnik", "counting-lemma"):  # their reports hold no float
+            assert floats
+
+    def test_the_rounding_moves_figures(self, tmp_path, monkeypatch):
+        # karatsuba's bound_float at (6, 3, 77) has more than 10 significant digits
+        from momentlab import cli
+
+        argv = ["karatsuba", "--s", "6", "--k", "3", "--X", "77", "--output"]
+        assert cli.main([*argv, str(tmp_path / "stated")]) == 0
+        monkeypatch.setattr(cli, "_stated", lambda value: value)
+        assert cli.main([*argv, str(tmp_path / "raw")]) == 0
+        floats = []
+        _check_stated(*(json.loads((tmp_path / name).read_text()) for name in ("stated", "raw")), floats)
+        assert any(got != raw for got, raw in floats)
+
+
 class TestVerifyAll:
     def test_degree_one_suite_exits_clean(self):
         # k = 1 runs the arithmetic/transform/counting suites only, quickly
