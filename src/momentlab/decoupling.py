@@ -556,7 +556,7 @@ def _square_sum_moment(pieces: list[ModulatedStep], k_power: int) -> float:
     if not pieces:
         return 0.0
     volumes, moduli = joint_cell_values(pieces)
-    return fsum((volumes * (moduli**2).sum(axis=0) ** k_power).tolist())
+    return float((volumes * (moduli**2).sum(axis=0) ** k_power).sum())
 
 
 def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
@@ -593,7 +593,7 @@ def reverse_square_check(g: ModulatedStep, delta_exp: int, kappa_exp: int):
         volumes, moduli = joint_cell_values(list(coarse.values()))
         squares = moduli**2
         for tup in permutations(range(len(coarse)), k):
-            broad_sum += fsum((volumes * squares[list(tup)].prod(axis=0)).tolist())
+            broad_sum += float((volumes * squares[list(tup)].prod(axis=0)).sum())
     count_bound = float(q) ** ((kappa_exp - 1) * k * (k - 1))
     broad_vs_square = count_bound * denom
     a1, a2 = _dichotomy_constants(k, float(cfg.kappa))

@@ -17,8 +17,9 @@ with no grid past one slab unless f writes every axis-0 plane: it holds f's
 live planes and takes their axis-0 FFT one block of columns at a time,
 against f-hat's values on the block; ``compare_on_grid`` checks a function
 against a convolution grid a slab at a time.  Grid values, FFTs and maxima
-are bitwise the whole-grid computations'; L^2 norms are summed per slab or
-block (on a grid of one slab, one sum over it).
+equal the whole-grid computations' (a skipped line stays +0 where numpy's
+FFT at a Bluestein length such as 101 leaves -0.0); L^2 norms are summed
+per slab or block (on a grid of one slab, one sum over it).
 
 It is an oracle only: ``verify.oracle_agreement``, the tests and the
 Fourier demo use it, and no check or norm computes through it, so it stays
@@ -222,7 +223,7 @@ def compare_transform(f, fhat, M: int, r: int) -> tuple[float, float, float, flo
         cut = (slice(None),) * axis + (slice(p, p + z.shape[axis]),)
         if every:
             block = spatial[cut]
-        else:  # dead planes +0: on a Bluestein length fftn leaves -0.0 there, with the same transform (tests pin it)
+        else:  # dead planes are +0
             block = np.zeros_like(z)
             block[planes] = spatial[cut]
             np.fft.fft(block, axis=0, out=block)
@@ -252,16 +253,16 @@ def dft_grid(grid: np.ndarray, q: int, r: int, live: np.ndarray | None) -> np.nd
 
 
 def _fft_trailing(grid: np.ndarray, live: np.ndarray | None) -> np.ndarray:
-    """Axes k-1..1 of ``np.fft.fftn(grid, out=grid)`` bitwise, calling the FFT only on the lines ``live`` marks.
+    """Axes k-1..1 of ``np.fft.fftn(grid, out=grid)``, calling the FFT only on the lines ``live`` marks.
 
     fftn runs the last axis first.  Once axes k-1..a+1 are done, a line along
     axis a is still all +0 unless a live line lies under its axis-0..a-1
-    prefix; leaving it is exact when the FFT maps a +0 line to a +0 line (not
-    so for Bluestein lengths such as 101).  Axis 0, then transformed in full
+    prefix, and the FFT maps it to zeros (+0, or at Bluestein lengths such as
+    101 some -0.0), so it is left as it is.  Axis 0, then transformed in full
     by the caller, may hold just some planes of a grid.  In place.
     """
     n, k = grid.shape[-1], grid.ndim
-    if live is None or np.fft.fft(np.zeros(n, dtype=np.complex128)).tobytes() != bytes(16 * n):
+    if live is None:
         for a in range(k - 1, 0, -1):  # as fftn does, without its argument handling
             np.fft.fft(grid, axis=a, out=grid)
         return grid

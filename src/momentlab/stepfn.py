@@ -11,10 +11,11 @@ float rounding; the documented tolerance for comparisons is REL_TOL.
 
 Moduli are computed in one place.  One planner, ``joint_cell_values``,
 decides the cells on which several functions have constant modulus; one
-numpy kernel, ``_cell_values``, gives a cube's values on its cells.
-``lp_norm``, the square-function checks and the broad-narrow dichotomy all
-read |f| from the planner.  The oracles, sharing no code with either, are
-the symbolic ``evaluate`` and ``quotient_dft.evaluate_on_grid``.
+numpy kernel, ``_cell_values``, gives a cube's values on its cells as one
+inverse DFT of the cube's terms.  ``lp_norm``, the square-function checks
+and the broad-narrow dichotomy all read |f| from the planner, and sum over
+its cells with one numpy reduction.  The oracles, sharing no code with
+either, are the symbolic ``evaluate`` and ``quotient_dft.evaluate_on_grid``.
 
 Frequency restriction also has one path: ``freq_components`` splits f over
 a partition of the first frequency coordinate with f's one transform, which
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product, repeat
-from math import fsum, inf, isfinite
+from math import inf, isfinite
 from operator import itemgetter, mul
 
 from . import errors
@@ -459,34 +460,28 @@ def _lp_from_cells(volumes, modulus, p) -> float:
     if p == inf:
         return sup
     p = float(p)
-    return sup * fsum((volumes * (modulus / sup) ** p).tolist()) ** (1.0 / p)
+    return sup * float((volumes * (modulus / sup) ** p).sum()) ** (1.0 / p)
 
 
 def _cell_values(cube: Cube, parts, r: int):
     """Sum of c * chi(b . x) over ``parts`` at each cell corner x of
     ``cube.subdivide(r)``, flat and in that order.
 
-    With x = corner + t * q^s, chi(b . x) is chi(b . corner) times one exact
-    integer phase per axis, combined by outer product.  Callers take r at
-    least the constancy scale of every modulation, so each phase denominator
-    divides q^(r-s) and the int64 products stay below q^(2(r-s)).
+    With x = corner + t * q^s and n = q^(r-s), chi(b . x) is chi(b . corner)
+    times exp(2 pi i m . t / n), m_i = u_i q^(r + v_i) mod n for b_i = u_i q^v_i.
+    So the values are n^k times the inverse DFT of the array holding each
+    part's c * chi(b . corner) at index m: one ``ifftn`` per cube, whatever
+    the number of parts.  Callers take r at least the constancy scale of
+    every modulation, so r + v_i >= 0.
     """
     import numpy as np  # imported here so that importing momentlab does not load numpy
 
-    q, k, s = cube.q, cube.k, cube.scale_exp
-    n = q ** (r - s)
-    t = np.arange(n, dtype=np.int64)
-    total = np.zeros((n,) * k, dtype=np.complex128)
+    q, n = cube.q, cube.q ** (r - cube.scale_exp)
+    spectrum = np.zeros((n,) * cube.k, dtype=np.complex128)
     for c, b in parts:
-        term = c * char_value(b.dot(cube.corner))
-        for i, bi in enumerate(b):
-            if bi.is_zero or bi.valuation + s >= 0:
-                continue
-            den = q ** -(bi.valuation + s)
-            axis = np.exp(2j * np.pi * ((bi.unit % den * (t % den)) % den) / den)
-            term = term * axis.reshape((1,) * i + (n,) + (1,) * (k - i - 1))
-        total += term
-    return total.reshape(-1)
+        m = tuple(0 if bi.is_zero else bi.unit * q ** (r + bi.valuation) % n for bi in b)
+        spectrum[m] += c * char_value(b.dot(cube.corner))
+    return (np.fft.ifftn(spectrum) * n**cube.k).reshape(-1)
 
 
 def joint_cell_values(fns):

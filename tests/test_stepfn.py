@@ -776,7 +776,61 @@ class TestNorms:
             f.lp_norm(2)
 
 
+def _per_term_cell_values(cube, parts, r):
+    """``_cell_values`` term by term: each part's c * chi(b . corner) times one
+    exact integer phase per axis, combined by outer product over the cells."""
+    q, k, s = cube.q, cube.k, cube.scale_exp
+    n = q ** (r - s)
+    t = np.arange(n, dtype=np.int64)
+    total = np.zeros((n,) * k, dtype=np.complex128)
+    for c, b in parts:
+        term = c * char_value(b.dot(cube.corner))
+        for i, bi in enumerate(b):
+            if bi.is_zero or bi.valuation + s >= 0:
+                continue
+            den = q ** -(bi.valuation + s)
+            axis = np.exp(2j * np.pi * ((bi.unit % den * (t % den)) % den) / den)
+            term = term * axis.reshape((1,) * i + (n,) + (1,) * (k - i - 1))
+        total += term
+    return total.reshape(-1)
+
+
 class TestCellKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dft_kernel_matches_per_term_kernel_and_evaluate(self, data):
+        # each support cube at r; one of its cells as a one-cell cube (r = s); and, as ``_support_witnesses``
+        # passes them, the parts grouped by their representative at a scale t in [s, r], shifted by it, at t
+        q, k = data.draw(st.sampled_from([(3, 2), (5, 2), (5, 3)]))
+        f = data.draw(small_modsteps((q, k)))
+        t, carrier = f.cell_scale(), data.draw(st.booleans())
+        if carrier:  # a modulation digit one place past f's, which every part then shares at scale -t
+            digits = data.draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k).filter(any))
+            f = f * ModulatedStep.indicator(ball(q, k, 0), 1.0, QVector([QRational(q, u, -t - 1) for u in digits]))
+        r = f.cell_scale() + data.draw(st.integers(0, 1))
+        if not carrier:
+            t = data.draw(st.integers(f.scale_exp, r))
+        assume(len(f.support_cubes()) * q ** (k * (r - f.scale_exp)) <= 4000)
+        for cube, parts in _parts(f):
+            cells = cube.subdivide(r)
+            cell = cells[data.draw(st.integers(0, len(cells) - 1))]
+            cases = [(cube, parts, r, f.evaluate), (cell, parts, r, f.evaluate)]
+            groups = {}
+            for c, b in parts:
+                groups.setdefault(b.rep_mod(-t), []).append((c, b))
+            for rep, group in groups.items():
+                g = ModulatedStep(q, k, [(c, b, cube) for c, b in group])
+                shifted = [(c, b - rep) for c, b in group]
+                cases.append((cube, shifted, t, lambda x, g=g, rep=rep: g.evaluate(x) * char_value(-rep.dot(x))))
+            for C, ps, rr, evaluate in cases:
+                # within 1e-12 of the largest |value| on the support cube's cells, which orthogonality puts at 0.1 or more
+                tol = 1e-12 * max(abs(evaluate(x.corner)) for x in cube.subdivide(rr))
+                got = _cell_values(C, ps, rr)
+                want = np.array([evaluate(x.corner) for x in C.subdivide(rr)])
+                assert got.shape == want.shape == (q ** (k * (rr - C.scale_exp)),)
+                assert np.abs(got - want).max() <= tol
+                assert np.abs(got - _per_term_cell_values(C, ps, rr)).max() <= tol
+
     @settings(max_examples=60, deadline=None)
     @given(small_modsteps(), st.integers(0, 1))
     def test_kernel_matches_symbolic_evaluation(self, f, extra):
@@ -988,8 +1042,8 @@ class TestInPlaceTransforms:
             _check_in_place_transforms(*grids)
 
     @pytest.mark.parametrize("kind", ["zero", "point"])
-    def test_bluestein_length_transforms_every_line(self, kind):
-        # numpy's FFT of a +0 line of length 101 has -0.0 entries, so no line may be left
+    def test_bluestein_length_equals_out_of_place(self, kind):
+        # numpy's FFT of a +0 line of length 101 has -0.0 entries where the skipped line keeps +0
         a, b = np.zeros((2, 101, 101), dtype=np.complex128)
         if kind == "point":
             a[3, 7] = b[50, 2] = 1 - 2j
@@ -1121,8 +1175,8 @@ class TestCompareTransform:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_bluestein_length_check_equals_whole_grid_pipeline(self, k, monkeypatch):
-        # numpy's FFT of a +0 line of length 101 has -0.0 entries: the guard transforms every line of the live
-        # planes; the dead planes are +0, where fftn leaves -0.0 entries, and their axis-0 transform is the same
+        # numpy's FFT of a +0 line of length 101 has -0.0 entries: the dead lines of the live planes and the dead
+        # planes stay +0, where fftn leaves -0.0 entries, and their axis-0 transform is the same
         assert np.fft.fft(np.zeros(101, dtype=np.complex128)).tobytes() != bytes(16 * 101)
         monkeypatch.setattr(qd, "SLAB_POINTS", 50)
         f = sum(
