@@ -5,9 +5,8 @@ karatsuba, counting-lemma, ratio, main-lemma, reverse-square, exponents,
 pigeonhole-report.  Reports are JSON (or CSV, with --format, for the
 tables of count-vinogradov, karatsuba and exponents), embed the full
 configuration and library version, state every float at 10 significant
-digits, and are byte-identical for identical (configuration, seed) pairs.
-Verdicts are decided on the unrounded figures; only ``_emit``, the one
-writer, rounds, through ``_stated``.
+digits (``_emit``, the one writer, rounds; verdicts read unrounded
+figures), and are byte-identical for identical (configuration, seed) pairs.
 
 Exit codes: 0 success, 2 usage error, 3 budget exhausted, 4 verification
 failure.
@@ -190,23 +189,16 @@ def _load_fixture(path: str) -> ModulatedStep:
 
 def _stated(value):
     """``value`` with every float in it stated at 10 significant digits; lists, tuples and dicts are walked."""
-    if isinstance(value, float):
-        return float(f"{value:.10g}")
     if isinstance(value, dict):
         return {key: _stated(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_stated(v) for v in value]
-    return value
+    return float(f"{value:.10g}") if isinstance(value, float) else value
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
     """Write the report atomically, its floats ``_stated``; stdout when no output path is given."""
-    payload = _stated({
-        "version": __version__,
-        "config": _config_dict(args),
-        "threads": 1,
-        **payload,
-    })
+    payload = _stated({"version": __version__, "config": _config_dict(args), "threads": 1, **payload})
     if csv_rows is not None and args.format == "csv":  # only the tabular subcommands take --format
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -17,9 +17,8 @@ with no grid past one slab unless f writes every axis-0 plane: it holds f's
 live planes and takes their axis-0 FFT one block of columns at a time,
 against f-hat's values on the block; ``compare_on_grid`` checks a function
 against a convolution grid a slab at a time.  Grid values, FFTs and maxima
-equal the whole-grid computations' (a skipped line stays +0 where numpy's
-FFT at a Bluestein length such as 101 leaves -0.0); L^2 norms are summed
-per slab or block (on a grid of one slab, one sum over it).
+equal the whole-grid computations' (up to the sign of a zero); L^2 norms are
+summed per slab or block (on a grid of one slab, one sum over it).
 
 It is an oracle only: ``verify.oracle_agreement``, the tests and the
 Fourier demo use it, and no check or norm computes through it, so it stays

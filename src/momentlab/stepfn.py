@@ -11,11 +11,11 @@ float rounding; the documented tolerance for comparisons is REL_TOL.
 
 Moduli are computed in one place.  One planner, ``joint_cell_values``,
 decides the cells on which several functions have constant modulus; one
-numpy kernel, ``_cell_values``, gives a cube's values on its cells as one
-inverse DFT of the cube's terms.  ``lp_norm``, the square-function checks
-and the broad-narrow dichotomy all read |f| from the planner, and sum over
-its cells with one numpy reduction.  The oracles, sharing no code with
-either, are the symbolic ``evaluate`` and ``quotient_dft.evaluate_on_grid``.
+numpy kernel, ``_cell_values``, gives a cube's values on its cells by one
+inverse DFT.  ``lp_norm``, the square-function checks and the broad-narrow
+dichotomy all read |f| from the planner and sum it in one numpy reduction.
+The oracles, sharing no code with either, are the symbolic ``evaluate``
+and ``quotient_dft.evaluate_on_grid``.
 
 Frequency restriction also has one path: ``freq_components`` splits f over
 a partition of the first frequency coordinate with f's one transform, which
@@ -240,9 +240,6 @@ class ModulatedStep:
     def scaled(self, factor: complex) -> "ModulatedStep":
         return ModulatedStep(self.q, self.k, [(c * factor, b, cube) for c, b, cube in self.terms])
 
-    def conj(self) -> "ModulatedStep":
-        return ModulatedStep(self.q, self.k, [(c.conjugate(), -b, cube) for c, b, cube in self.terms])
-
     def __mul__(self, other: "ModulatedStep") -> "ModulatedStep":
         """Pointwise product, cube by cube: each support cube of the finer
         factor meets one cube of the coarser, the one containing it.  Per
@@ -393,16 +390,20 @@ class ModulatedStep:
         )
 
     def close_to(self, other: "ModulatedStep", tol: float = REL_TOL) -> bool:
-        diff = self - other
-        scale = max(self.max_abs_coeff(), other.max_abs_coeff(), 1.0)
-        return diff.max_abs_coeff() <= tol * scale
+        if (self.q, self.k) != (other.q, other.k):
+            raise ValueError("cannot compare functions over different groups")
+        return other._gap(self.terms) <= tol * max(self.max_abs_coeff(), other.max_abs_coeff(), 1.0)
 
     def _is_sum_of(self, terms) -> bool:
-        """Whether the terms add up to self within REL_TOL * max(|self|, 1), by one merge with self's
-        negated terms: no canonical form of their sum, or of the difference, is built."""
+        """Whether the terms add up to self within REL_TOL * max(|self|, 1)."""
+        return self._gap(terms) <= REL_TOL * max(self.max_abs_coeff(), 1.0)
+
+    def _gap(self, terms) -> float:
+        """max |coefficient| of (sum of the terms) - self, by one merge with self's negated terms: no canonical
+        form of their sum, or of the difference, is built."""
         terms = [*terms, *[(-c, b, cube) for c, b, cube in self.terms]]
         slots = self._merge(self.q, terms, max((cube.scale_exp for _, _, cube in terms), default=0))
-        return max((abs(slot[0]) for slot in slots.values()), default=0.0) <= REL_TOL * max(self.max_abs_coeff(), 1.0)
+        return max((abs(slot[0]) for slot in slots.values()), default=0.0)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -468,11 +469,9 @@ def _cell_values(cube: Cube, parts, r: int):
     ``cube.subdivide(r)``, flat and in that order.
 
     With x = corner + t * q^s and n = q^(r-s), chi(b . x) is chi(b . corner)
-    times exp(2 pi i m . t / n), m_i = u_i q^(r + v_i) mod n for b_i = u_i q^v_i.
-    So the values are n^k times the inverse DFT of the array holding each
-    part's c * chi(b . corner) at index m: one ``ifftn`` per cube, whatever
-    the number of parts.  Callers take r at least the constancy scale of
-    every modulation, so r + v_i >= 0.
+    exp(2 pi i m . t / n), m_i = u_i q^(r + v_i) mod n for b_i = u_i q^v_i: the
+    values are n^k ``ifftn`` of each part's c chi(b . corner) put at m.  Callers
+    take r at least every modulation's constancy scale, so r + v_i >= 0.
     """
     import numpy as np  # imported here so that importing momentlab does not load numpy
 

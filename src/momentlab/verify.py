@@ -95,7 +95,7 @@ def fourier_identity(report, q: int, ks=(1, 2, 3)):
 
 
 @_suite("oracle-agreement")
-def oracle_agreement(report, q: int, k: int, n_instances: int = 100, seed: int = 0, tol=REL_TOL):
+def oracle_agreement(report, q: int, k: int, n_instances: int = 100, seed: int = 0):
     """Symbolic transform, norms, and convolution against the quotient DFT."""
     rng = random.Random(seed)
     worst = 0.0
@@ -111,7 +111,7 @@ def oracle_agreement(report, q: int, k: int, n_instances: int = 100, seed: int =
         g = random_modstep(rng, q, k, rng.randint(1, 3), max(1, scale - 1), mod_depth=1)
         prod_hat = (f * g).fourier()
         conv_hat = fhat.convolve(g.fourier())
-        if not prod_hat.close_to(conv_hat, tol):
+        if not prod_hat.close_to(conv_hat):
             report["failures"].append(f"product/convolution theorem failed at instance {i}")
         n = q ** (M + r)
         if n**k <= GRID_CHECK_LIMIT:
@@ -128,8 +128,8 @@ def oracle_agreement(report, q: int, k: int, n_instances: int = 100, seed: int =
         worst = max(worst, *errs)
     report["worst_rel_error"] = worst
     report["instances"] = n_instances
-    if worst > tol:
-        report["failures"].append(f"relative error {worst} above {tol}")
+    if worst > REL_TOL:
+        report["failures"].append(f"relative error {worst} above {REL_TOL}")
 
 
 @_suite("tilings")

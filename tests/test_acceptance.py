@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from momentlab import verify
+from momentlab.stepfn import REL_TOL
 from momentlab.vinogradov import count_J
 
 RESULTS = []
@@ -39,12 +40,13 @@ def test_criterion_01_fourier_identity():
 
 
 def test_criterion_02_oracle_agreement():
+    assert REL_TOL == 1e-9  # the oracle's tolerance
     t0 = time.perf_counter()
     worst = 0.0
     ok = True
     for q in (3, 5):
         for k in (1, 2, 3):
-            r = verify.oracle_agreement(q, k, n_instances=100, seed=0, tol=1e-9)
+            r = verify.oracle_agreement(q, k, n_instances=100, seed=0)
             ok = ok and r["passed"]
             worst = max(worst, r["worst_rel_error"])
     record(

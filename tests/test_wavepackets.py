@@ -609,6 +609,17 @@ class TestOneClosureMerge:
         f, parts, off = case
         assert f._is_sum_of(parts) == ModulatedStep(f.q, f.k, parts).close_to(f) == (off < 1e-9)
 
+    def test_close_to_is_one_merge_of_both_functions_terms(self, monkeypatch):
+        rng = random.Random(3)
+        f, g = (random_modstep(rng, 3, 2, 3, scale, mod_depth=2) for scale in (1, 2))
+        zero = ModulatedStep.zero(3, 2)
+        inits, merges = _spy_constructions(monkeypatch)
+        assert f.close_to(f) and not f.close_to(g) and not f.close_to(zero)
+        assert not inits and len(merges) == 3
+        assert merges[1] == [*f.terms, *[(-c, b, cube) for c, b, cube in g.terms]]
+        with pytest.raises(ValueError, match="different groups"):
+            f.close_to(ModulatedStep.indicator(ball(5, 2, 0)))
+
     def test_pigeonhole_builds_no_bucket_sum_and_merges_against_f_once(self, monkeypatch):
         cfg = ScaleConfig.from_epsilon(3, 2, 2, Fraction(1, 2))
         f = random_curve_supported(random.Random(4), 3, 2, 2, 5, 2)
