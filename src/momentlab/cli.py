@@ -5,8 +5,7 @@ karatsuba, counting-lemma, ratio, main-lemma, reverse-square, exponents,
 pigeonhole-report.  Reports are JSON (or CSV, with --format, for the
 tables of count-vinogradov, karatsuba and exponents), embed the full
 configuration and library version, state every float at 10 significant
-digits (``_emit``, the one writer, rounds; verdicts read unrounded
-figures), and are byte-identical for identical (configuration, seed) pairs.
+digits, and are byte-identical for identical (configuration, seed) pairs.
 
 Exit codes: 0 success, 2 usage error, 3 budget exhausted, 4 verification
 failure.

@@ -470,7 +470,7 @@ def _cell_values(cube: Cube, parts, r: int):
 
     With x = corner + t * q^s and n = q^(r-s), chi(b . x) is chi(b . corner)
     exp(2 pi i m . t / n), m_i = u_i q^(r + v_i) mod n for b_i = u_i q^v_i: the
-    values are the unscaled ``ifftn`` of each part's c chi(b . corner) put at m.
+    values are the unscaled inverse DFT of each part's c chi(b . corner) put at m.
     Callers take r at least every modulation's constancy scale, so r + v_i >= 0.
     """
     import numpy as np  # imported here so that importing momentlab does not load numpy
@@ -480,7 +480,9 @@ def _cell_values(cube: Cube, parts, r: int):
     for c, b in parts:
         m = tuple(0 if bi.is_zero else bi.unit * q ** (r + bi.valuation) % n for bi in b)
         spectrum[m] += c * char_value(b.dot(cube.corner))
-    return np.fft.ifftn(spectrum, norm="forward").reshape(-1)
+    for axis in range(cube.k):  # ifftn's transform, in place and without its argument handling
+        np.fft.ifft(spectrum, axis=axis, norm="forward", out=spectrum)
+    return spectrum.reshape(-1)
 
 
 def joint_cell_values(fns):

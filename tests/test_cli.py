@@ -278,18 +278,8 @@ class TestStatedFigures:
         _check_stated(read(stated.read_text()), read(raw.read_text()), floats)
         if argv[0] not in ("count-vinogradov", "linnik", "counting-lemma"):  # their reports hold no float
             assert floats
-
-    def test_the_rounding_moves_figures(self, tmp_path, monkeypatch):
-        # karatsuba's bound_float at (6, 3, 77) has more than 10 significant digits
-        from momentlab import cli
-
-        argv = ["karatsuba", "--s", "6", "--k", "3", "--X", "77", "--output"]
-        assert cli.main([*argv, str(tmp_path / "stated")]) == 0
-        monkeypatch.setattr(cli, "_stated", lambda value: value)
-        assert cli.main([*argv, str(tmp_path / "raw")]) == 0
-        floats = []
-        _check_stated(*(json.loads((tmp_path / name).read_text()) for name in ("stated", "raw")), floats)
-        assert any(got != raw for got, raw in floats)
+        if argv[0] == "karatsuba":  # its bound_float at (6, 3, 77) has more than 10 significant digits
+            assert any(got != raw for got, raw in floats)
 
 
 class TestVerifyAll:
